@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simjoin::{Balancing, SelfJoinConfig};
-use sj_bench::run_join_dyn;
+use simjoin::{DynSelfJoin, ExecTarget};
+use sj_bench::run_gpu;
 use sjdata::DatasetSpec;
 use warpsim::IssueOrder;
 
@@ -20,11 +21,14 @@ fn bench_issue_orders(c: &mut Criterion) {
     ] {
         group.bench_function(BenchmarkId::new("sortbywl", label), |b| {
             b.iter(|| {
-                run_join_dyn(
-                    &pts,
-                    SelfJoinConfig::new(eps)
-                        .with_balancing(Balancing::SortByWorkload)
-                        .with_issue_override(order),
+                run_gpu(
+                    &DynSelfJoin::new(
+                        &pts,
+                        SelfJoinConfig::new(eps)
+                            .with_balancing(Balancing::SortByWorkload)
+                            .with_issue_override(order),
+                    ),
+                    &ExecTarget::Gpu,
                 )
             })
         });
@@ -40,7 +44,12 @@ fn bench_k_sweep(c: &mut Criterion) {
     let eps = spec.epsilons[2];
     for k in [1u32, 2, 4, 8, 16, 32] {
         group.bench_function(BenchmarkId::from_parameter(k), |b| {
-            b.iter(|| run_join_dyn(&pts, SelfJoinConfig::new(eps).with_k(k)))
+            b.iter(|| {
+                run_gpu(
+                    &DynSelfJoin::new(&pts, SelfJoinConfig::new(eps).with_k(k)),
+                    &ExecTarget::Gpu,
+                )
+            })
         });
     }
     group.finish();

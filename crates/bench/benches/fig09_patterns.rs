@@ -7,7 +7,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simjoin::{AccessPattern, SelfJoinConfig};
-use sj_bench::run_join_dyn;
+use simjoin::{DynSelfJoin, ExecTarget};
+use sj_bench::run_gpu;
 use sjdata::DatasetSpec;
 
 fn bench_patterns(c: &mut Criterion) {
@@ -23,7 +24,12 @@ fn bench_patterns(c: &mut Criterion) {
             ("lid_unicomp", AccessPattern::LidUnicomp),
         ] {
             group.bench_with_input(BenchmarkId::new(label, name), &pts, |b, pts| {
-                b.iter(|| run_join_dyn(pts, SelfJoinConfig::new(eps).with_pattern(pattern)))
+                b.iter(|| {
+                    run_gpu(
+                        &DynSelfJoin::new(pts, SelfJoinConfig::new(eps).with_pattern(pattern)),
+                        &ExecTarget::Gpu,
+                    )
+                })
             });
         }
     }

@@ -2,7 +2,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simjoin::SelfJoinConfig;
-use sj_bench::run_join_dyn;
+use simjoin::{DynSelfJoin, ExecTarget};
+use sj_bench::run_gpu;
 use sjdata::DatasetSpec;
 
 fn bench_granularity(c: &mut Criterion) {
@@ -14,7 +15,12 @@ fn bench_granularity(c: &mut Criterion) {
         let eps = spec.epsilons[2];
         for k in [1u32, 8] {
             group.bench_with_input(BenchmarkId::new(format!("k{k}"), name), &pts, |b, pts| {
-                b.iter(|| run_join_dyn(pts, SelfJoinConfig::new(eps).with_k(k)))
+                b.iter(|| {
+                    run_gpu(
+                        &DynSelfJoin::new(pts, SelfJoinConfig::new(eps).with_k(k)),
+                        &ExecTarget::Gpu,
+                    )
+                })
             });
         }
     }

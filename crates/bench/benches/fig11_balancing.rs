@@ -2,7 +2,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simjoin::{Balancing, SelfJoinConfig};
-use sj_bench::run_join_dyn;
+use simjoin::{DynSelfJoin, ExecTarget};
+use sj_bench::run_gpu;
 use sjdata::DatasetSpec;
 
 fn bench_balancing(c: &mut Criterion) {
@@ -18,7 +19,12 @@ fn bench_balancing(c: &mut Criterion) {
             ("workqueue", Balancing::WorkQueue),
         ] {
             group.bench_with_input(BenchmarkId::new(label, name), &pts, |b, pts| {
-                b.iter(|| run_join_dyn(pts, SelfJoinConfig::new(eps).with_balancing(balancing)))
+                b.iter(|| {
+                    run_gpu(
+                        &DynSelfJoin::new(pts, SelfJoinConfig::new(eps).with_balancing(balancing)),
+                        &ExecTarget::Gpu,
+                    )
+                })
             });
         }
     }

@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simjoin::SelfJoinConfig;
-use sj_bench::{run_join_dyn, run_superego_dyn, CpuModel};
+use simjoin::{DynSelfJoin, ExecTarget};
+use sj_bench::{run_gpu, run_superego, CpuModel};
 use sjdata::DatasetSpec;
 use warpsim::CostModel;
 
@@ -15,13 +16,31 @@ fn bench_speedup_endpoints(c: &mut Criterion) {
         let pts = spec.generate(6_000);
         let eps = spec.epsilons[3];
         group.bench_with_input(BenchmarkId::new("baseline", name), &pts, |b, pts| {
-            b.iter(|| run_join_dyn(pts, SelfJoinConfig::new(eps)))
+            b.iter(|| {
+                run_gpu(
+                    &DynSelfJoin::new(pts, SelfJoinConfig::new(eps)),
+                    &ExecTarget::Gpu,
+                )
+            })
         });
         group.bench_with_input(BenchmarkId::new("optimized", name), &pts, |b, pts| {
-            b.iter(|| run_join_dyn(pts, SelfJoinConfig::optimized(eps)))
+            b.iter(|| {
+                run_gpu(
+                    &DynSelfJoin::new(pts, SelfJoinConfig::optimized(eps)),
+                    &ExecTarget::Gpu,
+                )
+            })
         });
         group.bench_with_input(BenchmarkId::new("superego", name), &pts, |b, pts| {
-            b.iter(|| run_superego_dyn(pts, eps, &CpuModel::default(), &CostModel::default()))
+            b.iter(|| {
+                run_superego(
+                    pts,
+                    eps,
+                    &CpuModel::default(),
+                    &CostModel::default(),
+                    &sj_telemetry::NULL,
+                )
+            })
         });
     }
     group.finish();

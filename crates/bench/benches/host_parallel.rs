@@ -11,8 +11,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simjoin::{Balancing, BatchingConfig, SelfJoinConfig};
-use sj_bench::harness::run_join_dyn_sharded;
-use sj_bench::run_join_dyn;
+use simjoin::{DynSelfJoin, ExecTarget};
+use sj_bench::run_gpu;
 use sjdata::DatasetSpec;
 
 const HOST_JOBS: [usize; 4] = [1, 2, 4, 8];
@@ -38,7 +38,7 @@ fn bench_single_device(c: &mut Criterion) {
     group.sample_size(10);
     for jobs in HOST_JOBS {
         group.bench_with_input(BenchmarkId::new("single_device", jobs), &pts, |b, pts| {
-            b.iter(|| run_join_dyn(pts, config(eps, jobs)))
+            b.iter(|| run_gpu(&DynSelfJoin::new(pts, config(eps, jobs)), &ExecTarget::Gpu))
         });
     }
     group.finish();
@@ -53,12 +53,10 @@ fn bench_fleet(c: &mut Criterion) {
     for jobs in HOST_JOBS {
         group.bench_with_input(BenchmarkId::new("devices_4", jobs), &pts, |b, pts| {
             b.iter(|| {
-                run_join_dyn_sharded(
-                    pts,
-                    config(eps, jobs),
-                    4,
-                    simjoin::ShardStrategy::WorkloadAware,
-                )
+                let config = config(eps, jobs);
+                let fleet = warpsim::DeviceFleet::homogeneous(4, config.gpu);
+                let target = ExecTarget::Fleet(&fleet, simjoin::ShardStrategy::WorkloadAware);
+                run_gpu(&DynSelfJoin::new(pts, config), &target)
             })
         });
     }

@@ -12,7 +12,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use simjoin::{Balancing, SelfJoinConfig, SortBackend};
-use sj_bench::run_join_dyn;
+use simjoin::{DynSelfJoin, ExecTarget};
+use sj_bench::run_gpu;
 use sjdata::DatasetSpec;
 use warpsim::{
     device_exclusive_scan, device_radix_argsort, GpuConfig, LaunchOptions, StepMode,
@@ -75,11 +76,14 @@ fn bench_join_backends(c: &mut Criterion) {
             &pts,
             |b, pts| {
                 b.iter(|| {
-                    run_join_dyn(
-                        pts,
-                        SelfJoinConfig::new(eps)
-                            .with_balancing(Balancing::WorkQueue)
-                            .with_sort_backend(backend),
+                    run_gpu(
+                        &DynSelfJoin::new(
+                            pts,
+                            SelfJoinConfig::new(eps)
+                                .with_balancing(Balancing::WorkQueue)
+                                .with_sort_backend(backend),
+                        ),
+                        &ExecTarget::Gpu,
                     )
                 })
             },

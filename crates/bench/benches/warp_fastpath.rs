@@ -10,7 +10,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use simjoin::SelfJoinConfig;
-use sj_bench::run_join_dyn;
+use simjoin::{DynSelfJoin, ExecTarget};
+use sj_bench::run_gpu;
 use sjdata::DatasetSpec;
 use warpsim::lane::FixedWorkLane;
 use warpsim::{execute_warp_with, LaneSink, Op, OpKind, StepMode};
@@ -63,7 +64,12 @@ fn bench_join_modes(c: &mut Criterion) {
         let eps = spec.epsilons[2];
         for mode in [StepMode::Stepped, StepMode::RunLength] {
             group.bench_with_input(BenchmarkId::new(mode.name(), name), &pts, |b, pts| {
-                b.iter(|| run_join_dyn(pts, SelfJoinConfig::new(eps).with_step_mode(mode)))
+                b.iter(|| {
+                    run_gpu(
+                        &DynSelfJoin::new(pts, SelfJoinConfig::new(eps).with_step_mode(mode)),
+                        &ExecTarget::Gpu,
+                    )
+                })
             });
         }
     }

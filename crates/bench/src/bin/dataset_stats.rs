@@ -6,36 +6,35 @@
 //! dataset-stats [--scale <f>] [DATASET]...
 //! ```
 
-use epsgrid::DynPoints;
+use epsgrid::Point;
+use simjoin::WithPoints;
 use sj_bench::table::Table;
 use sjdata::DatasetSpec;
 
-fn neighbor_stats<const N: usize>(pts: &[[f32; N]], eps: f32) -> (f64, u64, usize) {
-    let grid = epsgrid::GridIndex::build(pts, eps).expect("grid build");
-    let stride = (pts.len() / 2000).max(1);
-    let mut total = 0u64;
-    let mut sampled = 0usize;
-    for pid in (0..pts.len()).step_by(stride) {
-        grid.for_each_candidate_of(pid, |cand| {
-            if cand != pid && epsgrid::within_epsilon(&pts[pid], &pts[cand], eps) {
-                total += 1;
-            }
-        });
-        sampled += 1;
-    }
-    let mean = total as f64 / sampled as f64;
-    let est_pairs = (mean * pts.len() as f64) as u64;
-    (mean, est_pairs, grid.num_cells())
-}
+/// Sampled mean neighbors per point, the extrapolated pair count, and the
+/// non-empty cell count at one ε.
+struct NeighborStats(f32);
 
-fn stats_dyn(pts: &DynPoints, eps: f32) -> (f64, u64, usize) {
-    match pts.dims() {
-        2 => neighbor_stats(&pts.as_fixed::<2>().unwrap(), eps),
-        3 => neighbor_stats(&pts.as_fixed::<3>().unwrap(), eps),
-        4 => neighbor_stats(&pts.as_fixed::<4>().unwrap(), eps),
-        5 => neighbor_stats(&pts.as_fixed::<5>().unwrap(), eps),
-        6 => neighbor_stats(&pts.as_fixed::<6>().unwrap(), eps),
-        d => panic!("unsupported dims {d}"),
+impl WithPoints for NeighborStats {
+    type Output = (f64, u64, usize);
+
+    fn call<const N: usize>(self, pts: &[Point<N>]) -> Self::Output {
+        let eps = self.0;
+        let grid = epsgrid::GridIndex::build(pts, eps).expect("grid build");
+        let stride = (pts.len() / 2000).max(1);
+        let mut total = 0u64;
+        let mut sampled = 0usize;
+        for pid in (0..pts.len()).step_by(stride) {
+            grid.for_each_candidate_of(pid, |cand| {
+                if cand != pid && epsgrid::within_epsilon(&pts[pid], &pts[cand], eps) {
+                    total += 1;
+                }
+            });
+            sampled += 1;
+        }
+        let mean = total as f64 / sampled as f64;
+        let est_pairs = (mean * pts.len() as f64) as u64;
+        (mean, est_pairs, grid.num_cells())
     }
 }
 
@@ -74,7 +73,8 @@ fn main() {
         let n = ((spec.default_points as f64 * scale) as usize).max(500);
         let pts = spec.generate(n);
         for &eps in &spec.epsilons {
-            let (mean, pairs, cells) = stats_dyn(&pts, eps);
+            let (mean, pairs, cells) =
+                simjoin::with_points(&pts, NeighborStats(eps)).expect("Table I dimensionality");
             t.row(vec![
                 spec.name.clone(),
                 n.to_string(),

@@ -23,19 +23,16 @@ use std::sync::Arc;
 
 use epsgrid::DynPoints;
 use simjoin::{
-    AccessPattern, Balancing, BatchingConfig, ExecMode, HybridPolicy, RecoveryPolicy, Reply,
-    Request, SelfJoinConfig, ServeConfig, ServeSession, ShardStrategy, SortBackend,
+    AccessPattern, Balancing, BatchingConfig, DynSelfJoin, ExecMode, ExecOutcome, ExecTarget,
+    HybridPolicy, RecoveryPolicy, Reply, Request, SelfJoinConfig, ServeConfig, ServeSession,
+    ShardStrategy, SortBackend,
 };
 use sj_telemetry::{Event, JsonTelemetry, Telemetry};
 use sjdata::DatasetSpec;
 use warpsim::{CostModel, FaultSchedule, IssueOrder, StepMode};
 
 use crate::cpu_model::CpuModel;
-use crate::harness::{
-    run_join_dyn, run_join_dyn_chaos, run_join_dyn_hybrid, run_join_dyn_sharded,
-    run_join_dyn_sharded_chaos, run_join_dyn_sharded_with, run_join_dyn_with, run_superego_dyn,
-    run_superego_dyn_with, CpuRunResult, GpuRunResult,
-};
+use crate::harness::{run_gpu, run_superego, CpuRunResult, GpuRunResult};
 use crate::table::{fmt_pct, fmt_speedup, fmt_time, Table};
 
 /// Scale knobs for the experiment suite.
@@ -131,36 +128,38 @@ struct CellRunner {
 }
 
 impl CellRunner {
+    /// The open experiment's sink, or the null sink.
+    fn telemetry(&self) -> &dyn Telemetry {
+        match self.sink.as_ref() {
+            Some(sink) => sink.as_ref(),
+            None => &sj_telemetry::NULL,
+        }
+    }
+
+    /// Runs one cell on `target` with the sink attached, recording its
+    /// `bench.gpu_run` summary.
+    fn run_on(
+        &self,
+        pts: &DynPoints,
+        config: SelfJoinConfig,
+        target: &ExecTarget<'_>,
+    ) -> (GpuRunResult, ExecOutcome) {
+        let join = DynSelfJoin::new(pts, config).with_telemetry(self.telemetry());
+        let (r, outcome) = run_gpu(&join, target).expect("join execution must succeed");
+        if let Some(sink) = self.sink.as_ref() {
+            record_gpu_run(sink.as_ref(), &r);
+        }
+        (r, outcome)
+    }
+
     fn run(&self, pts: &DynPoints, config: SelfJoinConfig) -> GpuRunResult {
         if self.devices > 1 {
-            return self.run_sharded(pts, config, self.devices, simjoin::ShardStrategy::default());
+            return self
+                .run_sharded(pts, config, self.devices, ShardStrategy::default())
+                .0;
         }
-        if self.exec_mode != ExecMode::Gpu {
-            let policy = match self.exec_mode {
-                ExecMode::Cpu => HybridPolicy::cpu_only(),
-                _ => HybridPolicy::default(),
-            };
-            let telemetry: &dyn Telemetry = match self.sink.as_ref() {
-                Some(sink) => sink.as_ref(),
-                None => &sj_telemetry::NULL,
-            };
-            let (r, _) = run_join_dyn_hybrid(
-                pts,
-                config.with_exec_mode(self.exec_mode),
-                &policy,
-                telemetry,
-            );
-            if let Some(sink) = self.sink.as_ref() {
-                record_gpu_run(sink.as_ref(), &r);
-            }
-            return r;
-        }
-        let Some(sink) = self.sink.as_ref() else {
-            return run_join_dyn(pts, config);
-        };
-        let r = run_join_dyn_with(pts, config, sink.as_ref());
-        record_gpu_run(sink.as_ref(), &r);
-        r
+        self.run_on(pts, config, &self.exec_mode.target(HybridPolicy::default()))
+            .0
     }
 
     /// Runs one cell sharded across `devices` simulated devices, returning
@@ -171,54 +170,22 @@ impl CellRunner {
         pts: &DynPoints,
         config: SelfJoinConfig,
         devices: usize,
-        strategy: simjoin::ShardStrategy,
-    ) -> GpuRunResult {
-        self.run_sharded_with_fleet(pts, config, devices, strategy)
-            .0
-    }
-
-    fn run_sharded_with_fleet(
-        &self,
-        pts: &DynPoints,
-        config: SelfJoinConfig,
-        devices: usize,
-        strategy: simjoin::ShardStrategy,
+        strategy: ShardStrategy,
     ) -> (GpuRunResult, simjoin::FleetReport) {
+        let mut fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
         // The failover soak knob: kill the chosen device on its first
         // launch. Reshard recovery must absorb it without changing the
         // canonical merged report.
         if let Some(lost) = self.lose_device.filter(|&d| devices > 1 && d < devices) {
-            let faults = vec![(lost, FaultSchedule::new().device_lost_at(0))];
-            let telemetry: &dyn Telemetry = match self.sink.as_ref() {
-                Some(sink) => sink.as_ref(),
-                None => &sj_telemetry::NULL,
-            };
-            let (r, fleet) =
-                run_join_dyn_sharded_chaos(pts, config, devices, strategy, &faults, telemetry)
-                    .expect("a lost device must be recovered, not surfaced");
-            if let Some(sink) = self.sink.as_ref() {
-                record_gpu_run(sink.as_ref(), &r);
-            }
-            return (r, fleet);
+            fleet = fleet.with_fault_schedule(lost, FaultSchedule::new().device_lost_at(0));
         }
-        match self.sink.as_ref() {
-            Some(sink) => {
-                let (r, fleet) =
-                    run_join_dyn_sharded_with(pts, config, devices, strategy, sink.as_ref());
-                record_gpu_run(sink.as_ref(), &r);
-                (r, fleet)
-            }
-            None => run_join_dyn_sharded(pts, config, devices, strategy),
-        }
+        let (r, outcome) = self.run_on(pts, config, &ExecTarget::Fleet(&fleet, strategy));
+        (r, outcome.fleet.expect("a fleet target reports its fleet"))
     }
 
     fn sego(&self, pts: &DynPoints, eps: f32) -> CpuRunResult {
-        match self.sink.as_ref() {
-            Some(s) => {
-                run_superego_dyn_with(pts, eps, &self.cpu, &CostModel::default(), s.as_ref())
-            }
-            None => run_superego_dyn(pts, eps, &self.cpu, &CostModel::default()),
-        }
+        run_superego(pts, eps, &self.cpu, &CostModel::default(), self.telemetry())
+            .expect("SUPER-EGO runs on every dataset dimensionality")
     }
 }
 
@@ -385,6 +352,22 @@ impl Experiments {
 
     fn run(&self, pts: &DynPoints, config: SelfJoinConfig) -> GpuRunResult {
         self.runner().run(pts, config)
+    }
+
+    /// The batching of the multi-unit experiments: probe the result size
+    /// at the table batching, then shrink the capacity to a 24th of it (at
+    /// most 64 batches) so the plan holds enough units to shard, cut, or
+    /// spread across threads.
+    fn unit_batching(&self, pts: &DynPoints, eps: f32) -> BatchingConfig {
+        let probe = self.run(
+            pts,
+            SelfJoinConfig::optimized(eps).with_batching(self.batching),
+        );
+        BatchingConfig {
+            batch_result_capacity: probe.pairs / 24 + 64,
+            max_batches: 64,
+            ..self.batching
+        }
     }
 
     /// Executes a flat list of sweep [`Cell`]s on `self.jobs` workers and
@@ -1074,12 +1057,11 @@ impl Experiments {
         for profile_name in warpsim::FaultProfile::names() {
             let profile = warpsim::FaultProfile::by_name(profile_name).expect("named profile");
             let plane = warpsim::FaultPlane::seeded(0xC4A05, &profile);
-            let sink = self.sink.borrow().clone();
-            let run = match sink {
-                Some(s) => run_join_dyn_chaos(&pts, config.clone(), &plane, s.as_ref()),
-                None => run_join_dyn_chaos(&pts, config.clone(), &plane, &sj_telemetry::NULL),
-            };
-            match run {
+            let runner = self.runner();
+            let join = DynSelfJoin::new(&pts, config.clone())
+                .with_telemetry(runner.telemetry())
+                .with_fault_plane(&plane);
+            match run_gpu(&join, &ExecTarget::Gpu) {
                 Err(error) => t.row(vec![
                     profile_name.to_string(),
                     format!("typed error: {error}"),
@@ -1091,12 +1073,12 @@ impl Experiments {
                     "-".into(),
                     "-".into(),
                 ]),
-                Ok((r, degradation)) => {
+                Ok((r, outcome)) => {
                     assert_eq!(
                         r.pairs, clean.pairs,
                         "chaos run under `{profile_name}` lost pairs"
                     );
-                    let d = degradation.unwrap_or_default();
+                    let d = outcome.report.degradation.unwrap_or_default();
                     t.row(vec![
                         profile_name.to_string(),
                         if d.points_degraded > 0 {
@@ -1135,15 +1117,7 @@ impl Experiments {
         let eps = selected_eps(&spec);
         // Probe the result size, then tighten the batch capacity so the
         // plan holds enough units for an 8-way partition to be meaningful.
-        let probe = self.run(
-            &pts,
-            SelfJoinConfig::optimized(eps).with_batching(self.batching),
-        );
-        let batching = BatchingConfig {
-            batch_result_capacity: probe.pairs / 24 + 64,
-            max_batches: 64,
-            ..self.batching
-        };
+        let batching = self.unit_batching(&pts, eps);
         let config = SelfJoinConfig::optimized(eps).with_batching(batching);
         let runner = self.runner();
         let mut points = Vec::new();
@@ -1152,8 +1126,7 @@ impl Experiments {
                 if devices == 1 && strategy != ShardStrategy::WorkloadAware {
                     continue;
                 }
-                let (r, fleet) =
-                    runner.run_sharded_with_fleet(&pts, config.clone(), devices, strategy);
+                let (r, fleet) = runner.run_sharded(&pts, config.clone(), devices, strategy);
                 if let Some(sink) = self.sink.borrow().as_ref() {
                     sink.record(
                         Event::new("bench", "scaling_run")
@@ -1229,15 +1202,7 @@ impl Experiments {
         // Same probe-and-tighten as the scaling sweep: shrink the batch
         // capacity so the plan holds enough independent units for the
         // batch-level layer to have work to spread across threads.
-        let probe = self.run(
-            &pts,
-            SelfJoinConfig::optimized(eps).with_batching(self.batching),
-        );
-        let batching = BatchingConfig {
-            batch_result_capacity: probe.pairs / 24 + 64,
-            max_batches: 64,
-            ..self.batching
-        };
+        let batching = self.unit_batching(&pts, eps);
         let runner = self.runner();
         let mut points: Vec<HostParallelPoint> = Vec::new();
         let mut single = 0.0f64;
@@ -1287,15 +1252,7 @@ impl Experiments {
         let eps = selected_eps(&spec);
         // Tighten the batch capacity (as in the scaling sweep) so the plan
         // holds enough units that the lost device's region is non-trivial.
-        let probe = self.run(
-            &pts,
-            SelfJoinConfig::optimized(eps).with_batching(self.batching),
-        );
-        let batching = BatchingConfig {
-            batch_result_capacity: probe.pairs / 24 + 64,
-            max_batches: 64,
-            ..self.batching
-        };
+        let batching = self.unit_batching(&pts, eps);
         let mut points = Vec::new();
         for (mode, recovery, faulted) in [
             ("clean", RecoveryPolicy::reshard(), false),
@@ -1305,25 +1262,20 @@ impl Experiments {
             let config = SelfJoinConfig::optimized(eps)
                 .with_batching(batching)
                 .with_recovery(recovery);
-            let faults: Vec<(usize, FaultSchedule)> = if faulted {
-                vec![(LOST_DEVICE, FaultSchedule::new().device_lost_at(0))]
-            } else {
-                Vec::new()
-            };
+            let mut fleet = warpsim::DeviceFleet::homogeneous(DEVICES, config.gpu);
+            if faulted {
+                fleet =
+                    fleet.with_fault_schedule(LOST_DEVICE, FaultSchedule::new().device_lost_at(0));
+            }
             let sink = self.sink.borrow().clone();
-            let telemetry: &dyn Telemetry = match sink.as_ref() {
-                Some(s) => s.as_ref(),
-                None => &sj_telemetry::NULL,
-            };
-            let (r, fleet) = run_join_dyn_sharded_chaos(
-                &pts,
-                config,
-                DEVICES,
-                ShardStrategy::WorkloadAware,
-                &faults,
-                telemetry,
+            let runner = self.runner();
+            let join = DynSelfJoin::new(&pts, config).with_telemetry(runner.telemetry());
+            let (r, outcome) = run_gpu(
+                &join,
+                &ExecTarget::Fleet(&fleet, ShardStrategy::WorkloadAware),
             )
             .expect("failover run must recover, not surface the loss");
+            let fleet = outcome.fleet.expect("a fleet target reports its fleet");
             let cpu_points = fleet.recovery.cpu_last_resort_points
                 + fleet
                     .shards
@@ -1402,23 +1354,10 @@ impl Experiments {
         // peeling the tail onto host workers shortens the GPU pipeline by
         // more than the tail costs on the CPU. Tighten the capacity (as in
         // the scaling sweep) so the plan holds enough units to cut.
-        let probe = self.run(
-            &pts,
-            SelfJoinConfig::optimized(eps).with_batching(self.batching),
-        );
-        let batching = BatchingConfig {
-            batch_result_capacity: probe.pairs / 24 + 64,
-            max_batches: 64,
-            ..self.batching
-        };
-        let config = SelfJoinConfig::optimized(eps)
-            .with_batching(batching)
-            .with_exec_mode(ExecMode::Hybrid);
+        let batching = self.unit_batching(&pts, eps);
+        let config = SelfJoinConfig::optimized(eps).with_batching(batching);
         let sink = self.sink.borrow().clone();
-        let telemetry: &dyn Telemetry = match sink.as_ref() {
-            Some(s) => s.as_ref(),
-            None => &sj_telemetry::NULL,
-        };
+        let runner = self.runner();
         let mut points = Vec::new();
         let sweep: [(&'static str, Option<f64>); 6] = [
             ("gpu-only", Some(0.0)),
@@ -1433,7 +1372,10 @@ impl Experiments {
             if let Some(f) = fraction {
                 policy = policy.with_forced_cpu_fraction(f);
             }
-            let (r, h) = run_join_dyn_hybrid(&pts, config.clone(), &policy, telemetry);
+            let join = DynSelfJoin::new(&pts, config.clone()).with_telemetry(runner.telemetry());
+            let (r, outcome) = run_gpu(&join, &ExecTarget::Hybrid(policy))
+                .expect("hybrid join execution must succeed");
+            let h = outcome.hybrid.expect("a hybrid target reports its cut");
             if let Some(s) = sink.as_ref() {
                 s.record(
                     Event::new("bench", "hybrid_run")
@@ -1522,11 +1464,8 @@ impl Experiments {
         let sink = self.sink.borrow().clone();
         let mut points = Vec::new();
         let mut transcripts: Vec<Vec<String>> = Vec::new();
+        let runner = self.runner();
         for (mode, coalesce) in [("coalesced", true), ("serial", false)] {
-            let telemetry: &dyn Telemetry = match sink.as_ref() {
-                Some(s) => s.as_ref(),
-                None => &sj_telemetry::NULL,
-            };
             let config = SelfJoinConfig::optimized(eps).with_batching(self.batching);
             let serve_cfg = ServeConfig {
                 queue_capacity: BURST + 4,
@@ -1535,7 +1474,7 @@ impl Experiments {
             };
             let mut session = ServeSession::new(fixed.clone(), config, serve_cfg)
                 .expect("dataset indexes at its sweep ε")
-                .with_telemetry(telemetry);
+                .with_telemetry(runner.telemetry());
             let mut responses = Vec::new();
             for round in 0..ROUNDS {
                 // Churn: one insert near an existing point, one remove.

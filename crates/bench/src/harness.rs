@@ -1,9 +1,10 @@
-//! Dimension-erased run helpers for GPU variants and SUPER-EGO.
+//! Run helpers for GPU variants and SUPER-EGO over dimension-erased
+//! datasets.
 
 use std::time::{Duration, Instant};
 
-use epsgrid::DynPoints;
-use simjoin::{SelfJoin, SelfJoinConfig};
+use epsgrid::{DynPoints, Point};
+use simjoin::{with_points, DynSelfJoin, ExecOutcome, ExecTarget, JoinError, WithPoints};
 use sj_telemetry::Telemetry;
 use superego::{super_ego_join_with, SuperEgoConfig};
 
@@ -12,7 +13,7 @@ use crate::cpu_model::CpuModel;
 /// Outcome of one simulated-GPU join run.
 #[derive(Debug, Clone)]
 pub struct GpuRunResult {
-    /// Variant label (from [`SelfJoinConfig::label`]).
+    /// Variant label (from [`simjoin::SelfJoinConfig::label`]).
     pub label: String,
     /// End-to-end response time in model seconds.
     pub response_s: f64,
@@ -45,429 +46,103 @@ pub struct CpuRunResult {
     pub distance_calcs: u64,
 }
 
-fn run_join_fixed<const N: usize>(
-    points: &[[f32; N]],
-    config: SelfJoinConfig,
-    telemetry: &dyn Telemetry,
-) -> GpuRunResult {
+/// Runs `join` on `target` and summarizes the canonical report. The
+/// outcome comes back too, for the target's own breakdown (fleet shards,
+/// hybrid cut, degradation).
+pub fn run_gpu(
+    join: &DynSelfJoin<'_>,
+    target: &ExecTarget<'_>,
+) -> Result<(GpuRunResult, ExecOutcome), JoinError> {
     let start = Instant::now();
-    let label = config.label();
-    let join = SelfJoin::new(points, config)
-        .expect("join configuration must be valid")
-        .with_telemetry(telemetry);
-    let outcome = join.run().expect("join execution must succeed");
-    let warp_cv = outcome.report.warp_stats().map(|s| s.cv()).unwrap_or(0.0);
-    GpuRunResult {
-        label,
-        response_s: outcome.report.response_time_s(),
-        wee: outcome.report.wee(),
+    let outcome = join.run(target)?;
+    let report = &outcome.report;
+    let run = GpuRunResult {
+        label: join.config().label(),
+        response_s: report.response_time_s(),
+        wee: report.wee(),
         pairs: outcome.result.len(),
-        batches: outcome.report.num_batches,
-        distance_calcs: outcome.report.distance_calcs(),
-        warp_cv,
+        batches: report.num_batches,
+        distance_calcs: report.distance_calcs(),
+        warp_cv: report.warp_stats().map(|s| s.cv()).unwrap_or(0.0),
         sim_wall: start.elapsed(),
+    };
+    Ok((run, outcome))
+}
+
+/// Runs SUPER-EGO on a dimension-erased dataset, converting its operation
+/// counts to model seconds with the same cost table the GPU uses, and
+/// records its `superego.run_summary` event to `telemetry`.
+pub fn run_superego(
+    points: &DynPoints,
+    epsilon: f32,
+    cpu: &CpuModel,
+    cost: &warpsim::CostModel,
+    telemetry: &dyn Telemetry,
+) -> Result<CpuRunResult, JoinError> {
+    struct SuperEgo<'s> {
+        epsilon: f32,
+        cpu: &'s CpuModel,
+        cost: &'s warpsim::CostModel,
+        telemetry: &'s dyn Telemetry,
     }
-}
-
-/// Runs a GPU join variant on a dimension-erased dataset (2 ≤ dims ≤ 6).
-///
-/// # Panics
-/// Panics on unsupported dimensionality or invalid configuration.
-pub fn run_join_dyn(points: &DynPoints, config: SelfJoinConfig) -> GpuRunResult {
-    run_join_dyn_with(points, config, &sj_telemetry::NULL)
-}
-
-/// [`run_join_dyn`] recording executor and kernel telemetry to `telemetry`.
-pub fn run_join_dyn_with(
-    points: &DynPoints,
-    config: SelfJoinConfig,
-    telemetry: &dyn Telemetry,
-) -> GpuRunResult {
-    match points.dims() {
-        2 => run_join_fixed(&points.as_fixed::<2>().unwrap(), config, telemetry),
-        3 => run_join_fixed(&points.as_fixed::<3>().unwrap(), config, telemetry),
-        4 => run_join_fixed(&points.as_fixed::<4>().unwrap(), config, telemetry),
-        5 => run_join_fixed(&points.as_fixed::<5>().unwrap(), config, telemetry),
-        6 => run_join_fixed(&points.as_fixed::<6>().unwrap(), config, telemetry),
-        d => panic!("unsupported dimensionality {d}"),
-    }
-}
-
-fn run_join_sharded_fixed<const N: usize>(
-    points: &[[f32; N]],
-    config: SelfJoinConfig,
-    devices: usize,
-    strategy: simjoin::ShardStrategy,
-    telemetry: &dyn Telemetry,
-) -> (GpuRunResult, simjoin::FleetReport) {
-    let start = Instant::now();
-    let label = config.label();
-    let fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
-    let join = SelfJoin::new(points, config)
-        .expect("join configuration must be valid")
-        .with_telemetry(telemetry);
-    let outcome = join
-        .run_on_fleet(&fleet, strategy)
-        .expect("fleet join execution must succeed");
-    let warp_cv = outcome.report.warp_stats().map(|s| s.cv()).unwrap_or(0.0);
-    (
-        GpuRunResult {
-            label,
-            response_s: outcome.report.response_time_s(),
-            wee: outcome.report.wee(),
-            pairs: outcome.result.len(),
-            batches: outcome.report.num_batches,
-            distance_calcs: outcome.report.distance_calcs(),
-            warp_cv,
-            sim_wall: start.elapsed(),
-        },
-        outcome.fleet,
-    )
-}
-
-/// Runs a GPU join sharded across `devices` homogeneous simulated devices.
-/// The [`GpuRunResult`] is built from the *canonical* merged report, so its
-/// fields are bit-identical to [`run_join_dyn`] on the same input; the
-/// [`simjoin::FleetReport`] carries the per-shard view and the fleet
-/// makespan.
-///
-/// # Panics
-/// Panics on unsupported dimensionality, invalid configuration, or an empty
-/// fleet (`devices == 0`).
-pub fn run_join_dyn_sharded(
-    points: &DynPoints,
-    config: SelfJoinConfig,
-    devices: usize,
-    strategy: simjoin::ShardStrategy,
-) -> (GpuRunResult, simjoin::FleetReport) {
-    run_join_dyn_sharded_with(points, config, devices, strategy, &sj_telemetry::NULL)
-}
-
-/// [`run_join_dyn_sharded`] recording executor, kernel, and per-device fleet
-/// telemetry to `telemetry`.
-pub fn run_join_dyn_sharded_with(
-    points: &DynPoints,
-    config: SelfJoinConfig,
-    devices: usize,
-    strategy: simjoin::ShardStrategy,
-    telemetry: &dyn Telemetry,
-) -> (GpuRunResult, simjoin::FleetReport) {
-    match points.dims() {
-        2 => run_join_sharded_fixed(
-            &points.as_fixed::<2>().unwrap(),
-            config,
-            devices,
-            strategy,
-            telemetry,
-        ),
-        3 => run_join_sharded_fixed(
-            &points.as_fixed::<3>().unwrap(),
-            config,
-            devices,
-            strategy,
-            telemetry,
-        ),
-        4 => run_join_sharded_fixed(
-            &points.as_fixed::<4>().unwrap(),
-            config,
-            devices,
-            strategy,
-            telemetry,
-        ),
-        5 => run_join_sharded_fixed(
-            &points.as_fixed::<5>().unwrap(),
-            config,
-            devices,
-            strategy,
-            telemetry,
-        ),
-        6 => run_join_sharded_fixed(
-            &points.as_fixed::<6>().unwrap(),
-            config,
-            devices,
-            strategy,
-            telemetry,
-        ),
-        d => panic!("unsupported dimensionality {d}"),
-    }
-}
-
-fn run_join_hybrid_fixed<const N: usize>(
-    points: &[[f32; N]],
-    config: SelfJoinConfig,
-    policy: &simjoin::HybridPolicy,
-    telemetry: &dyn Telemetry,
-) -> (GpuRunResult, simjoin::HybridReport) {
-    let start = Instant::now();
-    let label = config.label();
-    let join = SelfJoin::new(points, config)
-        .expect("join configuration must be valid")
-        .with_telemetry(telemetry);
-    let outcome = join
-        .run_hybrid(policy)
-        .expect("hybrid join execution must succeed");
-    let warp_cv = outcome.report.warp_stats().map(|s| s.cv()).unwrap_or(0.0);
-    (
-        GpuRunResult {
-            label,
-            response_s: outcome.report.response_time_s(),
-            wee: outcome.report.wee(),
-            pairs: outcome.result.len(),
-            batches: outcome.report.num_batches,
-            distance_calcs: outcome.report.distance_calcs(),
-            warp_cv,
-            sim_wall: start.elapsed(),
-        },
-        outcome.hybrid,
-    )
-}
-
-/// Runs the join through the hybrid CPU/GPU co-executor. The
-/// [`GpuRunResult`] is built from the *canonical* report, so its fields are
-/// bit-identical to [`run_join_dyn`] on the same input for any split; the
-/// [`simjoin::HybridReport`] carries the cut and the per-backend costs.
-///
-/// # Panics
-/// Panics on unsupported dimensionality, invalid configuration, or a failed
-/// differential check.
-pub fn run_join_dyn_hybrid(
-    points: &DynPoints,
-    config: SelfJoinConfig,
-    policy: &simjoin::HybridPolicy,
-    telemetry: &dyn Telemetry,
-) -> (GpuRunResult, simjoin::HybridReport) {
-    macro_rules! dims {
-        ($($n:literal),*) => {
-            match points.dims() {
-                $($n => run_join_hybrid_fixed(
-                    &points.as_fixed::<$n>().unwrap(),
-                    config,
-                    policy,
-                    telemetry,
-                ),)*
-                d => panic!("unsupported dimensionality {d}"),
+    impl WithPoints for SuperEgo<'_> {
+        type Output = CpuRunResult;
+        fn call<const N: usize>(self, points: &[Point<N>]) -> CpuRunResult {
+            let outcome =
+                super_ego_join_with(points, &SuperEgoConfig::new(self.epsilon), self.telemetry);
+            let model_s = self.cpu.model_seconds(&outcome.stats, N as u32, self.cost);
+            if self.telemetry.is_enabled() {
+                self.telemetry.record(
+                    sj_telemetry::Event::new("superego", "run_summary")
+                        .u64("pairs", outcome.pairs.len() as u64)
+                        .u64("threads", outcome.threads as u64)
+                        .f64("model_s", model_s)
+                        .f64("host_wall_s", outcome.wall.as_secs_f64()),
+                );
             }
-        };
-    }
-    dims!(2, 3, 4, 5, 6)
-}
-
-fn run_join_sharded_chaos_fixed<const N: usize>(
-    points: &[[f32; N]],
-    config: SelfJoinConfig,
-    devices: usize,
-    strategy: simjoin::ShardStrategy,
-    faults: &[(usize, warpsim::FaultSchedule)],
-    telemetry: &dyn Telemetry,
-) -> Result<(GpuRunResult, simjoin::FleetReport), String> {
-    let start = Instant::now();
-    let label = config.label();
-    let mut fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
-    for (device, schedule) in faults {
-        fleet = fleet.with_fault_schedule(*device, schedule.clone());
-    }
-    let join = SelfJoin::new(points, config)
-        .expect("join configuration must be valid")
-        .with_telemetry(telemetry);
-    let outcome = join
-        .run_on_fleet(&fleet, strategy)
-        .map_err(|e| e.to_string())?;
-    let warp_cv = outcome.report.warp_stats().map(|s| s.cv()).unwrap_or(0.0);
-    Ok((
-        GpuRunResult {
-            label,
-            response_s: outcome.report.response_time_s(),
-            wee: outcome.report.wee(),
-            pairs: outcome.result.len(),
-            batches: outcome.report.num_batches,
-            distance_calcs: outcome.report.distance_calcs(),
-            warp_cv,
-            sim_wall: start.elapsed(),
-        },
-        outcome.fleet,
-    ))
-}
-
-/// Runs a GPU join sharded across `devices` homogeneous simulated devices
-/// with per-device fault schedules attached — the failover benchmark path.
-/// `Err` carries the typed error's rendering — an acceptable chaos outcome,
-/// unlike a wrong result.
-pub fn run_join_dyn_sharded_chaos(
-    points: &DynPoints,
-    config: SelfJoinConfig,
-    devices: usize,
-    strategy: simjoin::ShardStrategy,
-    faults: &[(usize, warpsim::FaultSchedule)],
-    telemetry: &dyn Telemetry,
-) -> Result<(GpuRunResult, simjoin::FleetReport), String> {
-    macro_rules! dims {
-        ($($n:literal),*) => {
-            match points.dims() {
-                $($n => run_join_sharded_chaos_fixed(
-                    &points.as_fixed::<$n>().unwrap(),
-                    config,
-                    devices,
-                    strategy,
-                    faults,
-                    telemetry,
-                ),)*
-                d => panic!("unsupported dimensionality {d}"),
+            CpuRunResult {
+                model_s,
+                wall_s: outcome.wall.as_secs_f64(),
+                pairs: outcome.pairs.len(),
+                distance_calcs: outcome.stats.distance_calcs,
             }
-        };
+        }
     }
-    dims!(2, 3, 4, 5, 6)
-}
-
-fn run_join_chaos_fixed<const N: usize>(
-    points: &[[f32; N]],
-    config: SelfJoinConfig,
-    plane: &warpsim::FaultPlane,
-    telemetry: &dyn Telemetry,
-) -> Result<(GpuRunResult, Option<simjoin::DegradationReport>), String> {
-    let start = Instant::now();
-    let label = config.label();
-    let join = SelfJoin::new(points, config)
-        .expect("join configuration must be valid")
-        .with_telemetry(telemetry)
-        .with_fault_plane(plane);
-    let outcome = join.run().map_err(|e| e.to_string())?;
-    let warp_cv = outcome.report.warp_stats().map(|s| s.cv()).unwrap_or(0.0);
-    let degradation = outcome.report.degradation.clone();
-    Ok((
-        GpuRunResult {
-            label,
-            response_s: outcome.report.response_time_s(),
-            wee: outcome.report.wee(),
-            pairs: outcome.result.len(),
-            batches: outcome.report.num_batches,
-            distance_calcs: outcome.report.distance_calcs(),
-            warp_cv,
-            sim_wall: start.elapsed(),
-        },
-        degradation,
-    ))
-}
-
-/// Runs a GPU join with a fault plane attached. `Err` carries the typed
-/// error's rendering — an acceptable chaos outcome, unlike a wrong result.
-pub fn run_join_dyn_chaos(
-    points: &DynPoints,
-    config: SelfJoinConfig,
-    plane: &warpsim::FaultPlane,
-    telemetry: &dyn Telemetry,
-) -> Result<(GpuRunResult, Option<simjoin::DegradationReport>), String> {
-    match points.dims() {
-        2 => run_join_chaos_fixed(&points.as_fixed::<2>().unwrap(), config, plane, telemetry),
-        3 => run_join_chaos_fixed(&points.as_fixed::<3>().unwrap(), config, plane, telemetry),
-        4 => run_join_chaos_fixed(&points.as_fixed::<4>().unwrap(), config, plane, telemetry),
-        5 => run_join_chaos_fixed(&points.as_fixed::<5>().unwrap(), config, plane, telemetry),
-        6 => run_join_chaos_fixed(&points.as_fixed::<6>().unwrap(), config, plane, telemetry),
-        d => panic!("unsupported dimensionality {d}"),
-    }
-}
-
-fn run_superego_fixed<const N: usize>(
-    points: &[[f32; N]],
-    epsilon: f32,
-    cpu: &CpuModel,
-    cost: &warpsim::CostModel,
-    telemetry: &dyn Telemetry,
-) -> CpuRunResult {
-    let outcome = super_ego_join_with(points, &SuperEgoConfig::new(epsilon), telemetry);
-    let model_s = cpu.model_seconds(&outcome.stats, N as u32, cost);
-    if telemetry.is_enabled() {
-        telemetry.record(
-            sj_telemetry::Event::new("superego", "run_summary")
-                .u64("pairs", outcome.pairs.len() as u64)
-                .u64("threads", outcome.threads as u64)
-                .f64("model_s", model_s)
-                .f64("host_wall_s", outcome.wall.as_secs_f64()),
-        );
-    }
-    CpuRunResult {
-        model_s,
-        wall_s: outcome.wall.as_secs_f64(),
-        pairs: outcome.pairs.len(),
-        distance_calcs: outcome.stats.distance_calcs,
-    }
-}
-
-/// Runs SUPER-EGO on a dimension-erased dataset and converts its operation
-/// counts to model seconds with the same cost table the GPU uses.
-pub fn run_superego_dyn(
-    points: &DynPoints,
-    epsilon: f32,
-    cpu: &CpuModel,
-    cost: &warpsim::CostModel,
-) -> CpuRunResult {
-    run_superego_dyn_with(points, epsilon, cpu, cost, &sj_telemetry::NULL)
-}
-
-/// [`run_superego_dyn`] recording SUPER-EGO phase telemetry to `telemetry`.
-pub fn run_superego_dyn_with(
-    points: &DynPoints,
-    epsilon: f32,
-    cpu: &CpuModel,
-    cost: &warpsim::CostModel,
-    telemetry: &dyn Telemetry,
-) -> CpuRunResult {
-    match points.dims() {
-        2 => run_superego_fixed(
-            &points.as_fixed::<2>().unwrap(),
-            epsilon,
-            cpu,
-            cost,
-            telemetry,
-        ),
-        3 => run_superego_fixed(
-            &points.as_fixed::<3>().unwrap(),
-            epsilon,
-            cpu,
-            cost,
-            telemetry,
-        ),
-        4 => run_superego_fixed(
-            &points.as_fixed::<4>().unwrap(),
-            epsilon,
-            cpu,
-            cost,
-            telemetry,
-        ),
-        5 => run_superego_fixed(
-            &points.as_fixed::<5>().unwrap(),
-            epsilon,
-            cpu,
-            cost,
-            telemetry,
-        ),
-        6 => run_superego_fixed(
-            &points.as_fixed::<6>().unwrap(),
-            epsilon,
-            cpu,
-            cost,
-            telemetry,
-        ),
-        d => panic!("unsupported dimensionality {d}"),
-    }
+    let superego = SuperEgo {
+        epsilon,
+        cpu,
+        cost,
+        telemetry,
+    };
+    with_points(points, superego)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simjoin::SelfJoinConfig;
     use sjdata::DatasetSpec;
+
+    fn gpu(pts: &DynPoints, config: SelfJoinConfig) -> GpuRunResult {
+        run_gpu(&DynSelfJoin::new(pts, config), &ExecTarget::Gpu)
+            .unwrap()
+            .0
+    }
 
     #[test]
     fn gpu_and_cpu_find_the_same_pairs() {
         let spec = DatasetSpec::by_name("Expo2D2M").unwrap();
         let pts = spec.generate(2_000);
         let eps = 0.6;
-        let gpu = run_join_dyn(&pts, SelfJoinConfig::optimized(eps));
-        let cpu = run_superego_dyn(
+        let gpu = gpu(&pts, SelfJoinConfig::optimized(eps));
+        let cpu = run_superego(
             &pts,
             eps,
             &CpuModel::default(),
             &warpsim::CostModel::default(),
-        );
+            &sj_telemetry::NULL,
+        )
+        .unwrap();
         assert_eq!(gpu.pairs, cpu.pairs);
         assert!(gpu.response_s > 0.0);
         assert!(cpu.model_s > 0.0);
@@ -482,14 +157,13 @@ mod tests {
             batch_result_capacity: 20_000,
             ..simjoin::BatchingConfig::default()
         });
-        let single = run_join_dyn(&pts, config.clone());
+        let single = gpu(&pts, config.clone());
         for devices in [1usize, 4] {
-            let (sharded, fleet) = run_join_dyn_sharded(
-                &pts,
-                config.clone(),
-                devices,
-                simjoin::ShardStrategy::WorkloadAware,
-            );
+            let fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
+            let target = ExecTarget::Fleet(&fleet, simjoin::ShardStrategy::WorkloadAware);
+            let (sharded, outcome) =
+                run_gpu(&DynSelfJoin::new(&pts, config.clone()), &target).unwrap();
+            let fleet = outcome.fleet.unwrap();
             assert_eq!(sharded.pairs, single.pairs);
             assert_eq!(sharded.batches, single.batches);
             assert_eq!(sharded.distance_calcs, single.distance_calcs);
@@ -507,7 +181,7 @@ mod tests {
             let spec = DatasetSpec::by_name(name).unwrap();
             let pts = spec.generate(800);
             let eps = spec.epsilons[2];
-            let r = run_join_dyn(&pts, SelfJoinConfig::new(eps));
+            let r = gpu(&pts, SelfJoinConfig::new(eps));
             assert!(r.wee > 0.0 && r.wee <= 1.0, "{name}");
         }
     }

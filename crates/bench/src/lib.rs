@@ -21,4 +21,4 @@ pub mod harness;
 pub mod table;
 
 pub use cpu_model::CpuModel;
-pub use harness::{run_join_dyn, run_superego_dyn, CpuRunResult, GpuRunResult};
+pub use harness::{run_gpu, run_superego, CpuRunResult, GpuRunResult};

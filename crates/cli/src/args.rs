@@ -78,6 +78,21 @@ impl Parsed {
     pub fn positional(&self) -> &[String] {
         &self.positional
     }
+
+    /// Rejects the first flag or switch not named in the whitespace-separated
+    /// `accepted` list, naming it, so a misspelled flag fails instead of
+    /// being silently ignored.
+    pub fn only(&self, command: &str, accepted: &str) -> Result<(), String> {
+        match self
+            .flags
+            .keys()
+            .chain(&self.switches)
+            .find(|name| !accepted.split_whitespace().any(|a| a == name.as_str()))
+        {
+            Some(name) => Err(format!("`{command}` does not accept --{name}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,10 +2,14 @@
 
 use std::path::Path;
 
-use epsgrid::DynPoints;
-use simjoin::{AccessPattern, Balancing, SelfJoin, SelfJoinConfig, SortBackend};
+use epsgrid::{DynPoints, Point};
+use simjoin::{
+    AccessPattern, Balancing, DynSelfJoin, ExecMode, ExecTarget, HybridPolicy, SelfJoinConfig,
+    ShardStrategy, SortBackend, WithPoints,
+};
 use sj_telemetry::{JsonTelemetry, Telemetry, Value};
 use sjdata::{io as dataio, DatasetSpec};
+use warpsim::DeviceFleet;
 
 use crate::args::Parsed;
 
@@ -21,7 +25,7 @@ USAGE:
                [--pattern full|unicomp|lid] [--balancing none|sort|queue]
                [--balanced-queue] [--devices <n>] [--shard-strategy workload|count]
                [--recovery reshard|degrade] [--sort-backend host|device]
-               [--exec-mode gpu|cpu|hybrid] [--jobs <n>] [--cpu-fraction <f>]
+               [--exec-mode gpu|cpu|hybrid] [--cpu-fraction <f>]
                [--host-jobs <n>] [--output <pairs.csv>] [--verify]
       Run the self-join and print the execution report. --verify checks the
       result against the SUPER-EGO CPU join. With --devices N > 1 the batch
@@ -32,28 +36,33 @@ USAGE:
       persistently mid-join: re-shard its unexecuted work onto the
       survivors (default) or degrade that shard to the exact CPU fallback.
       --exec-mode hybrid co-executes the plan across the simulated GPU and
-      host CPU workers (--jobs threads), cutting the workload-sorted unit
-      list by measured per-backend cost (or at a forced --cpu-fraction) and
-      differentially checking every unit both backends computed; the pair
-      set and canonical report stay identical to --exec-mode gpu.
-      --exec-mode cpu routes every unit through the checked CPU backend.
+      host CPU workers, cutting the workload-sorted unit list by measured
+      per-backend cost (or at a forced --cpu-fraction) and differentially
+      checking every unit both backends computed; the pair set and
+      canonical report stay identical to --exec-mode gpu. --exec-mode cpu
+      routes every unit through the checked CPU backend.
       --host-jobs N threads the inside of the join itself (fleet shards,
-      batches, warp stepping; 0 = one per core, default from the HOST_JOBS
-      env var): the pair set, report, and telemetry are bit-identical for
-      any value — only wall-clock changes. Also accepted by profile, chaos,
-      and soak.
+      batches, warp stepping, hybrid CPU workers; 0 = one per core, default
+      from the HOST_JOBS env var): the pair set, report, and telemetry are
+      bit-identical for any value — only wall-clock changes. Also accepted
+      by profile, chaos, soak, and serve.
   simjoin stats --input <path> --eps <f>
       Print workload statistics (mean neighbors, cells, imbalance).
-  simjoin profile --input <path> --eps <f> [join flags] [--output <telemetry.json>]
+  simjoin profile --input <path> --eps <f> [--k <n>|--k auto]
+                  [--pattern full|unicomp|lid] [--balancing none|sort|queue]
+                  [--balanced-queue] [--sort-backend host|device]
+                  [--host-jobs <n>] [--output <telemetry.json>]
       Run the self-join with the JSON telemetry sink attached, print a
       per-phase breakdown, and write the sj-telemetry/v1 document
       (default: telemetry.json). The sink is observation-only: pair sets,
       cycle counts and model seconds are identical with or without it.
-  simjoin chaos --input <path> --eps <f> [join flags]
+  simjoin chaos --input <path> --eps <f> [--k <n>]
+                [--pattern full|unicomp|lid] [--balancing none|sort|queue]
+                [--balanced-queue] [--sort-backend host|device] [--host-jobs <n>]
                 [--fault-profile transient|device-lost|overflow|counter|stall|mixed]
                 [--seed <u64>] [--devices <n>] [--shard-strategy workload|count]
                 [--recovery reshard|degrade] [--exec-mode gpu|cpu|hybrid]
-                [--output <telemetry.json>]
+                [--cpu-fraction <f>] [--output <telemetry.json>]
       Replay a seeded fault schedule against the join and report how the
       resilient executor recovered (retries, splits, re-sharding, CPU
       degradation). With --devices N > 1 every device gets its own seeded
@@ -82,7 +91,8 @@ USAGE:
       serve_telemetry.json).
   simjoin soak [--iterations <n>] [--seed <base>] [--dataset <name>]
                [--n <count>] [--eps <f>] [--recovery reshard|degrade]
-               [--exec-mode gpu|hybrid] [--quick] [--output <telemetry.json>]
+               [--exec-mode gpu|hybrid] [--cpu-fraction <f>] [--host-jobs <n>]
+               [--quick] [--output <telemetry.json>]
       Chaos soak harness: run N seeded chaos iterations cycling fault
       profile x device count x access pattern, asserting on every round
       that the fleet result is exactly the clean run's pair set and that
@@ -91,7 +101,16 @@ USAGE:
       iteration replays its fault schedule through the hybrid path and
       asserts the co-processed pair set is exactly the clean run's.
       --quick shrinks the dataset for CI.
+
+Every command rejects flags it does not accept.
 ";
+
+/// The flags shaping one join's configuration (see [`join_config`]).
+const CONFIG_FLAGS: &str = "input eps k pattern balancing balanced-queue sort-backend host-jobs";
+
+/// The flags choosing where a join executes (see [`target_flags`] and
+/// [`hybrid_policy`]).
+const TARGET_FLAGS: &str = "devices shard-strategy recovery exec-mode cpu-fraction";
 
 /// Dispatches a parsed command line.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
@@ -100,17 +119,33 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         println!("{USAGE}");
         return Ok(());
     }
-    match parsed.positional()[0].as_str() {
-        "datasets" => datasets(),
-        "generate" => generate(&parsed),
-        "join" => join(&parsed),
-        "stats" => stats(&parsed),
-        "profile" => profile(&parsed),
-        "chaos" => chaos(&parsed),
-        "soak" => soak(&parsed),
-        "serve" => serve(&parsed),
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
-    }
+    type Command = fn(&Parsed) -> Result<(), String>;
+    let command = parsed.positional()[0].as_str();
+    let (accepted, run): (String, Command) = match command {
+        "datasets" => (String::new(), |_| datasets()),
+        "generate" => ("dataset n output".into(), generate),
+        "join" => (format!("{CONFIG_FLAGS} {TARGET_FLAGS} output verify"), join),
+        "stats" => ("input eps".into(), stats),
+        "profile" => (format!("{CONFIG_FLAGS} output"), profile),
+        "chaos" => (
+            format!("{CONFIG_FLAGS} {TARGET_FLAGS} fault-profile seed output"),
+            chaos,
+        ),
+        "soak" => (
+            "iterations seed dataset n quick eps recovery exec-mode cpu-fraction host-jobs output"
+                .into(),
+            soak,
+        ),
+        "serve" => (
+            "input eps k pattern balancing exec-mode host-jobs script listen queue-capacity \
+             no-coalesce rebuild-limit output"
+                .into(),
+            serve,
+        ),
+        other => return Err(format!("unknown command `{other}`\n\n{USAGE}")),
+    };
+    parsed.only(command, &accepted)?;
+    run(&parsed)
 }
 
 fn datasets() -> Result<(), String> {
@@ -195,9 +230,10 @@ fn recovery_flag(parsed: &Parsed) -> Result<simjoin::RecoveryPolicy, String> {
 }
 
 /// `--host-jobs <n>`: worker threads inside each join (fleet shards,
-/// batches, warps); `0` = one per core. When absent the config keeps its
-/// default (the `HOST_JOBS` env var, else auto). Results are bit-identical
-/// for any value — the knob changes wall-clock only.
+/// batches, warps, hybrid CPU workers); `0` = one per core. When absent
+/// the config keeps its default (the `HOST_JOBS` env var, else auto).
+/// Results are bit-identical for any value — the knob changes wall-clock
+/// only.
 fn host_jobs_flag(parsed: &Parsed, config: &mut SelfJoinConfig) -> Result<(), String> {
     if let Some(v) = parsed.optional("host-jobs") {
         config.host_jobs = v
@@ -207,42 +243,89 @@ fn host_jobs_flag(parsed: &Parsed, config: &mut SelfJoinConfig) -> Result<(), St
     Ok(())
 }
 
-fn exec_mode_flag(parsed: &Parsed) -> Result<simjoin::ExecMode, String> {
+/// `--k <n>`, or `--k auto` (reported as `None`: the caller asks the
+/// dataset for [`DynSelfJoin::recommended_k`]).
+fn k_flag(parsed: &Parsed) -> Result<Option<u32>, String> {
+    match parsed.optional("k") {
+        Some("auto") => Ok(None),
+        _ => parsed.parse_or("k", 1).map(Some),
+    }
+}
+
+/// The join configuration of [`CONFIG_FLAGS`] at thread granularity `k`.
+fn join_config(parsed: &Parsed, eps: f32, k: u32) -> Result<SelfJoinConfig, String> {
+    let mut config = SelfJoinConfig::new(eps)
+        .with_pattern(pattern_flag(parsed)?)
+        .with_balancing(balancing_flag(parsed)?)
+        .with_k(k);
+    config.batching.balanced_queue = parsed.switch("balanced-queue");
+    config.sort_backend = sort_backend_flag(parsed)?;
+    host_jobs_flag(parsed, &mut config)?;
+    Ok(config)
+}
+
+fn exec_mode_flag(parsed: &Parsed) -> Result<ExecMode, String> {
     match parsed.optional("exec-mode") {
-        None => Ok(simjoin::ExecMode::default()),
-        Some(name) => simjoin::ExecMode::by_name(name)
+        None => Ok(ExecMode::default()),
+        Some(name) => ExecMode::by_name(name)
             .ok_or_else(|| format!("unknown exec mode `{name}` (gpu|cpu|hybrid)")),
     }
 }
 
-/// Builds the hybrid policy for a non-GPU [`simjoin::ExecMode`] from the
-/// `--jobs` and `--cpu-fraction` flags.
+/// `--devices`, `--shard-strategy` and `--exec-mode`. The CPU and hybrid
+/// modes co-execute against the host, so they run on one device only.
+fn target_flags(parsed: &Parsed) -> Result<(usize, ShardStrategy, ExecMode), String> {
+    let devices: usize = parsed.parse_or("devices", 1)?;
+    if devices == 0 {
+        return Err("--devices must be at least 1".into());
+    }
+    let strategy_name = parsed.optional("shard-strategy").unwrap_or("workload");
+    let strategy = ShardStrategy::by_name(strategy_name)
+        .ok_or_else(|| format!("unknown shard strategy `{strategy_name}` (workload|count)"))?;
+    let exec_mode = exec_mode_flag(parsed)?;
+    if exec_mode != ExecMode::Gpu && devices > 1 {
+        return Err("--exec-mode cpu|hybrid co-executes against the host; use --devices 1".into());
+    }
+    Ok((devices, strategy, exec_mode))
+}
+
+/// The hybrid policy for `mode`: `--cpu-fraction` forces the cut, and the
+/// CPU pool runs the join's resolved `--host-jobs` workers.
 fn hybrid_policy(
     parsed: &Parsed,
-    mode: simjoin::ExecMode,
-) -> Result<simjoin::HybridPolicy, String> {
-    let jobs: usize = parsed.parse_or("jobs", 1)?;
-    if jobs == 0 {
-        return Err("--jobs must be at least 1".into());
+    mode: ExecMode,
+    config: &SelfJoinConfig,
+) -> Result<HybridPolicy, String> {
+    let policy = HybridPolicy::default().with_jobs(config.resolved_host_jobs());
+    let Some(f) = parsed.optional("cpu-fraction") else {
+        return Ok(policy);
+    };
+    if mode == ExecMode::Cpu {
+        return Err("--cpu-fraction conflicts with --exec-mode cpu (always 1.0)".into());
     }
-    let mut policy = match mode {
-        simjoin::ExecMode::Cpu => simjoin::HybridPolicy::cpu_only(),
-        _ => simjoin::HybridPolicy::default(),
+    let f: f64 = f
+        .parse()
+        .map_err(|_| "flag --cpu-fraction has an invalid value")?;
+    if !(0.0..=1.0).contains(&f) {
+        return Err("--cpu-fraction must be within [0, 1]".into());
     }
-    .with_jobs(jobs);
-    if let Some(f) = parsed.optional("cpu-fraction") {
-        if mode == simjoin::ExecMode::Cpu {
-            return Err("--cpu-fraction conflicts with --exec-mode cpu (always 1.0)".into());
+    Ok(policy.with_forced_cpu_fraction(f))
+}
+
+/// SUPER-EGO's sorted pair set: the exact reference `--verify` and
+/// `chaos` check against.
+fn superego_pairs(points: &DynPoints, eps: f32) -> Result<Vec<(u32, u32)>, String> {
+    struct SuperEgo(f32);
+    impl WithPoints for SuperEgo {
+        type Output = Vec<(u32, u32)>;
+        fn call<const N: usize>(self, points: &[Point<N>]) -> Self::Output {
+            let config = superego::SuperEgoConfig::new(self.0);
+            let mut pairs = superego::super_ego_join(points, &config).pairs;
+            pairs.sort_unstable();
+            pairs
         }
-        let f: f64 = f
-            .parse()
-            .map_err(|_| "flag --cpu-fraction has an invalid value")?;
-        if !(0.0..=1.0).contains(&f) {
-            return Err("--cpu-fraction must be within [0, 1]".into());
-        }
-        policy = policy.with_forced_cpu_fraction(f);
     }
-    Ok(policy)
+    simjoin::with_points(points, SuperEgo(eps)).map_err(|e| e.to_string())
 }
 
 /// The hybrid accounting line(s) shared by `join` and `chaos` output.
@@ -296,404 +379,48 @@ fn print_recovery(rec: &simjoin::FleetRecoveryReport) {
     }
 }
 
-fn with_fixed<R>(
-    points: &DynPoints,
-    mut f: impl FnMut(&dyn JoinRunner) -> Result<R, String>,
-) -> Result<R, String> {
-    macro_rules! dims {
-        ($($n:literal),*) => {
-            match points.dims() {
-                $($n => {
-                    let pts = points.as_fixed::<$n>().expect("dims checked");
-                    f(&FixedRunner::<$n> { points: pts })
-                })*
-                d => Err(format!("unsupported dimensionality {d} (2–6)")),
-            }
-        };
-    }
-    dims!(2, 3, 4, 5, 6)
-}
-
-/// What a join run hands back to the CLI: the pairs, the report, and the
-/// `k` that was actually used (relevant under `--auto-k`).
-type RunOutput = Result<(Vec<(u32, u32)>, simjoin::JoinReport, u32), String>;
-
-/// What a sharded join hands back: the merged pairs, the canonical report,
-/// the per-device fleet breakdown, and the `k` that was used.
-type FleetRunOutput = Result<
-    (
-        Vec<(u32, u32)>,
-        simjoin::JoinReport,
-        simjoin::FleetReport,
-        u32,
-    ),
-    String,
->;
-
-/// What a hybrid co-executed join hands back: the merged pairs, the
-/// canonical report, the hybrid accounting, and the `k` that was used.
-type HybridRunOutput = Result<
-    (
-        Vec<(u32, u32)>,
-        simjoin::JoinReport,
-        simjoin::HybridReport,
-        u32,
-    ),
-    String,
->;
-
-/// What a chaos run produced: either a completed join (possibly degraded)
-/// or a typed error — both acceptable under injected faults; only a wrong
-/// pair set is not.
-enum ChaosOutcome {
-    Completed {
-        pairs: Vec<(u32, u32)>,
-        report: Box<simjoin::JoinReport>,
-        /// Present when the chaos run went through the fleet path.
-        fleet: Option<Box<simjoin::FleetReport>>,
-        /// Present when the chaos run went through the hybrid co-executor.
-        hybrid: Option<Box<simjoin::HybridReport>>,
-    },
-    Failed {
-        error: String,
-    },
-}
-
-/// Dimension-erased access to the join for the CLI.
-trait JoinRunner {
-    fn run(&self, config: SelfJoinConfig, auto_k: bool, telemetry: &dyn Telemetry) -> RunOutput;
-    fn run_fleet(
-        &self,
-        config: SelfJoinConfig,
-        auto_k: bool,
-        devices: usize,
-        strategy: simjoin::ShardStrategy,
-        telemetry: &dyn Telemetry,
-    ) -> FleetRunOutput;
-    fn run_hybrid(
-        &self,
-        config: SelfJoinConfig,
-        auto_k: bool,
-        policy: &simjoin::HybridPolicy,
-        telemetry: &dyn Telemetry,
-    ) -> HybridRunOutput;
-    fn run_chaos(
-        &self,
-        config: SelfJoinConfig,
-        plane: &warpsim::FaultPlane,
-        telemetry: &dyn Telemetry,
-    ) -> Result<ChaosOutcome, String>;
-    fn run_chaos_hybrid(
-        &self,
-        config: SelfJoinConfig,
-        policy: &simjoin::HybridPolicy,
-        plane: &warpsim::FaultPlane,
-        telemetry: &dyn Telemetry,
-    ) -> Result<ChaosOutcome, String>;
-    fn run_chaos_fleet(
-        &self,
-        config: SelfJoinConfig,
-        devices: usize,
-        strategy: simjoin::ShardStrategy,
-        faults: &[(usize, warpsim::FaultSchedule)],
-        telemetry: &dyn Telemetry,
-    ) -> Result<ChaosOutcome, String>;
-    fn superego_pairs(&self, eps: f32) -> Vec<(u32, u32)>;
-    fn stats(&self, eps: f32) -> Result<(f64, usize, f64), String>;
-    /// Runs the serve request loop: feed `lines` through a
-    /// [`simjoin::ServeSession`], writing each response line to `out`.
-    /// EOF without an explicit shutdown injects one, so the queue always
-    /// drains and every admitted request is answered.
-    fn serve(
-        &self,
-        config: SelfJoinConfig,
-        serve_cfg: simjoin::ServeConfig,
-        lines: &mut dyn Iterator<Item = std::io::Result<String>>,
-        out: &mut dyn std::io::Write,
-        telemetry: &dyn Telemetry,
-    ) -> Result<simjoin::ServeReport, String>;
-}
-
-struct FixedRunner<const N: usize> {
-    points: Vec<[f32; N]>,
-}
-
-impl<const N: usize> JoinRunner for FixedRunner<N> {
-    fn run(
-        &self,
-        mut config: SelfJoinConfig,
-        auto_k: bool,
-        telemetry: &dyn Telemetry,
-    ) -> RunOutput {
-        if auto_k {
-            let probe = SelfJoin::new(&self.points, config.clone()).map_err(|e| e.to_string())?;
-            config.k = probe.recommended_k();
-        }
-        let k = config.k;
-        let join = SelfJoin::new(&self.points, config)
-            .map_err(|e| e.to_string())?
-            .with_telemetry(telemetry);
-        let outcome = join.run().map_err(|e| e.to_string())?;
-        Ok((outcome.result.sorted_pairs(), outcome.report, k))
-    }
-
-    fn run_fleet(
-        &self,
-        mut config: SelfJoinConfig,
-        auto_k: bool,
-        devices: usize,
-        strategy: simjoin::ShardStrategy,
-        telemetry: &dyn Telemetry,
-    ) -> FleetRunOutput {
-        if auto_k {
-            let probe = SelfJoin::new(&self.points, config.clone()).map_err(|e| e.to_string())?;
-            config.k = probe.recommended_k();
-        }
-        let k = config.k;
-        let fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
-        let join = SelfJoin::new(&self.points, config)
-            .map_err(|e| e.to_string())?
-            .with_telemetry(telemetry);
-        let outcome = join
-            .run_on_fleet(&fleet, strategy)
-            .map_err(|e| e.to_string())?;
-        Ok((
-            outcome.result.sorted_pairs(),
-            outcome.report,
-            outcome.fleet,
-            k,
-        ))
-    }
-
-    fn run_hybrid(
-        &self,
-        mut config: SelfJoinConfig,
-        auto_k: bool,
-        policy: &simjoin::HybridPolicy,
-        telemetry: &dyn Telemetry,
-    ) -> HybridRunOutput {
-        if auto_k {
-            let probe = SelfJoin::new(&self.points, config.clone()).map_err(|e| e.to_string())?;
-            config.k = probe.recommended_k();
-        }
-        let k = config.k;
-        let join = SelfJoin::new(&self.points, config)
-            .map_err(|e| e.to_string())?
-            .with_telemetry(telemetry);
-        let outcome = join.run_hybrid(policy).map_err(|e| e.to_string())?;
-        Ok((
-            outcome.result.sorted_pairs(),
-            outcome.report,
-            outcome.hybrid,
-            k,
-        ))
-    }
-
-    fn run_chaos(
-        &self,
-        config: SelfJoinConfig,
-        plane: &warpsim::FaultPlane,
-        telemetry: &dyn Telemetry,
-    ) -> Result<ChaosOutcome, String> {
-        let join = SelfJoin::new(&self.points, config)
-            .map_err(|e| e.to_string())?
-            .with_telemetry(telemetry)
-            .with_fault_plane(plane);
-        Ok(match join.run() {
-            Ok(outcome) => ChaosOutcome::Completed {
-                pairs: outcome.result.sorted_pairs(),
-                report: Box::new(outcome.report),
-                fleet: None,
-                hybrid: None,
-            },
-            Err(e) => ChaosOutcome::Failed {
-                error: e.to_string(),
-            },
-        })
-    }
-
-    fn run_chaos_hybrid(
-        &self,
-        config: SelfJoinConfig,
-        policy: &simjoin::HybridPolicy,
-        plane: &warpsim::FaultPlane,
-        telemetry: &dyn Telemetry,
-    ) -> Result<ChaosOutcome, String> {
-        let join = SelfJoin::new(&self.points, config)
-            .map_err(|e| e.to_string())?
-            .with_telemetry(telemetry)
-            .with_fault_plane(plane);
-        Ok(match join.run_hybrid(policy) {
-            Ok(outcome) => ChaosOutcome::Completed {
-                pairs: outcome.result.sorted_pairs(),
-                report: Box::new(outcome.report),
-                fleet: None,
-                hybrid: Some(Box::new(outcome.hybrid)),
-            },
-            Err(e) => ChaosOutcome::Failed {
-                error: e.to_string(),
-            },
-        })
-    }
-
-    fn run_chaos_fleet(
-        &self,
-        config: SelfJoinConfig,
-        devices: usize,
-        strategy: simjoin::ShardStrategy,
-        faults: &[(usize, warpsim::FaultSchedule)],
-        telemetry: &dyn Telemetry,
-    ) -> Result<ChaosOutcome, String> {
-        let mut fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
-        for (device, schedule) in faults {
-            fleet = fleet.with_fault_schedule(*device, schedule.clone());
-        }
-        let join = SelfJoin::new(&self.points, config)
-            .map_err(|e| e.to_string())?
-            .with_telemetry(telemetry);
-        Ok(match join.run_on_fleet(&fleet, strategy) {
-            Ok(outcome) => ChaosOutcome::Completed {
-                pairs: outcome.result.sorted_pairs(),
-                report: Box::new(outcome.report),
-                fleet: Some(Box::new(outcome.fleet)),
-                hybrid: None,
-            },
-            Err(e) => ChaosOutcome::Failed {
-                error: e.to_string(),
-            },
-        })
-    }
-
-    fn superego_pairs(&self, eps: f32) -> Vec<(u32, u32)> {
-        let mut pairs =
-            superego::super_ego_join(&self.points, &superego::SuperEgoConfig::new(eps)).pairs;
-        pairs.sort_unstable();
-        pairs
-    }
-
-    fn stats(&self, eps: f32) -> Result<(f64, usize, f64), String> {
-        let join =
-            SelfJoin::new(&self.points, SelfJoinConfig::new(eps)).map_err(|e| e.to_string())?;
-        let profile = simjoin::WorkloadProfile::compute(join.grid());
-        let per_point = profile.per_point();
-        let mean = per_point.iter().sum::<u64>() as f64 / per_point.len() as f64;
-        let var = per_point
-            .iter()
-            .map(|&w| {
-                let d = w as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / per_point.len() as f64;
-        let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-        Ok((join.mean_candidates(), join.grid().num_cells(), cv))
-    }
-
-    fn serve(
-        &self,
-        config: SelfJoinConfig,
-        serve_cfg: simjoin::ServeConfig,
-        lines: &mut dyn Iterator<Item = std::io::Result<String>>,
-        out: &mut dyn std::io::Write,
-        telemetry: &dyn Telemetry,
-    ) -> Result<simjoin::ServeReport, String> {
-        let mut session = simjoin::ServeSession::new(self.points.clone(), config, serve_cfg)
-            .map_err(|e| e.to_string())?
-            .with_telemetry(telemetry);
-        let emit = |lines: Vec<String>, out: &mut dyn std::io::Write| -> Result<(), String> {
-            for line in lines {
-                writeln!(out, "{line}").map_err(|e| e.to_string())?;
-            }
-            out.flush().map_err(|e| e.to_string())
-        };
-        for line in lines {
-            let line = line.map_err(|e| format!("reading requests: {e}"))?;
-            emit(session.handle_line(&line), out)?;
-            if session.is_shut_down() {
-                break;
-            }
-        }
-        if !session.is_shut_down() {
-            emit(session.handle_line("{\"op\": \"shutdown\"}"), out)?;
-        }
-        Ok(session.report())
-    }
-}
-
 fn join(parsed: &Parsed) -> Result<(), String> {
     let eps = eps_flag(parsed)?;
+    let k = k_flag(parsed)?;
+    let mut config =
+        join_config(parsed, eps, k.unwrap_or(1))?.with_recovery(recovery_flag(parsed)?);
+    let (devices, strategy, exec_mode) = target_flags(parsed)?;
+    let policy = hybrid_policy(parsed, exec_mode, &config)?;
     let points = load(parsed)?;
-    let pattern = pattern_flag(parsed)?;
-    let balancing = balancing_flag(parsed)?;
-    let (auto_k, k) = match parsed.optional("k") {
-        Some("auto") => (true, 1u32),
-        Some(v) => (
-            false,
-            v.parse().map_err(|_| "flag --k has an invalid value")?,
-        ),
-        None => (false, 1),
-    };
-    let devices: usize = parsed.parse_or("devices", 1)?;
-    if devices == 0 {
-        return Err("--devices must be at least 1".into());
+    if k.is_none() {
+        config.k = DynSelfJoin::new(&points, config.clone())
+            .recommended_k()
+            .map_err(|e| e.to_string())?;
     }
-    let strategy_name = parsed.optional("shard-strategy").unwrap_or("workload");
-    let strategy = simjoin::ShardStrategy::by_name(strategy_name)
-        .ok_or_else(|| format!("unknown shard strategy `{strategy_name}` (workload|count)"))?;
-    let exec_mode = exec_mode_flag(parsed)?;
-    if exec_mode != simjoin::ExecMode::Gpu && devices > 1 {
-        return Err("--exec-mode cpu|hybrid co-executes against the host; use --devices 1".into());
-    }
-    let mut config = SelfJoinConfig::new(eps)
-        .with_pattern(pattern)
-        .with_balancing(balancing)
-        .with_k(k)
-        .with_recovery(recovery_flag(parsed)?)
-        .with_exec_mode(exec_mode);
-    config.batching.balanced_queue = parsed.switch("balanced-queue");
-    config.sort_backend = sort_backend_flag(parsed)?;
-    host_jobs_flag(parsed, &mut config)?;
 
-    let (pairs, report, fleet, hybrid, used_k) = with_fixed(&points, |runner| {
-        let (pairs, report, fleet, hybrid, used_k) = if devices > 1 {
-            let (pairs, report, fleet, used_k) = runner.run_fleet(
-                config.clone(),
-                auto_k,
-                devices,
-                strategy,
-                &sj_telemetry::NULL,
-            )?;
-            (pairs, report, Some(fleet), None, used_k)
-        } else if exec_mode != simjoin::ExecMode::Gpu {
-            let policy = hybrid_policy(parsed, exec_mode)?;
-            let (pairs, report, hybrid, used_k) =
-                runner.run_hybrid(config.clone(), auto_k, &policy, &sj_telemetry::NULL)?;
-            (pairs, report, None, Some(hybrid), used_k)
-        } else {
-            let (pairs, report, used_k) =
-                runner.run(config.clone(), auto_k, &sj_telemetry::NULL)?;
-            (pairs, report, None, None, used_k)
-        };
-        if parsed.switch("verify") {
-            let reference = runner.superego_pairs(eps);
-            if pairs != reference {
-                return Err(format!(
-                    "verification FAILED: GPU join found {} pairs, SUPER-EGO found {}",
-                    pairs.len(),
-                    reference.len()
-                ));
-            }
-            println!(
-                "verification: SUPER-EGO agrees on all {} pairs",
-                pairs.len()
-            );
+    let sim_fleet = (devices > 1).then(|| DeviceFleet::homogeneous(devices, config.gpu));
+    let target = match &sim_fleet {
+        Some(fleet) => ExecTarget::Fleet(fleet, strategy),
+        None => exec_mode.target(policy),
+    };
+    let outcome = DynSelfJoin::new(&points, config.clone())
+        .run(&target)
+        .map_err(|e| e.to_string())?;
+    let (pairs, report) = (outcome.result.sorted_pairs(), &outcome.report);
+    if parsed.switch("verify") {
+        let reference = superego_pairs(&points, eps)?;
+        if pairs != reference {
+            return Err(format!(
+                "verification FAILED: GPU join found {} pairs, SUPER-EGO found {}",
+                pairs.len(),
+                reference.len()
+            ));
         }
-        Ok((pairs, report, fleet, hybrid, used_k))
-    })?;
+        println!(
+            "verification: SUPER-EGO agrees on all {} pairs",
+            pairs.len()
+        );
+    }
 
     println!(
-        "variant               : {} (k = {used_k})",
-        config.with_k(used_k).label()
+        "variant               : {} (k = {})",
+        config.label(),
+        config.k
     );
     println!("exec mode             : {}", exec_mode.label());
     println!("pairs found           : {}", pairs.len());
@@ -716,7 +443,7 @@ fn join(parsed: &Parsed) -> Result<(), String> {
             }
         );
     }
-    if let Some(fleet) = &fleet {
+    if let Some(fleet) = &outcome.fleet {
         println!(
             "devices               : {} ({} partitioning)",
             fleet.shards.len(),
@@ -759,7 +486,7 @@ fn join(parsed: &Parsed) -> Result<(), String> {
             );
         }
     }
-    if let Some(h) = &hybrid {
+    if let Some(h) = &outcome.hybrid {
         print_hybrid(h);
         if h.makespan_s > 0.0 {
             println!(
@@ -783,36 +510,31 @@ fn join(parsed: &Parsed) -> Result<(), String> {
 
 fn profile(parsed: &Parsed) -> Result<(), String> {
     let eps = eps_flag(parsed)?;
+    let k = k_flag(parsed)?;
+    let mut config = join_config(parsed, eps, k.unwrap_or(1))?;
     let points = load(parsed)?;
-    let pattern = pattern_flag(parsed)?;
-    let balancing = balancing_flag(parsed)?;
-    let (auto_k, k) = match parsed.optional("k") {
-        Some("auto") => (true, 1u32),
-        Some(v) => (
-            false,
-            v.parse().map_err(|_| "flag --k has an invalid value")?,
-        ),
-        None => (false, 1),
-    };
-    let mut config = SelfJoinConfig::new(eps)
-        .with_pattern(pattern)
-        .with_balancing(balancing)
-        .with_k(k);
-    config.batching.balanced_queue = parsed.switch("balanced-queue");
-    config.sort_backend = sort_backend_flag(parsed)?;
-    host_jobs_flag(parsed, &mut config)?;
+    if k.is_none() {
+        config.k = DynSelfJoin::new(&points, config.clone())
+            .recommended_k()
+            .map_err(|e| e.to_string())?;
+    }
 
     let sink = JsonTelemetry::new(format!(
-        "simjoin profile eps={eps} pattern={pattern:?} balancing={balancing:?}"
+        "simjoin profile eps={eps} pattern={:?} balancing={:?}",
+        config.pattern, config.balancing
     ));
-    let (pairs, report, used_k) =
-        with_fixed(&points, |runner| runner.run(config.clone(), auto_k, &sink))?;
+    let outcome = DynSelfJoin::new(&points, config.clone())
+        .with_telemetry(&sink)
+        .run(&ExecTarget::Gpu)
+        .map_err(|e| e.to_string())?;
+    let report = &outcome.report;
 
     println!(
-        "variant               : {} (k = {used_k})",
-        config.clone().with_k(used_k).label()
+        "variant               : {} (k = {})",
+        config.label(),
+        config.k
     );
-    println!("pairs found           : {}", pairs.len());
+    println!("pairs found           : {}", outcome.result.len());
     println!("batches               : {}", report.num_batches);
     println!("warp exec efficiency  : {:.1} %", report.wee() * 100.0);
     println!("response time (model) : {:.6} s", report.response_time_s());
@@ -859,10 +581,8 @@ fn profile(parsed: &Parsed) -> Result<(), String> {
 
 fn chaos(parsed: &Parsed) -> Result<(), String> {
     let eps = eps_flag(parsed)?;
-    let points = load(parsed)?;
-    let pattern = pattern_flag(parsed)?;
-    let balancing = balancing_flag(parsed)?;
     let k: u32 = parsed.parse_or("k", 1)?;
+    let config = join_config(parsed, eps, k)?.with_recovery(recovery_flag(parsed)?);
     let profile_name = parsed.optional("fault-profile").unwrap_or("mixed");
     let profile = warpsim::FaultProfile::by_name(profile_name).ok_or_else(|| {
         format!(
@@ -871,53 +591,32 @@ fn chaos(parsed: &Parsed) -> Result<(), String> {
         )
     })?;
     let seed: u64 = parsed.parse_or("seed", 0)?;
-    let devices: usize = parsed.parse_or("devices", 1)?;
-    if devices == 0 {
-        return Err("--devices must be at least 1".into());
-    }
-    let strategy_name = parsed.optional("shard-strategy").unwrap_or("workload");
-    let strategy = simjoin::ShardStrategy::by_name(strategy_name)
-        .ok_or_else(|| format!("unknown shard strategy `{strategy_name}` (workload|count)"))?;
-    let exec_mode = exec_mode_flag(parsed)?;
-    if exec_mode != simjoin::ExecMode::Gpu && devices > 1 {
-        return Err("--exec-mode cpu|hybrid co-executes against the host; use --devices 1".into());
-    }
-    let mut config = SelfJoinConfig::new(eps)
-        .with_pattern(pattern)
-        .with_balancing(balancing)
-        .with_k(k)
-        .with_recovery(recovery_flag(parsed)?)
-        .with_exec_mode(exec_mode);
-    config.batching.balanced_queue = parsed.switch("balanced-queue");
-    config.sort_backend = sort_backend_flag(parsed)?;
-    host_jobs_flag(parsed, &mut config)?;
+    let (devices, strategy, exec_mode) = target_flags(parsed)?;
+    let policy = hybrid_policy(parsed, exec_mode, &config)?;
+    let points = load(parsed)?;
 
     let sink = JsonTelemetry::new(format!(
         "simjoin chaos profile={profile_name} seed={seed} eps={eps} devices={devices}"
     ));
-    let outcome = if devices > 1 {
-        // Every device draws its own schedule from the same profile, with a
-        // seed offset per device so the fault timings decorrelate.
-        let faults: Vec<(usize, warpsim::FaultSchedule)> = (0..devices)
-            .map(|d| (d, warpsim::FaultSchedule::seeded(seed + d as u64, &profile)))
-            .collect();
-        with_fixed(&points, |runner| {
-            runner.run_chaos_fleet(config.clone(), devices, strategy, &faults, &sink)
-        })?
-    } else {
-        let plane = warpsim::FaultPlane::seeded(seed, &profile);
-        println!("injected faults       : {}", plane.injected_faults());
-        if exec_mode != simjoin::ExecMode::Gpu {
-            let policy = hybrid_policy(parsed, exec_mode)?;
-            with_fixed(&points, |runner| {
-                runner.run_chaos_hybrid(config.clone(), &policy, &plane, &sink)
-            })?
-        } else {
-            with_fixed(&points, |runner| {
-                runner.run_chaos(config.clone(), &plane, &sink)
-            })?
+    // On a fleet every device draws its own schedule from the profile,
+    // with a seed offset per device so the fault timings decorrelate; a
+    // single device replays one seeded plane.
+    let fleet = (devices > 1).then(|| {
+        (0..devices).fold(DeviceFleet::homogeneous(devices, config.gpu), |fleet, d| {
+            fleet.with_fault_schedule(d, warpsim::FaultSchedule::seeded(seed + d as u64, &profile))
+        })
+    });
+    let plane = warpsim::FaultPlane::seeded(seed, &profile);
+    let mut join = DynSelfJoin::new(&points, config.clone()).with_telemetry(&sink);
+    let target = match &fleet {
+        Some(fleet) => ExecTarget::Fleet(fleet, strategy),
+        None => {
+            println!("injected faults       : {}", plane.injected_faults());
+            join = join.with_fault_plane(&plane);
+            exec_mode.target(policy)
         }
     };
+    let outcome = join.run(&target);
 
     println!("variant               : {}", config.label());
     println!("exec mode             : {}", exec_mode.label());
@@ -929,19 +628,16 @@ fn chaos(parsed: &Parsed) -> Result<(), String> {
             config.recovery.label()
         );
     }
-    match &outcome {
-        ChaosOutcome::Failed { error } => {
-            println!("outcome               : typed error — {error}");
+    match outcome {
+        Err(e) if e.is_execution() => {
+            println!("outcome               : typed error — {e}");
             println!("(a typed error is an acceptable chaos outcome; a wrong result is not)");
         }
-        ChaosOutcome::Completed {
-            pairs,
-            report,
-            fleet,
-            hybrid,
-        } => {
-            let reference = with_fixed(&points, |runner| Ok(runner.superego_pairs(eps)))?;
-            if *pairs != reference {
+        Err(e) => return Err(e.to_string()),
+        Ok(outcome) => {
+            let pairs = outcome.result.sorted_pairs();
+            let reference = superego_pairs(&points, eps)?;
+            if pairs != reference {
                 return Err(format!(
                     "chaos verification FAILED: join found {} pairs, SUPER-EGO found {}",
                     pairs.len(),
@@ -952,6 +648,7 @@ fn chaos(parsed: &Parsed) -> Result<(), String> {
                 "outcome               : completed, exact ({} pairs verified)",
                 pairs.len()
             );
+            let report = &outcome.report;
             println!("response time (model) : {:.6} s", report.response_time_s());
             match &report.degradation {
                 None => println!("recovery              : none (clean run)"),
@@ -969,11 +666,11 @@ fn chaos(parsed: &Parsed) -> Result<(), String> {
                     println!("device lost           : {}", d.device_lost);
                 }
             }
-            if let Some(fleet) = fleet {
+            if let Some(fleet) = &outcome.fleet {
                 println!("fleet makespan (model): {:.6} s", fleet.makespan_s);
                 print_recovery(&fleet.recovery);
             }
-            if let Some(h) = hybrid {
+            if let Some(h) = &outcome.hybrid {
                 print_hybrid(h);
             }
         }
@@ -1003,8 +700,7 @@ fn chaos(parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// One soak iteration's observable outcome, lifted out of the
-/// dimension-erased runner closure.
+/// One soak iteration's observable outcome.
 struct SoakRound {
     /// Typed error string when the faulted run failed (acceptable under
     /// injected faults); `None` means it completed and was verified exact.
@@ -1013,6 +709,90 @@ struct SoakRound {
     makespan_s: f64,
     clean_makespan_s: f64,
     intervened: bool,
+}
+
+/// Replays one soak iteration: a clean run and a faulted run of the same
+/// join on the same target shape, which must find exactly the same pairs.
+/// `faults` is the schedule and the device it lands on: a fleet soak
+/// attaches it to that device of a `devices`-wide fleet, a hybrid soak
+/// (`hybrid` set) replays it on the join's own fault plane.
+fn soak_round(
+    points: &DynPoints,
+    config: &SelfJoinConfig,
+    hybrid: Option<HybridPolicy>,
+    devices: usize,
+    faults: (usize, warpsim::FaultSchedule),
+    sink: &dyn Telemetry,
+) -> Result<SoakRound, String> {
+    let strategy = ShardStrategy::WorkloadAware;
+    let clean_fleet = DeviceFleet::homogeneous(devices, config.gpu);
+    let faulted_fleet = DeviceFleet::homogeneous(devices, config.gpu)
+        .with_fault_schedule(faults.0, faults.1.clone());
+    let plane = warpsim::FaultPlane::new(faults.1);
+    let (clean_target, faulted_target) = match hybrid {
+        Some(policy) => (ExecTarget::Hybrid(policy), ExecTarget::Hybrid(policy)),
+        None => (
+            ExecTarget::Fleet(&clean_fleet, strategy),
+            ExecTarget::Fleet(&faulted_fleet, strategy),
+        ),
+    };
+    // Clean reference on the same target: the invariant is that any fault
+    // schedule yields exactly this pair set.
+    let clean = DynSelfJoin::new(points, config.clone())
+        .run(&clean_target)
+        .map_err(|e| format!("clean run failed: {e}"))?;
+    let clean_pairs = clean.result.sorted_pairs();
+    let mut join = DynSelfJoin::new(points, config.clone()).with_telemetry(sink);
+    if hybrid.is_some() {
+        join = join.with_fault_plane(&plane);
+    }
+    let outcome = match join.run(&faulted_target) {
+        Err(e) if e.is_execution() => {
+            return Ok(SoakRound {
+                error: Some(e.to_string()),
+                pairs: 0,
+                makespan_s: 0.0,
+                clean_makespan_s: clean.model_s(),
+                intervened: false,
+            })
+        }
+        Err(e) => return Err(e.to_string()),
+        Ok(outcome) => outcome,
+    };
+    let pairs = outcome.result.sorted_pairs();
+    if pairs != clean_pairs {
+        return Err(format!(
+            "exact-result invariant VIOLATED: faulted run found {} pairs, clean run found {}",
+            pairs.len(),
+            clean_pairs.len()
+        ));
+    }
+    let intervened = match (&outcome.fleet, &outcome.hybrid) {
+        (Some(fleet), _) => {
+            // Structural bound: the parallel makespan can never exceed the
+            // serialized response time of the same recovered run (plus the
+            // host last-resort tail).
+            let serial_bound =
+                outcome.report.response_time_s() + fleet.recovery.cpu_last_resort_model_s;
+            if fleet.makespan_s > serial_bound * 1.05 + 1e-12 {
+                return Err(format!(
+                    "makespan bound VIOLATED: {:.6e} model s exceeds the serial \
+                     response bound {serial_bound:.6e}",
+                    fleet.makespan_s
+                ));
+            }
+            fleet.recovery.intervened()
+        }
+        (_, Some(h)) => h.spilled_units > 0,
+        _ => false,
+    };
+    Ok(SoakRound {
+        error: None,
+        pairs: pairs.len(),
+        makespan_s: outcome.model_s(),
+        clean_makespan_s: clean.model_s(),
+        intervened,
+    })
 }
 
 fn soak(parsed: &Parsed) -> Result<(), String> {
@@ -1029,29 +809,24 @@ fn soak(parsed: &Parsed) -> Result<(), String> {
     let eps = check_eps(parsed.parse_or("eps", 0.5)?)?;
     let recovery = recovery_flag(parsed)?;
     let exec_mode = exec_mode_flag(parsed)?;
-    if exec_mode == simjoin::ExecMode::Cpu {
+    if exec_mode == ExecMode::Cpu {
         return Err("soak --exec-mode supports gpu|hybrid (cpu has no device to fault)".into());
     }
-    let hybrid_soak = exec_mode == simjoin::ExecMode::Hybrid;
-    let policy = hybrid_policy(parsed, exec_mode)?;
+    let mut base = SelfJoinConfig::new(eps).with_recovery(recovery);
+    host_jobs_flag(parsed, &mut base)?;
+    let policy = hybrid_policy(parsed, exec_mode, &base)?;
+    let hybrid = (exec_mode == ExecMode::Hybrid).then_some(policy);
     let points = spec.generate(n);
 
     // Probe the clean pair count once, then tighten the batch capacity so
     // the plan holds enough units that seeded fault schedules actually land
     // inside each device's launch window — a soak over one-launch plans
     // would exercise nothing.
-    let probe_pairs = with_fixed(&points, |runner| {
-        match runner.run_chaos_fleet(
-            SelfJoinConfig::new(eps),
-            1,
-            simjoin::ShardStrategy::WorkloadAware,
-            &[],
-            &sj_telemetry::NULL,
-        )? {
-            ChaosOutcome::Completed { pairs, .. } => Ok(pairs.len()),
-            ChaosOutcome::Failed { error } => Err(format!("soak probe failed: {error}")),
-        }
-    })?;
+    let probe_pairs = DynSelfJoin::new(&points, SelfJoinConfig::new(eps))
+        .run(&ExecTarget::Gpu)
+        .map_err(|e| format!("soak probe failed: {e}"))?
+        .result
+        .len();
     let batching = simjoin::BatchingConfig {
         batch_result_capacity: probe_pairs / 16 + 8,
         max_batches: 64,
@@ -1082,122 +857,18 @@ fn soak(parsed: &Parsed) -> Result<(), String> {
         let seed = seed_base + i;
         let profile_name = profiles[i as usize % profiles.len()];
         let profile = warpsim::FaultProfile::by_name(profile_name).expect("known profile");
-        let devices = if hybrid_soak { 1 } else { 1 + i as usize % 4 };
+        let devices = if hybrid.is_some() {
+            1
+        } else {
+            1 + i as usize % 4
+        };
         let pattern = patterns[i as usize % patterns.len()];
-        let strategy = simjoin::ShardStrategy::WorkloadAware;
-        let mut config = SelfJoinConfig::new(eps)
-            .with_pattern(pattern)
-            .with_batching(batching)
-            .with_recovery(recovery)
-            .with_exec_mode(exec_mode);
-        host_jobs_flag(parsed, &mut config)?;
-        let faults = vec![(
+        let config = base.clone().with_pattern(pattern).with_batching(batching);
+        let faults = (
             i as usize % devices,
             warpsim::FaultSchedule::seeded(seed, &profile),
-        )];
-
-        let round = if hybrid_soak {
-            // Hybrid soak: replay the fault schedule through the CPU/GPU
-            // co-executor and hold the same exact-result invariant against
-            // the clean hybrid run.
-            with_fixed(&points, |runner| {
-                let (clean_pairs, _, clean_h, _) =
-                    runner.run_hybrid(config.clone(), false, &policy, &sj_telemetry::NULL)?;
-                let plane = warpsim::FaultPlane::seeded(seed, &profile);
-                match runner.run_chaos_hybrid(config.clone(), &policy, &plane, &sink)? {
-                    ChaosOutcome::Failed { error } => Ok(SoakRound {
-                        error: Some(error),
-                        pairs: 0,
-                        makespan_s: 0.0,
-                        clean_makespan_s: clean_h.makespan_s,
-                        intervened: false,
-                    }),
-                    ChaosOutcome::Completed { pairs, hybrid, .. } => {
-                        if pairs != clean_pairs {
-                            return Err(format!(
-                                "exact-result invariant VIOLATED: faulted hybrid run found \
-                                 {} pairs, clean run found {}",
-                                pairs.len(),
-                                clean_pairs.len()
-                            ));
-                        }
-                        let h = hybrid.expect("hybrid runs always report the cut");
-                        Ok(SoakRound {
-                            error: None,
-                            pairs: pairs.len(),
-                            makespan_s: h.makespan_s,
-                            clean_makespan_s: clean_h.makespan_s,
-                            intervened: h.spilled_units > 0,
-                        })
-                    }
-                }
-            })
-        } else {
-            with_fixed(&points, |runner| {
-                // Clean reference on the same fleet size: the invariant is that
-                // any fault schedule yields exactly this pair set.
-                let (clean_pairs, clean_makespan_s) = match runner.run_chaos_fleet(
-                    config.clone(),
-                    devices,
-                    strategy,
-                    &[],
-                    &sj_telemetry::NULL,
-                )? {
-                    ChaosOutcome::Completed { pairs, fleet, .. } => {
-                        let fleet = fleet.expect("fleet runs always report the fleet");
-                        (pairs, fleet.makespan_s)
-                    }
-                    ChaosOutcome::Failed { error } => {
-                        return Err(format!("clean fleet run failed: {error}"));
-                    }
-                };
-                match runner.run_chaos_fleet(config.clone(), devices, strategy, &faults, &sink)? {
-                    ChaosOutcome::Failed { error } => Ok(SoakRound {
-                        error: Some(error),
-                        pairs: 0,
-                        makespan_s: 0.0,
-                        clean_makespan_s,
-                        intervened: false,
-                    }),
-                    ChaosOutcome::Completed {
-                        pairs,
-                        report,
-                        fleet,
-                        ..
-                    } => {
-                        if pairs != clean_pairs {
-                            return Err(format!(
-                                "exact-result invariant VIOLATED: faulted run found {} pairs, \
-                             clean run found {}",
-                                pairs.len(),
-                                clean_pairs.len()
-                            ));
-                        }
-                        let fleet = fleet.expect("fleet runs always report the fleet");
-                        // Structural bound: the parallel makespan can never
-                        // exceed the serialized response time of the same
-                        // recovered run (plus the host last-resort tail).
-                        let serial_bound =
-                            report.response_time_s() + fleet.recovery.cpu_last_resort_model_s;
-                        if fleet.makespan_s > serial_bound * 1.05 + 1e-12 {
-                            return Err(format!(
-                                "makespan bound VIOLATED: {:.6e} model s exceeds the serial \
-                             response bound {serial_bound:.6e}",
-                                fleet.makespan_s
-                            ));
-                        }
-                        Ok(SoakRound {
-                            error: None,
-                            pairs: pairs.len(),
-                            makespan_s: fleet.makespan_s,
-                            clean_makespan_s,
-                            intervened: fleet.recovery.intervened(),
-                        })
-                    }
-                }
-            })
-        }
-        .map_err(|e| {
+        );
+        let round = soak_round(&points, &config, hybrid, devices, faults, &sink).map_err(|e| {
             format!(
                 "soak iteration {i} (profile={profile_name} devices={devices} seed={seed}): {e}"
             )
@@ -1262,19 +933,50 @@ fn soak(parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
+/// Feeds request lines through a [`simjoin::ServeSession`] over the
+/// dataset, writing each response line to `out`. EOF without an explicit
+/// shutdown injects one, so the queue always drains and every admitted
+/// request is answered.
+struct Serve<'s> {
+    config: SelfJoinConfig,
+    serve_cfg: simjoin::ServeConfig,
+    lines: &'s mut dyn Iterator<Item = std::io::Result<String>>,
+    out: &'s mut dyn std::io::Write,
+    telemetry: &'s dyn Telemetry,
+}
+
+impl WithPoints for Serve<'_> {
+    type Output = Result<simjoin::ServeReport, String>;
+
+    fn call<const N: usize>(self, points: &[Point<N>]) -> Self::Output {
+        let mut session = simjoin::ServeSession::new(points.to_vec(), self.config, self.serve_cfg)
+            .map_err(|e| e.to_string())?
+            .with_telemetry(self.telemetry);
+        let out = self.out;
+        let mut emit = |lines: Vec<String>| -> Result<(), String> {
+            for line in lines {
+                writeln!(out, "{line}").map_err(|e| e.to_string())?;
+            }
+            out.flush().map_err(|e| e.to_string())
+        };
+        for line in self.lines {
+            let line = line.map_err(|e| format!("reading requests: {e}"))?;
+            emit(session.handle_line(&line))?;
+            if session.is_shut_down() {
+                break;
+            }
+        }
+        if !session.is_shut_down() {
+            emit(session.handle_line("{\"op\": \"shutdown\"}"))?;
+        }
+        Ok(session.report())
+    }
+}
+
 fn serve(parsed: &Parsed) -> Result<(), String> {
     let eps = eps_flag(parsed)?;
-    let points = load(parsed)?;
-    let pattern = pattern_flag(parsed)?;
-    let balancing = balancing_flag(parsed)?;
-    let k: u32 = parsed.parse_or("k", 1)?;
+    let config = join_config(parsed, eps, parsed.parse_or("k", 1)?)?;
     let exec_mode = exec_mode_flag(parsed)?;
-    let mut config = SelfJoinConfig::new(eps)
-        .with_pattern(pattern)
-        .with_balancing(balancing)
-        .with_k(k)
-        .with_exec_mode(exec_mode);
-    host_jobs_flag(parsed, &mut config)?;
     let queue_capacity: usize =
         parsed.parse_or("queue-capacity", simjoin::serve::DEFAULT_QUEUE_CAPACITY)?;
     if queue_capacity == 0 {
@@ -1289,46 +991,58 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
         queue_capacity,
         coalesce: !parsed.switch("no-coalesce"),
         rebuild_limit,
+        target: exec_mode.target(hybrid_policy(parsed, exec_mode, &config)?),
     };
     if parsed.optional("script").is_some() && parsed.optional("listen").is_some() {
         return Err("--script conflicts with --listen (pick one request source)".into());
     }
+    let points = load(parsed)?;
 
     let sink = JsonTelemetry::new(format!(
-        "simjoin serve eps={eps} pattern={pattern:?} balancing={balancing:?} \
+        "simjoin serve eps={eps} pattern={:?} balancing={:?} \
          exec={} queue-capacity={queue_capacity} coalesce={}",
+        config.pattern,
+        config.balancing,
         exec_mode.label(),
         serve_cfg.coalesce
     ));
-    let report = if let Some(addr) = parsed.optional("listen") {
-        // One connection at a time: the session is a state machine over one
-        // dataset, so interleaving clients would interleave their epochs.
-        let listener =
-            std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
-        eprintln!("serve: listening on {addr} (one connection, EOF = shutdown)");
-        let (stream, peer) = listener.accept().map_err(|e| e.to_string())?;
-        eprintln!("serve: client {peer} connected");
-        let reader = std::io::BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-        let mut writer = std::io::BufWriter::new(stream);
-        let mut lines = std::io::BufRead::lines(reader);
-        with_fixed(&points, |runner| {
-            runner.serve(config.clone(), serve_cfg, &mut lines, &mut writer, &sink)
-        })?
-    } else if let Some(script) = parsed.optional("script") {
-        let text = std::fs::read_to_string(script).map_err(|e| format!("reading {script}: {e}"))?;
-        let mut stdout = std::io::stdout();
-        let mut lines = text.lines().map(|l| Ok(l.to_string()));
-        with_fixed(&points, |runner| {
-            runner.serve(config.clone(), serve_cfg, &mut lines, &mut stdout, &sink)
-        })?
-    } else {
-        let stdin = std::io::stdin();
-        let mut stdout = std::io::stdout();
-        let mut lines = std::io::BufRead::lines(stdin.lock());
-        with_fixed(&points, |runner| {
-            runner.serve(config.clone(), serve_cfg, &mut lines, &mut stdout, &sink)
-        })?
+    type Lines<'t> = Box<dyn Iterator<Item = std::io::Result<String>> + 't>;
+    let text: String;
+    let (mut lines, mut out): (Lines<'_>, Box<dyn std::io::Write>) =
+        if let Some(addr) = parsed.optional("listen") {
+            // One connection at a time: the session is a state machine over
+            // one dataset, so interleaving clients would interleave their
+            // epochs.
+            let listener =
+                std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
+            eprintln!("serve: listening on {addr} (one connection, EOF = shutdown)");
+            let (stream, peer) = listener.accept().map_err(|e| e.to_string())?;
+            eprintln!("serve: client {peer} connected");
+            let reader = std::io::BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
+            (
+                Box::new(std::io::BufRead::lines(reader)),
+                Box::new(std::io::BufWriter::new(stream)),
+            )
+        } else if let Some(script) = parsed.optional("script") {
+            text = std::fs::read_to_string(script).map_err(|e| format!("reading {script}: {e}"))?;
+            (
+                Box::new(text.lines().map(|l| Ok(l.to_string()))),
+                Box::new(std::io::stdout()),
+            )
+        } else {
+            (
+                Box::new(std::io::BufRead::lines(std::io::stdin().lock())),
+                Box::new(std::io::stdout()),
+            )
+        };
+    let session = Serve {
+        config,
+        serve_cfg,
+        lines: &mut lines,
+        out: &mut out,
+        telemetry: &sink,
     };
+    let report = simjoin::with_points(&points, session).map_err(|e| e.to_string())??;
 
     eprintln!(
         "serve summary         : {} request(s) — {} query(ies), {} join(s), \
@@ -1365,9 +1079,33 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
 }
 
 fn stats(parsed: &Parsed) -> Result<(), String> {
+    /// Mean candidates per query, non-empty cells, and the coefficient of
+    /// variation of per-point candidate counts.
+    struct Stats(f32);
+    impl WithPoints for Stats {
+        type Output = Result<(f64, usize, f64), simjoin::JoinError>;
+        fn call<const N: usize>(self, points: &[Point<N>]) -> Self::Output {
+            let join = simjoin::SelfJoin::new(points, SelfJoinConfig::new(self.0))?;
+            let profile = simjoin::WorkloadProfile::compute(join.grid());
+            let per_point = profile.per_point();
+            let mean = per_point.iter().sum::<u64>() as f64 / per_point.len() as f64;
+            let var = per_point
+                .iter()
+                .map(|&w| {
+                    let d = w as f64 - mean;
+                    d * d
+                })
+                .sum::<f64>()
+                / per_point.len() as f64;
+            let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
+            Ok((join.mean_candidates(), join.grid().num_cells(), cv))
+        }
+    }
     let eps = eps_flag(parsed)?;
     let points = load(parsed)?;
-    let (mean_candidates, cells, cv) = with_fixed(&points, |runner| runner.stats(eps))?;
+    let (mean_candidates, cells, cv) = simjoin::with_points(&points, Stats(eps))
+        .and_then(|stats| stats)
+        .map_err(|e| e.to_string())?;
     println!("points               : {}", points.len());
     println!("dims                 : {}", points.dims());
     println!("non-empty cells      : {cells}");
@@ -1640,7 +1378,7 @@ mod tests {
         ]))
         .unwrap();
         // Every exec mode must pass --verify against SUPER-EGO, including a
-        // forced split and a parallel CPU pool.
+        // forced split and a parallel CPU pool (the --host-jobs workers).
         for mode in ["gpu", "cpu", "hybrid"] {
             dispatch(&argv(&[
                 "join",
@@ -1650,7 +1388,7 @@ mod tests {
                 "0.5",
                 "--exec-mode",
                 mode,
-                "--jobs",
+                "--host-jobs",
                 "2",
                 "--verify",
             ]))
@@ -1732,18 +1470,6 @@ mod tests {
             "0.5",
         ]);
         assert!(dispatch(&cpu_fraction_conflict).is_err());
-        let zero_jobs = argv(&[
-            "join",
-            "--input",
-            &data_s,
-            "--eps",
-            "0.5",
-            "--exec-mode",
-            "hybrid",
-            "--jobs",
-            "0",
-        ]);
-        assert!(dispatch(&zero_jobs).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1934,6 +1660,109 @@ mod tests {
         }
         let err = dispatch(&argv(&["soak", "--eps", "-1"])).unwrap_err();
         assert!(err.contains("flag --eps is invalid"));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_before_the_dataset_loads() {
+        // A misspelled flag must fail, not run the join on one device.
+        let err = dispatch(&argv(&[
+            "join",
+            "--input",
+            "nonexistent.csv",
+            "--eps",
+            "0.05",
+            "--devcies",
+            "4",
+            "--verify",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--devcies"), "{err}");
+        assert!(!err.contains("reading"), "{err}");
+        let stray: [(&[&str], &str); 8] = [
+            (&["datasets", "--n", "3"], "--n"),
+            (
+                &[
+                    "generate",
+                    "--dataset",
+                    "Expo2D2M",
+                    "--output",
+                    "x.csv",
+                    "--eps",
+                    "1",
+                ],
+                "--eps",
+            ),
+            (
+                &[
+                    "join",
+                    "--input",
+                    "nonexistent.csv",
+                    "--eps",
+                    "0.5",
+                    "--jobs",
+                    "2",
+                ],
+                "--jobs",
+            ),
+            (
+                &[
+                    "stats",
+                    "--input",
+                    "nonexistent.csv",
+                    "--eps",
+                    "0.5",
+                    "--k",
+                    "8",
+                ],
+                "--k",
+            ),
+            (
+                &[
+                    "profile",
+                    "--input",
+                    "nonexistent.csv",
+                    "--eps",
+                    "0.5",
+                    "--devices",
+                    "2",
+                ],
+                "--devices",
+            ),
+            (
+                &[
+                    "chaos",
+                    "--input",
+                    "nonexistent.csv",
+                    "--eps",
+                    "0.5",
+                    "--verify",
+                ],
+                "--verify",
+            ),
+            (
+                &["soak", "--iterations", "1", "--devices", "2"],
+                "--devices",
+            ),
+            (
+                &[
+                    "serve",
+                    "--input",
+                    "nonexistent.csv",
+                    "--eps",
+                    "0.5",
+                    "--sort-backend",
+                    "host",
+                ],
+                "--sort-backend",
+            ),
+        ];
+        for (cmd, flag) in stray {
+            let err = dispatch(&argv(cmd)).unwrap_err();
+            assert!(
+                err.contains(&format!("does not accept {flag}")),
+                "{cmd:?}: {err}"
+            );
+        }
     }
 
     #[test]

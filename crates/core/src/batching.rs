@@ -196,6 +196,25 @@ impl BatchPlan {
             BatchPlan::Queue { order, .. } => order.len(),
         }
     }
+
+    /// The query ids of unit `unit`: a strided batch in thread order, or a
+    /// queue chunk of the workload-sorted order.
+    pub fn unit_queries(&self, unit: usize) -> &[u32] {
+        match self {
+            BatchPlan::Strided { batches } => &batches[unit],
+            BatchPlan::Queue { order, chunks } => &order[chunks[unit].clone()],
+        }
+    }
+
+    /// The queue head's pop limit (`order.len()`), shared by every shard
+    /// so per-chunk launches stay bit-identical to a single device; `0`
+    /// for a strided plan, which has no queue.
+    pub fn queue_limit(&self) -> u64 {
+        match self {
+            BatchPlan::Strided { .. } => 0,
+            BatchPlan::Queue { order, .. } => order.len() as u64,
+        }
+    }
 }
 
 /// Computes the batch count from an estimate: `ceil(safety × estimate / b_s)`,

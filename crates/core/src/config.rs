@@ -325,7 +325,9 @@ impl SortBackend {
     }
 }
 
-/// Which execution substrate runs the join's work units.
+/// Which execution substrate runs the join's work units, by name (the
+/// `--exec-mode` flag of the front-ends; [`ExecMode::target`] maps it to an
+/// [`ExecTarget`](crate::ExecTarget)).
 ///
 /// `Gpu` is the paper's configuration: every unit of the batch plan
 /// executes as simulated device kernels. `Cpu` runs every unit on the
@@ -404,11 +406,6 @@ pub struct SelfJoinConfig {
     /// Where the planner's sort/scan pre-passes execute (see
     /// [`SortBackend`]).
     pub sort_backend: SortBackend,
-    /// Which substrate executes the join's work units (see [`ExecMode`]).
-    /// Consulted by the front-ends (CLI, bench, soak) to pick between
-    /// [`SelfJoin::run`](crate::SelfJoin::run) and
-    /// [`SelfJoin::run_hybrid`](crate::SelfJoin::run_hybrid).
-    pub exec_mode: ExecMode,
     /// Host worker threads for intra-join parallelism: fleet shards,
     /// within-device batches, and warp micro-execution all run on up to
     /// this many OS threads. `0` means "auto" (available hardware
@@ -437,7 +434,6 @@ impl SelfJoinConfig {
             cpu_fallback: CpuFallbackModel::default(),
             step_mode: StepMode::default(),
             sort_backend: SortBackend::default(),
-            exec_mode: ExecMode::default(),
             host_jobs: std::env::var("HOST_JOBS")
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -506,12 +502,6 @@ impl SelfJoinConfig {
     /// Builder-style: set the sort/scan pre-pass backend.
     pub fn with_sort_backend(mut self, backend: SortBackend) -> Self {
         self.sort_backend = backend;
-        self
-    }
-
-    /// Builder-style: set the execution substrate.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
         self
     }
 
@@ -612,9 +602,19 @@ mod tests {
             assert_eq!(ExecMode::by_name(m.label()), Some(m));
         }
         assert_eq!(ExecMode::by_name("host"), None);
-        let c = SelfJoinConfig::new(0.5).with_exec_mode(ExecMode::Hybrid);
-        assert_eq!(c.exec_mode, ExecMode::Hybrid);
-        assert_eq!(SelfJoinConfig::new(0.5).exec_mode, ExecMode::Gpu);
+        let policy = crate::HybridPolicy::default();
+        assert!(matches!(
+            ExecMode::Gpu.target(policy),
+            crate::ExecTarget::Gpu
+        ));
+        assert!(matches!(
+            ExecMode::Cpu.target(policy),
+            crate::ExecTarget::Hybrid(p) if p.forced_cpu_fraction == Some(1.0)
+        ));
+        assert!(matches!(
+            ExecMode::Hybrid.target(policy),
+            crate::ExecTarget::Hybrid(p) if p.forced_cpu_fraction.is_none()
+        ));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Host-side orchestration: index → estimate → batch plan → kernels → result.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use epsgrid::{GridBuildError, GridIndex, Point};
 use sj_telemetry::{Event, Stopwatch, Telemetry, Value};
@@ -12,7 +14,7 @@ use warpsim::{
 
 use crate::batching::{
     buffer_capacity_for, estimate_prefix, estimate_strided, inclusive_workload_prefix,
-    num_batches_scaled, plan_queue, plan_queue_balanced_from_prefix, plan_strided, BatchPlan,
+    num_batches_for, plan_queue, plan_queue_balanced_from_prefix, plan_strided, BatchPlan,
     ResultEstimate,
 };
 use crate::config::{Balancing, SelfJoinConfig, SortBackend};
@@ -51,6 +53,12 @@ pub enum JoinError {
     /// surfacing the divergence as a typed error (instead of silently
     /// preferring either side) is the co-executor's core test contract.
     Hybrid(String),
+    /// A maintained index handed to [`SelfJoin::with_maintained_index`] was
+    /// not built over the join's points at the join's ε.
+    StaleIndex(String),
+    /// The dataset's dimensionality has no instantiated kernels (see
+    /// [`crate::DIMS`]).
+    Dimensionality(usize),
 }
 
 impl std::fmt::Display for JoinError {
@@ -64,6 +72,13 @@ impl std::fmt::Display for JoinError {
             JoinError::Hybrid(msg) => {
                 write!(f, "hybrid co-processing differential check failed: {msg}")
             }
+            JoinError::StaleIndex(msg) => write!(f, "stale maintained index: {msg}"),
+            JoinError::Dimensionality(d) => write!(
+                f,
+                "unsupported dimensionality {d} ({}–{})",
+                crate::DIMS.start(),
+                crate::DIMS.end()
+            ),
         }
     }
 }
@@ -75,9 +90,24 @@ impl std::error::Error for JoinError {
             JoinError::Grid(e) => Some(e),
             JoinError::InvalidK(e) => Some(e),
             JoinError::Launch(e) => Some(e),
-            JoinError::Fleet(_) => None,
-            JoinError::Hybrid(_) => None,
+            JoinError::Fleet(_)
+            | JoinError::Hybrid(_)
+            | JoinError::StaleIndex(_)
+            | JoinError::Dimensionality(_) => None,
         }
+    }
+}
+
+impl JoinError {
+    /// Whether the join failed while executing — a launch, fleet or
+    /// differential-check failure — rather than while being configured or
+    /// indexed. Execution failures are the outcomes a fault-injection run
+    /// may legitimately end in.
+    pub fn is_execution(&self) -> bool {
+        matches!(
+            self,
+            JoinError::Launch(_) | JoinError::Fleet(_) | JoinError::Hybrid(_)
+        )
     }
 }
 
@@ -264,8 +294,8 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     ///
     /// The grid must have been built over exactly `points` at
     /// `config.epsilon` (bit-equal); mismatches are rejected as
-    /// [`JoinError::Grid`] rather than silently joining against a stale
-    /// index.
+    /// [`JoinError::StaleIndex`] rather than silently joining against a
+    /// stale index.
     pub fn with_maintained_index(
         points: &'a [Point<N>],
         config: SelfJoinConfig,
@@ -274,18 +304,14 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     ) -> Result<Self, JoinError> {
         crate::config::validate_epsilon(config.epsilon)?;
         CoopGroups::new(config.gpu.warp_size, config.k).map_err(JoinError::InvalidK)?;
-        if grid.epsilon().to_bits() != config.epsilon.to_bits() {
-            return Err(JoinError::Fleet(format!(
-                "maintained index was built at eps {} but the join requests eps {}",
-                grid.epsilon(),
-                config.epsilon
-            )));
-        }
-        if grid.num_points() != points.len() {
-            return Err(JoinError::Fleet(format!(
-                "maintained index covers {} points but the dataset has {}",
+        if grid.epsilon().to_bits() != config.epsilon.to_bits() || grid.num_points() != points.len()
+        {
+            return Err(JoinError::StaleIndex(format!(
+                "maintained index covers {} points at eps {} but the join has {} points at eps {}",
                 grid.num_points(),
-                points.len()
+                grid.epsilon(),
+                points.len(),
+                config.epsilon
             )));
         }
         Self::with_built_grid(points, config, grid, per_cell_workload, 0)
@@ -392,7 +418,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
 
     /// Builds the batch plan (exposed for tests and benches).
     pub fn plan(&self) -> (ResultEstimate, BatchPlan) {
-        let (estimate, plan, _) = self.plan_with(1);
+        let (estimate, plan, _) = self.plan_with();
         (estimate, plan)
     }
 
@@ -411,18 +437,13 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         }
     }
 
-    /// Builds the batch plan with the batch count scaled by `multiplier`
-    /// **before** the `max_batches` saturation cap is applied, so a scaled
-    /// re-plan still respects the device-saturation floor (the per-batch
-    /// buffer grows instead of the batch count blowing past the cap).
-    ///
-    /// Under [`SortBackend::Device`] the SORTBYWL sorts, the WORKQUEUE cell
-    /// ordering, and the balanced-queue prefix sum run as warp-kernel
-    /// chains; the returned plan is bit-identical to the host backend's (the
-    /// primitives match the host oracles exactly, and a faulted pre-pass
-    /// degrades to the host path), with the chains' cost accounting in the
-    /// third tuple slot.
-    fn plan_with(&self, multiplier: usize) -> (ResultEstimate, BatchPlan, Option<PrePassReport>) {
+    /// Builds the batch plan. Under [`SortBackend::Device`] the SORTBYWL
+    /// sorts, the WORKQUEUE cell ordering, and the balanced-queue prefix
+    /// sum run as warp-kernel chains; the returned plan is bit-identical to
+    /// the host backend's (the primitives match the host oracles exactly,
+    /// and a faulted pre-pass degrades to the host path), with the chains'
+    /// cost accounting in the third tuple slot.
+    fn plan_with(&self) -> (ResultEstimate, BatchPlan, Option<PrePassReport>) {
         let c = &self.config;
         let mut prepass = self.device_prepass();
         match c.balancing {
@@ -433,7 +454,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     c.epsilon,
                     c.batching.sample_fraction,
                 );
-                let nb = num_batches_scaled(&estimate, &c.batching, multiplier);
+                let nb = num_batches_for(&estimate, &c.batching);
                 let plan = match (&mut prepass, self.profile.as_ref()) {
                     (Some(pp), Some(profile)) => {
                         let mut plan = plan_strided(self.points.len(), nb, None);
@@ -475,7 +496,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     c.batching.sample_fraction,
                     &order,
                 );
-                let nb = num_batches_scaled(&estimate, &c.batching, multiplier);
+                let nb = num_batches_for(&estimate, &c.batching);
                 let plan = if c.batching.balanced_queue {
                     let values: Vec<u64> = order
                         .iter()
@@ -508,69 +529,9 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     ///
     /// [`RetryPolicy::max_overflow_splits`]: crate::RetryPolicy::max_overflow_splits
     pub fn run(&self) -> Result<JoinOutcome, JoinError> {
-        let (estimate, plan, prepass) = self.plan_with_telemetry();
-        let c = &self.config;
-        let capacity = self.capacity_for(&estimate, &plan);
-        let counter = DeviceCounter::new();
-        let queue_limit = match &plan {
-            BatchPlan::Queue { order, .. } => order.len() as u64,
-            _ => 0,
-        };
-        let items: Vec<WorkItem> = (0..plan.num_batches()).map(WorkItem::planned).collect();
-        let ctx = ShardCtx {
-            device: None,
-            gpu: &c.gpu,
-            fault: self.fault,
-            counter: &counter,
-            capacity,
-            queue_limit,
-            defer: false,
-        };
-        let ShardExecution {
-            result,
-            batch_reports,
-            totals,
-            gather_ns,
-            recovery,
-            ..
-        } = self.execute_units(&plan, &items, &ctx)?;
-        let timings: Vec<BatchTiming> = batch_reports
-            .iter()
-            .map(|b| BatchTiming {
-                kernel_s: b.kernel_s,
-                transfer_s: b.transfer_s,
-            })
-            .collect();
-        let pipeline = StreamPipeline::new(c.batching.num_streams).schedule(&timings);
-        let total_pairs = result.len();
-        let degradation = recovery.into_report(batch_reports.len());
-        let recovery_s = degradation
-            .as_ref()
-            .map_or(0.0, |d| d.backoff_s + d.cpu_model_s);
-        if self.telemetry.is_enabled() {
-            self.record_tail_events(
-                &estimate,
-                gather_ns,
-                batch_reports.len(),
-                total_pairs,
-                pipeline.total_s + recovery_s,
-                &totals,
-                degradation.as_ref().is_some_and(|d| d.points_degraded > 0),
-            );
-        }
-        Ok(JoinOutcome {
-            result,
-            report: JoinReport {
-                estimate,
-                num_batches: batch_reports.len(),
-                batches: batch_reports,
-                pipeline,
-                totals,
-                total_pairs,
-                degradation,
-                prepass,
-            },
-        })
+        let planned = self.plan_join();
+        let (exec, ledger, done) = self.execute_plan(&planned, false)?;
+        Ok(self.finish(planned, ledger, done, exec.recovery, exec.gather_ns))
     }
 
     /// Executes the join sharded across a [`DeviceFleet`].
@@ -614,33 +575,13 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             }
         }
         let telemetry_on = self.telemetry.is_enabled();
-        let (estimate, plan, prepass) = self.plan_with_telemetry();
-        let capacity = self.capacity_for(&estimate, &plan);
-        // Quantified per-unit workload for the cut: reuse the balancing
-        // profile when one exists; otherwise profile here. Host-side only —
-        // it cannot change kernel behaviour or model times.
-        let fallback_profile;
-        let per_point: &[u64] = match self.profile.as_ref() {
-            Some(profile) => profile.per_point(),
-            None => {
-                fallback_profile = WorkloadProfile::compute(&self.grid);
-                fallback_profile.per_point()
-            }
-        };
-        let weights = unit_workloads(&plan, per_point);
+        let planned = self.plan_join();
+        let plan = &planned.plan;
+        let profile = self.cut_profile();
+        let per_point = profile.per_point();
+        let weights = unit_workloads(plan, per_point);
         let regions = self.partition_for_fleet(&weights, fleet.len(), strategy);
-        let queue_limit = match &plan {
-            BatchPlan::Queue { order, .. } => order.len() as u64,
-            _ => 0,
-        };
         let defer = c.recovery.reshard_enabled();
-        // Resolves a planned unit back to its query set (CPU last resort).
-        let planned_queries = |u: usize| -> Vec<u32> {
-            match &plan {
-                BatchPlan::Strided { batches } => batches[u].clone(),
-                BatchPlan::Queue { order, chunks } => order[chunks[u].clone()].to_vec(),
-            }
-        };
         // Quantified workload of a re-shardable work item: planned units
         // reuse the cut weights, carried-over query sets re-sum per point.
         let item_weight = |it: &WorkItem| -> u64 {
@@ -650,11 +591,12 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             }
         };
 
-        let mut states: Vec<DeviceState> = (0..fleet.len()).map(|_| DeviceState::new()).collect();
+        let mut states: Vec<DeviceState> =
+            (0..fleet.len()).map(|_| DeviceState::default()).collect();
         let mut rec = crate::fleet::FleetRecoveryReport::default();
+        let mut ledger = Ledger::default();
         let mut cpu_done: Vec<DoneItem> = Vec::new();
         let mut gather_ns: u64 = 0;
-        let mut seq = 0usize;
         let mut round: u32 = 0;
         let mut saved_error: Option<LaunchError> = None;
 
@@ -663,10 +605,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         let mut region_workloads: Vec<u64> = Vec::with_capacity(fleet.len());
         let mut assignment: Vec<(usize, Vec<WorkItem>)> = Vec::with_capacity(fleet.len());
         for (d, region) in regions.iter().enumerate() {
-            let queries: usize = match &plan {
-                BatchPlan::Strided { batches } => region.clone().map(|u| batches[u].len()).sum(),
-                BatchPlan::Queue { chunks, .. } => region.clone().map(|u| chunks[u].len()).sum(),
-            };
+            let queries: usize = region.clone().map(|u| plan.unit_queries(u).len()).sum();
             let workload: u64 = weights[region.clone()].iter().sum();
             if telemetry_on {
                 self.telemetry.record(
@@ -700,88 +639,33 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 .into_iter()
                 .filter(|(_, items)| !items.is_empty())
                 .collect();
-            type DeviceRun = (
-                usize,
-                Vec<WorkItem>,
-                EventBuffer,
-                Result<ShardExecution, JoinError>,
-            );
-            let execs: Vec<DeviceRun> =
+            let execs =
                 crate::pool::par_map(c.resolved_host_jobs(), round_assignment, |(d, items)| {
                     let device = fleet.device(d);
                     let ctx = ShardCtx {
+                        planned: &planned,
                         device: Some(d as u64),
                         gpu: device.gpu(),
                         fault: device.fault_plane(),
                         counter: device.counter(),
-                        capacity,
-                        queue_limit,
                         defer,
                     };
                     let buffer = EventBuffer::new(telemetry_on);
-                    let res = self.execute_units_with(&plan, &items, &ctx, &buffer);
+                    let res = self.execute_units(&items, &ctx, &buffer);
                     (d, items, buffer, res)
                 });
             for (d, items, buffer, res) in execs {
-                if telemetry_on {
-                    for event in buffer.into_events() {
-                        self.telemetry.record(event);
-                    }
-                }
+                buffer.splice_into(self.telemetry, 0, 0);
                 // A typed error surfaces after the failing device's own
                 // partial events, exactly as in the serial walk; later
                 // devices' buffers are dropped unseen.
-                let exec = res?;
+                let mut exec = res?;
                 gather_ns += exec.gather_ns;
                 let state = &mut states[d];
                 state.recovery.merge(&exec.recovery);
-                let interrupted = exec.interruption.is_some();
-                // Re-key executed batches by submitting item: items complete
-                // strictly in order, so each item's batches and pairs are
-                // contiguous runs of the shard output.
-                let all_pairs = exec.result.pairs();
-                let mut pair_off = 0usize;
-                let mut batch_idx = 0usize;
-                while batch_idx < exec.batch_reports.len() {
-                    let item_idx = exec.batch_items[batch_idx];
-                    let mut end = batch_idx;
-                    let mut item_pairs = 0usize;
-                    while end < exec.batch_items.len() && exec.batch_items[end] == item_idx {
-                        item_pairs += exec.batch_reports[end].pairs;
-                        end += 1;
-                    }
-                    state.done.push(DoneItem {
-                        key: items[item_idx].unit,
-                        seq,
-                        // An interrupted shard's completed fragments may be
-                        // partial (a split half whose sibling never ran);
-                        // they are checkpointed output, never respawned.
-                        work: (!interrupted).then(|| items[item_idx].clone()),
-                        pairs: all_pairs[pair_off..pair_off + item_pairs].to_vec(),
-                        batches: exec.batch_reports[batch_idx..end].to_vec(),
-                    });
-                    seq += 1;
-                    pair_off += item_pairs;
-                    batch_idx = end;
-                }
-                if exec.recovery.cpu.is_some() {
-                    // Degrade mode: the shard finished its own remainder on
-                    // the CPU; its pairs sort right after the failing
-                    // unit's salvaged fragments.
-                    let key = exec
-                        .cpu_tail_key
-                        .unwrap_or_else(|| items.last().map_or(0, |it| it.unit));
-                    state.done.push(DoneItem {
-                        key,
-                        seq,
-                        work: None,
-                        pairs: all_pairs[pair_off..].to_vec(),
-                        batches: Vec::new(),
-                    });
-                    seq += 1;
-                }
+                state.done.extend(ledger.checkpoint(&mut exec, &items));
                 if let Some(intr) = exec.interruption {
-                    state.usable = false;
+                    state.failed = true;
                     state.reassigned_out += intr.remnants.len();
                     rec.devices_lost += 1;
                     rec.health.push(crate::fleet::HealthEvent {
@@ -812,7 +696,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 let survivors: Vec<usize> = states
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| s.usable)
+                    .filter(|(_, s)| !s.failed)
                     .map(|(d, _)| d)
                     .collect();
                 if survivors.is_empty() || rec.reshard_rounds >= c.recovery.max_reshard_rounds {
@@ -831,14 +715,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     // item, so the canonical merge can interleave
                     // CPU-completed units with GPU-completed units in plan
                     // order.
-                    let owned: Vec<Vec<u32>> = leftovers
-                        .iter()
-                        .map(|it| match &it.queries {
-                            Some(q) => q.clone(),
-                            None => planned_queries(it.unit),
-                        })
-                        .collect();
-                    let sets: Vec<&[u32]> = owned.iter().map(|v| v.as_slice()).collect();
+                    let sets: Vec<&[u32]> = leftovers.iter().map(|it| it.queries(plan)).collect();
                     let mut per_set: Vec<Vec<(u32, u32)>> = Vec::new();
                     let sw_cpu = Stopwatch::start();
                     let stats = crate::fallback::cpu_join_query_sets(
@@ -872,14 +749,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                         );
                     }
                     for (it, pairs) in leftovers.iter().zip(per_set) {
-                        cpu_done.push(DoneItem {
-                            key: it.unit,
-                            seq,
-                            work: None,
-                            pairs,
-                            batches: Vec::new(),
-                        });
-                        seq += 1;
+                        cpu_done.push(ledger.segment(it.unit, pairs));
                     }
                     break;
                 }
@@ -901,9 +771,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                         .total_cmp(&states[b].pipeline_and_response(c.batching.num_streams).1)
                         .then(a.cmp(&b))
                 });
-                let item_weights: Vec<u64> = leftovers.iter().map(item_weight).collect();
-                let cuts =
-                    partition_units(&item_weights, survivors.len(), ShardStrategy::WorkloadAware);
                 if telemetry_on {
                     self.telemetry.record(
                         Event::new("fleet", "reshard")
@@ -912,21 +779,15 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                             .u64("survivors", survivors.len() as u64),
                     );
                 }
-                for (slot, cut) in cuts.iter().enumerate() {
-                    if cut.is_empty() {
-                        continue;
-                    }
-                    let d = survivors[slot];
-                    let moved = leftovers[cut.clone()].to_vec();
-                    states[d].reassigned_in += moved.len();
-                    rec.health.push(crate::fleet::HealthEvent {
-                        device: d as u64,
-                        round,
-                        state: crate::fleet::DeviceHealth::Reassigned,
-                        units: moved.len(),
-                    });
-                    assignment.push((d, moved));
-                }
+                reassign(
+                    &leftovers,
+                    &survivors,
+                    &item_weight,
+                    round,
+                    &mut states,
+                    &mut rec,
+                    &mut assignment,
+                );
                 continue;
             }
 
@@ -955,16 +816,17 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     } else {
                         0.5 * (sorted[mid - 1] + sorted[mid])
                     };
-                    let mut worst = active[0];
-                    for &d in &active[1..] {
+                    let worst = active[1..].iter().fold(active[0], |worst, &d| {
                         if responses[d] > responses[worst] {
-                            worst = d;
+                            d
+                        } else {
+                            worst
                         }
-                    }
+                    });
                     let cutoff = c.recovery.straggler_threshold * median;
-                    if median > 0.0 && states[worst].usable && responses[worst] > cutoff {
+                    if median > 0.0 && !states[worst].failed && responses[worst] > cutoff {
                         let receivers: Vec<usize> = (0..states.len())
-                            .filter(|&d| d != worst && states[d].usable && responses[d] < median)
+                            .filter(|&d| d != worst && !states[d].failed && responses[d] < median)
                             .collect();
                         if !receivers.is_empty() {
                             let stripped: Vec<WorkItem> = {
@@ -1014,28 +876,15 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                                             .u64("units_moved", stripped.len() as u64),
                                     );
                                 }
-                                let item_weights: Vec<u64> =
-                                    stripped.iter().map(item_weight).collect();
-                                let cuts = partition_units(
-                                    &item_weights,
-                                    receivers.len(),
-                                    ShardStrategy::WorkloadAware,
+                                reassign(
+                                    &stripped,
+                                    &receivers,
+                                    &item_weight,
+                                    round,
+                                    &mut states,
+                                    &mut rec,
+                                    &mut assignment,
                                 );
-                                for (slot, cut) in cuts.iter().enumerate() {
-                                    if cut.is_empty() {
-                                        continue;
-                                    }
-                                    let d = receivers[slot];
-                                    let moved = stripped[cut.clone()].to_vec();
-                                    states[d].reassigned_in += moved.len();
-                                    rec.health.push(crate::fleet::HealthEvent {
-                                        device: d as u64,
-                                        round,
-                                        state: crate::fleet::DeviceHealth::Reassigned,
-                                        units: moved.len(),
-                                    });
-                                    assignment.push((d, moved));
-                                }
                                 continue;
                             }
                         }
@@ -1067,7 +916,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                             "degraded",
                             degradation
                                 .as_ref()
-                                .is_some_and(|dg| dg.points_degraded > 0),
+                                .is_some_and(DegradationReport::cpu_fallback_ran),
                         ),
                 );
             }
@@ -1095,75 +944,26 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             acc.2 += rec.cpu_last_resort_model_s;
         }
 
-        // Canonical merge in original plan-unit order. `seq` breaks ties
-        // within a unit: completed fragments keep their execution order, so
-        // a split half salvaged from a dying device still lands before its
-        // re-homed sibling — exactly the single-device production order.
-        let mut entries: Vec<DoneItem> = states
+        let done: Vec<DoneItem> = states
             .into_iter()
             .flat_map(|s| s.done)
             .chain(cpu_done)
             .collect();
-        entries.sort_by(|a, b| a.key.cmp(&b.key).then(a.seq.cmp(&b.seq)));
-        let mut result = ResultSet::default();
-        let mut batch_reports: Vec<BatchReport> = Vec::with_capacity(plan.num_batches());
-        let mut totals = WarpExecution {
-            warp_size: c.gpu.warp_size,
-            ..WarpExecution::default()
-        };
-        for entry in entries {
-            result.extend(&entry.pairs);
-            for batch in entry.batches {
-                totals.accumulate(&batch.launch.totals);
-                batch_reports.push(batch);
-            }
-        }
-        let timings: Vec<BatchTiming> = batch_reports
-            .iter()
-            .map(|b| BatchTiming {
-                kernel_s: b.kernel_s,
-                transfer_s: b.transfer_s,
-            })
-            .collect();
-        let pipeline = StreamPipeline::new(c.batching.num_streams).schedule(&timings);
-        let total_pairs = result.len();
-        let degradation = recovery.into_report(batch_reports.len());
-        let recovery_s = degradation
-            .as_ref()
-            .map_or(0.0, |dg| dg.backoff_s + dg.cpu_model_s);
+        let JoinOutcome { result, report } =
+            self.finish(planned, ledger, done, recovery, gather_ns);
         if telemetry_on {
-            self.record_tail_events(
-                &estimate,
-                gather_ns,
-                batch_reports.len(),
-                total_pairs,
-                pipeline.total_s + recovery_s,
-                &totals,
-                degradation
-                    .as_ref()
-                    .is_some_and(|dg| dg.points_degraded > 0),
-            );
             self.telemetry.record(
                 Event::new("executor.fleet", "fleet_summary")
                     .u64("devices", fleet.len() as u64)
                     .str("strategy", strategy.label())
                     .f64("makespan_model_s", makespan_s)
-                    .f64("canonical_response_model_s", pipeline.total_s + recovery_s)
+                    .f64("canonical_response_model_s", report.response_time_s())
                     .u64("devices_lost", fleet.lost_devices() as u64),
             );
         }
         Ok(FleetOutcome {
             result,
-            report: JoinReport {
-                estimate,
-                num_batches: batch_reports.len(),
-                batches: batch_reports,
-                pipeline,
-                totals,
-                total_pairs,
-                degradation,
-                prepass,
-            },
+            report,
             fleet: FleetReport {
                 strategy,
                 shards,
@@ -1179,12 +979,12 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     /// [`crate::hybrid::choose_cut`] (or the policy's forced fraction) then
     /// cuts the planned unit list: units `[0, cut)` are the GPU's share,
     /// units `[cut, n)` the CPU pool's. Execution is **differential**: the
-    /// GPU executes the full plan through the shared `execute_units` path —
-    /// which keeps the returned canonical [`JoinReport`] and the executor
-    /// telemetry bit-identical to [`SelfJoin::run`] — while the CPU pool
-    /// independently recomputes its share with the exact [`crate::fallback`]
-    /// join on [`crate::hybrid::par_map`] workers. Each CPU segment is
-    /// checked pair-for-pair against the GPU segment it replaces before the
+    /// GPU executes the full plan exactly as [`SelfJoin::run`] does — which
+    /// keeps the returned canonical [`JoinReport`] and the executor
+    /// telemetry bit-identical to it — while the CPU pool independently
+    /// recomputes its share with the exact [`crate::fallback`] join on
+    /// [`crate::pool::par_map`] workers. Each CPU segment is checked
+    /// pair-for-pair against the GPU segment it replaces before the
     /// plan-order merge; a divergence returns [`JoinError::Hybrid`] instead
     /// of a silently different result. The split decision and both backends'
     /// cost accounting (the overlapped makespan in model seconds) land on
@@ -1199,22 +999,14 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     /// fallback of [`SelfJoin::run`] handles the remainder unchanged.
     pub fn run_hybrid(&self, policy: &HybridPolicy) -> Result<HybridOutcome, JoinError> {
         let telemetry_on = self.telemetry.is_enabled();
-        let (estimate, plan, prepass) = self.plan_with_telemetry();
         let c = &self.config;
-        let capacity = self.capacity_for(&estimate, &plan);
+        let planned = self.plan_join();
+        let plan = &planned.plan;
         let n = plan.num_batches();
 
         // Quantified per-unit workload for the cut (host-side only, same
         // reuse rule as the fleet path).
-        let fallback_profile;
-        let per_point: &[u64] = match self.profile.as_ref() {
-            Some(profile) => profile.per_point(),
-            None => {
-                fallback_profile = WorkloadProfile::compute(&self.grid);
-                fallback_profile.per_point()
-            }
-        };
-        let weights = unit_workloads(&plan, per_point);
+        let weights = unit_workloads(plan, self.cut_profile().per_point());
         let gpu_rate = gpu_weight_throughput(&c.gpu, N as u32);
         let cpu_rate = policy.cpu.weight_throughput(N as u32, &c.gpu.cost);
         let dispatch_s = policy.cpu.dispatch_overhead_s;
@@ -1229,66 +1021,8 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         // context, same counter, same fault plane. This is what keeps the
         // canonical report and event stream split-invariant — and it is the
         // oracle the CPU segments are differentially checked against.
-        let counter = DeviceCounter::new();
-        let queue_limit = match &plan {
-            BatchPlan::Queue { order, .. } => order.len() as u64,
-            _ => 0,
-        };
-        let items: Vec<WorkItem> = (0..n).map(WorkItem::planned).collect();
-        let ctx = ShardCtx {
-            device: None,
-            gpu: &c.gpu,
-            fault: self.fault,
-            counter: &counter,
-            capacity,
-            queue_limit,
-            defer: c.recovery.reshard_enabled(),
-        };
-        let exec = self.execute_units(&plan, &items, &ctx)?;
-
-        // Re-key the shard output by plan unit (the fleet merge idiom):
-        // items complete strictly in order, so each item's batches and
-        // pairs are contiguous runs of the shard output.
-        let all_pairs = exec.result.pairs();
-        let mut done: Vec<DoneItem> = Vec::new();
-        let mut seq = 0usize;
-        let mut pair_off = 0usize;
-        let mut batch_idx = 0usize;
-        while batch_idx < exec.batch_reports.len() {
-            let item_idx = exec.batch_items[batch_idx];
-            let mut end = batch_idx;
-            let mut item_pairs = 0usize;
-            while end < exec.batch_items.len() && exec.batch_items[end] == item_idx {
-                item_pairs += exec.batch_reports[end].pairs;
-                end += 1;
-            }
-            done.push(DoneItem {
-                key: items[item_idx].unit,
-                seq,
-                work: None,
-                pairs: all_pairs[pair_off..pair_off + item_pairs].to_vec(),
-                batches: exec.batch_reports[batch_idx..end].to_vec(),
-            });
-            seq += 1;
-            pair_off += item_pairs;
-            batch_idx = end;
-        }
-        if exec.recovery.cpu.is_some() {
-            // Degrade recovery: the in-shard CPU fallback finished the
-            // remainder; its blob sorts after the failing unit's salvaged
-            // fragments, exactly as on the fleet path.
-            let key = exec
-                .cpu_tail_key
-                .unwrap_or_else(|| items.last().map_or(0, |it| it.unit));
-            done.push(DoneItem {
-                key,
-                seq,
-                work: None,
-                pairs: all_pairs[pair_off..].to_vec(),
-                batches: Vec::new(),
-            });
-            seq += 1;
-        }
+        let (mut exec, mut ledger, mut done) =
+            self.execute_plan(&planned, c.recovery.reshard_enabled())?;
 
         // The first plan unit with no complete GPU result: everything at or
         // past it is covered by the degrade blob or by the reshard spill,
@@ -1302,22 +1036,11 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             n
         };
 
-        // Resolves a planned unit back to its query set.
-        let planned_queries = |u: usize| -> Vec<u32> {
-            match &plan {
-                BatchPlan::Strided { batches } => batches[u].clone(),
-                BatchPlan::Queue { order, chunks } => order[chunks[u].clone()].to_vec(),
-            }
-        };
-
         // Measured inputs to the auto cut: the executed batch timings
         // grouped by plan unit, and the GPU side's fixed recovery charge.
         let mut unit_timings: Vec<Vec<BatchTiming>> = vec![Vec::new(); n];
-        for (b, &item_idx) in exec.batch_reports.iter().zip(&exec.batch_items) {
-            unit_timings[items[item_idx].unit].push(BatchTiming {
-                kernel_s: b.kernel_s,
-                transfer_s: b.transfer_s,
-            });
+        for di in &done {
+            unit_timings[di.key].extend(di.batches.iter().map(BatchReport::timing));
         }
         let gpu_fixed_s = exec.recovery.backoff_s() + exec.recovery.cpu.map_or(0.0, |(_, _, s)| s);
 
@@ -1327,24 +1050,27 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         // per-unit CPU costs the measured cut decision needs. Only plain
         // data crosses the pool boundary, and results come back in task
         // order, so everything downstream is invariant under `jobs`.
-        let task_lo = forced_choice.as_ref().map_or(0, |ch| ch.cut);
-        let planned_tasks: Vec<(usize, Vec<u32>)> = (task_lo..f_complete)
-            .filter_map(|u| {
-                let queries = planned_queries(u);
-                (!queries.is_empty()).then_some((u, queries))
-            })
-            .collect();
-        let grid = &self.grid;
-        let points = self.points;
-        let resolved = &self.resolved;
-        let epsilon = c.epsilon;
-        let sw_cpu = Stopwatch::start();
-        let planned_results =
-            crate::hybrid::par_map(policy.jobs.max(1), planned_tasks, move |(key, queries)| {
+        let cpu_join = |tasks: Vec<(usize, &[u32])>| {
+            crate::pool::par_map(policy.jobs.max(1), tasks, |(key, queries)| {
                 let mut pairs: Vec<(u32, u32)> = Vec::new();
-                let stats = cpu_join_queries(grid, points, resolved, epsilon, &queries, &mut pairs);
+                let stats = cpu_join_queries(
+                    &self.grid,
+                    self.points,
+                    &self.resolved,
+                    c.epsilon,
+                    queries,
+                    &mut pairs,
+                );
                 (key, pairs, stats)
-            });
+            })
+        };
+        let task_lo = forced_choice.as_ref().map_or(0, |ch| ch.cut);
+        let planned_tasks: Vec<(usize, &[u32])> = (task_lo..f_complete)
+            .map(|u| (u, plan.unit_queries(u)))
+            .filter(|(_, queries)| !queries.is_empty())
+            .collect();
+        let sw_cpu = Stopwatch::start();
+        let planned_results = cpu_join(planned_tasks);
         let choice = match forced_choice {
             Some(ch) => ch,
             None => {
@@ -1377,60 +1103,45 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         // Under reshard recovery, a lost device's unexecuted remnants spill
         // onto the CPU backend — the CPU is a peer device, not a last
         // resort, so there is no degradation accounting for them.
-        let mut spilled_units = 0usize;
-        let mut spill_tasks: Vec<(usize, Vec<u32>)> = Vec::new();
-        if let Some(intr) = exec.interruption {
-            let mut spilled_queries = 0usize;
-            for it in intr.remnants {
-                let queries = match it.queries {
-                    Some(q) => q,
-                    None => planned_queries(it.unit),
-                };
-                if queries.is_empty() {
-                    continue;
-                }
-                spilled_units += 1;
-                spilled_queries += queries.len();
-                spill_tasks.push((it.unit, queries));
-            }
-            if telemetry_on {
-                self.telemetry.record(
-                    Event::new("hybrid", "spill")
-                        .u64("units", spilled_units as u64)
-                        .u64("queries", spilled_queries as u64)
-                        .bool("device_lost", intr.device_lost),
-                );
-            }
+        let interruption = exec.interruption.take();
+        let spill_tasks: Vec<(usize, &[u32])> = interruption
+            .iter()
+            .flat_map(|intr| &intr.remnants)
+            .map(|it| (it.unit, it.queries(plan)))
+            .filter(|(_, queries)| !queries.is_empty())
+            .collect();
+        let spilled_units = spill_tasks.len();
+        if let Some(intr) = interruption.as_ref().filter(|_| telemetry_on) {
+            let spilled_queries: usize = spill_tasks.iter().map(|(_, q)| q.len()).sum();
+            self.telemetry.record(
+                Event::new("hybrid", "spill")
+                    .u64("units", spilled_units as u64)
+                    .u64("queries", spilled_queries as u64)
+                    .bool("device_lost", intr.device_lost),
+            );
         }
-        let spill_results =
-            crate::hybrid::par_map(policy.jobs.max(1), spill_tasks, move |(key, queries)| {
-                let mut pairs: Vec<(u32, u32)> = Vec::new();
-                let stats = cpu_join_queries(grid, points, resolved, epsilon, &queries, &mut pairs);
-                (key, pairs, stats)
-            });
+        let spill_results = cpu_join(spill_tasks);
         let cpu_host_ns = sw_cpu.elapsed_ns();
 
-        // Drop the GPU's copies of the replaced units `[cut, f_complete)`
-        // from the merge, and collect every checked unit's GPU segment —
-        // the oracle for the differential check.
+        // Collect every checked unit's GPU segment — the oracle for the
+        // differential check — and drop the GPU's pairs of the replaced
+        // units `[cut, f_complete)` from the merge; their batches stay in
+        // the canonical report.
         let mut gpu_segments: std::collections::BTreeMap<usize, Vec<(u32, u32)>> =
             std::collections::BTreeMap::new();
-        let mut kept: Vec<DoneItem> = Vec::with_capacity(done.len());
-        for di in done {
+        let mut gpu_pairs_total = 0usize;
+        for di in &mut done {
             if di.key >= task_lo && di.key < f_complete {
                 gpu_segments
                     .entry(di.key)
                     .or_default()
-                    .extend(di.pairs.iter().copied());
+                    .extend_from_slice(ledger.pairs(di));
             }
             if di.key >= cut && di.key < f_complete {
-                continue;
+                di.pairs.end = di.pairs.start;
             }
-            kept.push(di);
+            gpu_pairs_total += di.pairs.len();
         }
-        // Pairs the GPU side keeps in the merge (its prefix share, plus the
-        // degrade blob when the in-shard fallback ran).
-        let gpu_pairs_total: usize = kept.iter().map(|di| di.pairs.len()).sum();
 
         // Differential check: every recomputed segment must match the GPU
         // segment for its unit pair-for-pair. Segments at or past the cut
@@ -1453,22 +1164,12 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     gpu.len()
                 )));
             }
-            if key < cut {
-                continue;
+            if key >= cut {
+                cpu_stats.add(&stats);
+                cpu_pairs_total += pairs.len();
+                cpu_items += 1;
+                done.push(ledger.segment(key, pairs));
             }
-            cpu_stats.queries += stats.queries;
-            cpu_stats.distance_calcs += stats.distance_calcs;
-            cpu_stats.pairs += stats.pairs;
-            cpu_pairs_total += pairs.len();
-            cpu_items += 1;
-            kept.push(DoneItem {
-                key,
-                seq,
-                work: None,
-                pairs,
-                batches: Vec::new(),
-            });
-            seq += 1;
         }
         if let Some((&key, gpu)) = gpu_segments.range(cut..).find(|(_, gpu)| !gpu.is_empty()) {
             return Err(JoinError::Hybrid(format!(
@@ -1478,79 +1179,34 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             )));
         }
         for (key, pairs, stats) in spill_results {
-            cpu_stats.queries += stats.queries;
-            cpu_stats.distance_calcs += stats.distance_calcs;
-            cpu_stats.pairs += stats.pairs;
+            cpu_stats.add(&stats);
             cpu_pairs_total += pairs.len();
             cpu_items += 1;
-            kept.push(DoneItem {
-                key,
-                seq,
-                work: None,
-                pairs,
-                batches: Vec::new(),
-            });
-            seq += 1;
-        }
-
-        // Canonical merge in plan-unit order (completion order within a
-        // unit), then the same epilogue as `run` over the full shadow
-        // execution — bit-identical report and telemetry for clean runs.
-        kept.sort_by(|a, b| a.key.cmp(&b.key).then(a.seq.cmp(&b.seq)));
-        let mut result = ResultSet::default();
-        for entry in &kept {
-            result.extend(&entry.pairs);
-        }
-        let timings: Vec<BatchTiming> = exec
-            .batch_reports
-            .iter()
-            .map(|b| BatchTiming {
-                kernel_s: b.kernel_s,
-                transfer_s: b.transfer_s,
-            })
-            .collect();
-        let pipeline = StreamPipeline::new(c.batching.num_streams).schedule(&timings);
-        let total_pairs = result.len();
-        let num_batches = exec.batch_reports.len();
-        let degradation = exec.recovery.clone().into_report(num_batches);
-        let recovery_s = degradation
-            .as_ref()
-            .map_or(0.0, |d| d.backoff_s + d.cpu_model_s);
-        if telemetry_on {
-            self.record_tail_events(
-                &estimate,
-                exec.gather_ns,
-                num_batches,
-                total_pairs,
-                pipeline.total_s + recovery_s,
-                &exec.totals,
-                degradation.as_ref().is_some_and(|d| d.points_degraded > 0),
-            );
+            done.push(ledger.segment(key, pairs));
         }
 
         // Hybrid accounting: the GPU side is charged only for its kept
         // prefix (rescheduled as its own pipeline) plus its recovery time;
         // the CPU side is costed by the calibrated backend model. Both run
         // overlapped, so the hybrid response is their maximum.
-        let gpu_timings: Vec<BatchTiming> = exec
-            .batch_reports
-            .iter()
-            .zip(&exec.batch_items)
-            .filter(|&(_, &item_idx)| items[item_idx].unit < cut)
-            .map(|(b, _)| BatchTiming {
-                kernel_s: b.kernel_s,
-                transfer_s: b.transfer_s,
-            })
-            .collect();
-        let gpu_response_s = StreamPipeline::new(c.batching.num_streams)
-            .schedule(&gpu_timings)
-            .total_s
+        let gpu_response_s = schedule(
+            done.iter()
+                .filter(|di| di.key < cut)
+                .flat_map(|di| &di.batches),
+            c.batching.num_streams,
+        )
+        .total_s
             + exec.recovery.backoff_s()
             + exec.recovery.cpu.map_or(0.0, |(_, _, s)| s);
         let cpu_model_s = policy
             .cpu
             .model_seconds(&cpu_stats, N as u32, &c.gpu.cost, cpu_items);
         let makespan_s = gpu_response_s.max(cpu_model_s);
+
+        // The canonical merge and report over the full shadow execution —
+        // bit-identical report and telemetry for clean runs.
+        let JoinOutcome { result, report } =
+            self.finish(planned, ledger, done, exec.recovery, exec.gather_ns);
         if telemetry_on {
             self.telemetry.record(
                 Event::new("hybrid", "backend_done")
@@ -1571,16 +1227,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
 
         Ok(HybridOutcome {
             result,
-            report: JoinReport {
-                estimate,
-                num_batches,
-                batches: exec.batch_reports,
-                pipeline,
-                totals: exec.totals,
-                total_pairs,
-                degradation,
-                prepass,
-            },
+            report,
             hybrid: HybridReport {
                 units: n,
                 cut,
@@ -1599,11 +1246,11 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         })
     }
 
-    /// Emits the setup-phase telemetry (index build, workload profile) and
-    /// builds the batch plan, recording the estimate-and-plan event. Both
-    /// the single-device and the fleet paths plan through here, so their
-    /// planning telemetry is identical.
-    fn plan_with_telemetry(&self) -> (ResultEstimate, BatchPlan, Option<PrePassReport>) {
+    /// Plans the join, emitting the setup-phase telemetry (index build,
+    /// workload profile) and the estimate-and-plan event. Every driver
+    /// plans through here, so planning and its telemetry are identical
+    /// across targets.
+    fn plan_join(&self) -> Planned {
         if self.telemetry.is_enabled() {
             // Index build and workload profiling happened in `new()`; their
             // host durations were captured there and are reported once.
@@ -1621,7 +1268,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             );
         }
         let sw_plan = Stopwatch::start();
-        let (estimate, plan, prepass) = self.plan_with(1);
+        let (estimate, plan, prepass) = self.plan_with();
         if self.telemetry.is_enabled() {
             self.telemetry.record(
                 Event::new("executor.phase", "estimate_and_plan")
@@ -1636,7 +1283,19 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 self.record_prepass_events(pp);
             }
         }
-        (estimate, plan, prepass)
+        // With the device-saturation floor enabled, the pinned buffer grows
+        // to fit the fewer, larger batches; otherwise it is exactly `b_s`.
+        let capacity = if self.config.batching.max_batches > 0 {
+            buffer_capacity_for(&estimate, plan.num_batches(), &self.config.batching)
+        } else {
+            self.config.batching.batch_result_capacity
+        };
+        Planned {
+            estimate,
+            plan,
+            prepass,
+            capacity,
+        }
     }
 
     /// Emits the `sort`/`scan` phase events of a device pre-pass: the
@@ -1659,17 +1318,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             );
         }
         if pp.scan_invocations > 0 {
-            self.telemetry.record(
-                Event::new("executor.phase", "scan")
-                    .str("backend", "device")
-                    .u64("invocations", pp.scan_invocations as u64)
-                    .u64("launches", pp.scan_launches)
-                    .u64("cycles", pp.scan_cycles)
-                    .f64("model_s", pp.scan_model_s)
-                    .u64("transient_retries", pp.transient_retries as u64)
-                    .f64("backoff_model_s", pp.backoff_s)
-                    .bool("degraded_to_host", pp.degraded_to_host),
-            );
+            self.telemetry.record(scan_event(pp, None));
         }
     }
 
@@ -1690,19 +1339,8 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             if let Some(mut pp) = self.device_prepass() {
                 if let Some(prefix) = pp.inclusive_prefix(weights, "fleet_cut") {
                     if self.telemetry.is_enabled() {
-                        let s = &pp.stats;
-                        self.telemetry.record(
-                            Event::new("executor.phase", "scan")
-                                .str("backend", "device")
-                                .str("site", "fleet_cut")
-                                .u64("invocations", s.scan_invocations as u64)
-                                .u64("launches", s.scan_launches)
-                                .u64("cycles", s.scan_cycles)
-                                .f64("model_s", s.scan_model_s)
-                                .u64("transient_retries", s.transient_retries as u64)
-                                .f64("backoff_model_s", s.backoff_s)
-                                .bool("degraded_to_host", false),
-                        );
+                        self.telemetry
+                            .record(scan_event(&pp.stats, Some("fleet_cut")));
                     }
                     return partition_units_from_prefix(&prefix, devices, strategy);
                 }
@@ -1711,111 +1349,194 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         partition_units(weights, devices, strategy)
     }
 
-    /// Result-buffer capacity for a plan. With the device-saturation floor
-    /// enabled, the pinned buffer grows to fit the fewer, larger batches;
-    /// otherwise it is exactly `b_s`.
-    fn capacity_for(&self, estimate: &ResultEstimate, plan: &BatchPlan) -> usize {
-        if self.config.batching.max_batches > 0 {
-            buffer_capacity_for(estimate, plan.num_batches(), &self.config.batching)
-        } else {
-            self.config.batching.batch_result_capacity
+    /// The quantified workload the fleet and hybrid cuts weigh units by:
+    /// the balancing profile when one exists, otherwise one computed here.
+    /// Host-side only — it cannot change kernel behaviour or model times.
+    fn cut_profile(&self) -> Cow<'_, WorkloadProfile> {
+        match &self.profile {
+            Some(profile) => Cow::Borrowed(profile),
+            None => Cow::Owned(WorkloadProfile::compute(&self.grid)),
         }
     }
 
-    /// Records the end-of-join telemetry: gather phase, estimator accuracy,
-    /// and the join summary. Shared verbatim by the single-device and fleet
-    /// paths so their canonical event streams match.
-    #[allow(clippy::too_many_arguments)]
-    fn record_tail_events(
+    /// Executes every unit of the plan on this join's own device (no
+    /// device tag, the join's fault plane, a fresh queue head) — the whole
+    /// of [`SelfJoin::run`] and the GPU shadow of
+    /// [`SelfJoin::run_hybrid`] — and checkpoints its output.
+    fn execute_plan(
         &self,
-        estimate: &ResultEstimate,
+        planned: &Planned,
+        defer: bool,
+    ) -> Result<(ShardExecution, Ledger, Vec<DoneItem>), JoinError> {
+        let counter = DeviceCounter::new();
+        let items: Vec<WorkItem> = (0..planned.plan.num_batches())
+            .map(WorkItem::planned)
+            .collect();
+        let ctx = ShardCtx {
+            planned,
+            device: None,
+            gpu: &self.config.gpu,
+            fault: self.fault,
+            counter: &counter,
+            defer,
+        };
+        let mut exec = self.execute_units(&items, &ctx, self.telemetry)?;
+        let mut ledger = Ledger::default();
+        let done = ledger.checkpoint(&mut exec, &items);
+        Ok((exec, ledger, done))
+    }
+
+    /// The epilogue every driver ends with: the canonical merge of the
+    /// checkpointed items, the stream-pipeline schedule and warp totals of
+    /// the merged batches, the degradation report, and the end-of-join
+    /// telemetry (gather phase, estimator accuracy, join summary).
+    fn finish(
+        &self,
+        planned: Planned,
+        ledger: Ledger,
+        done: Vec<DoneItem>,
+        recovery: RecoveryCounters,
         gather_ns: u64,
-        num_batches: usize,
-        total_pairs: usize,
-        response_s: f64,
-        totals: &WarpExecution,
-        degraded: bool,
-    ) {
-        self.telemetry
-            .record(Event::new("executor.phase", "gather").u64("host_ns", gather_ns));
-        // How well the 1 % sample predicted the true result size — the
-        // quantity that decides whether the batch plan over- or
-        // under-provisions the result buffers (§III-D). A zero-pair join
-        // has no meaningful ratio: the field is omitted (NaN is not valid
-        // JSON) and `zero_actual` flags the case instead.
-        let mut accuracy = Event::new("executor", "estimator_accuracy")
-            .u64("estimated_total", estimate.estimated_total)
-            .u64("actual_total", total_pairs as u64)
-            .bool("zero_actual", total_pairs == 0);
-        if total_pairs > 0 {
-            accuracy = accuracy.f64(
-                "estimate_over_actual",
-                estimate.estimated_total as f64 / total_pairs as f64,
+    ) -> JoinOutcome {
+        let c = &self.config;
+        let (result, batches) = ledger.merge(done);
+        let mut totals = WarpExecution {
+            warp_size: c.gpu.warp_size,
+            ..WarpExecution::default()
+        };
+        for batch in &batches {
+            totals.accumulate(&batch.launch.totals);
+        }
+        let report = JoinReport {
+            estimate: planned.estimate,
+            num_batches: batches.len(),
+            pipeline: schedule(&batches, c.batching.num_streams),
+            totals,
+            total_pairs: result.len(),
+            degradation: recovery.into_report(batches.len()),
+            prepass: planned.prepass,
+            batches,
+        };
+        if self.telemetry.is_enabled() {
+            self.telemetry
+                .record(Event::new("executor.phase", "gather").u64("host_ns", gather_ns));
+            // How well the 1 % sample predicted the true result size — the
+            // quantity that decides whether the batch plan over- or
+            // under-provisions the result buffers (§III-D). A zero-pair join
+            // has no meaningful ratio: the field is omitted (NaN is not valid
+            // JSON) and `zero_actual` flags the case instead.
+            let total_pairs = report.total_pairs;
+            let estimated_total = report.estimate.estimated_total;
+            let mut accuracy = Event::new("executor", "estimator_accuracy")
+                .u64("estimated_total", estimated_total)
+                .u64("actual_total", total_pairs as u64)
+                .bool("zero_actual", total_pairs == 0);
+            if total_pairs > 0 {
+                accuracy = accuracy.f64(
+                    "estimate_over_actual",
+                    estimated_total as f64 / total_pairs as f64,
+                );
+            }
+            self.telemetry.record(accuracy);
+            self.telemetry.record(
+                Event::new("executor", "join_summary")
+                    .str("config", self.config.label())
+                    .u64("num_batches", report.num_batches as u64)
+                    .u64("total_pairs", total_pairs as u64)
+                    .f64("response_model_s", report.response_time_s())
+                    .f64("wee", report.wee())
+                    .u64("distance_calcs", report.distance_calcs())
+                    .bool(
+                        "degraded",
+                        report
+                            .degradation
+                            .as_ref()
+                            .is_some_and(DegradationReport::cpu_fallback_ran),
+                    ),
             );
         }
-        self.telemetry.record(accuracy);
-        self.telemetry.record(
-            Event::new("executor", "join_summary")
-                .str("config", self.config.label())
-                .u64("num_batches", num_batches as u64)
-                .u64("total_pairs", total_pairs as u64)
-                .f64("response_model_s", response_s)
-                .f64("wee", totals.efficiency())
-                .u64(
-                    "distance_calcs",
-                    totals.lane_ops_by_kind[warpsim::OpKind::Distance.index()],
-                )
-                .bool("degraded", degraded),
-        );
+        JoinOutcome { result, report }
     }
 
-    /// Executes the given plan units on one device, with the full per-batch
-    /// fault-recovery loop, and hands back the raw shard output (pairs,
-    /// batch reports, counters) for the caller to schedule and merge. The
-    /// single-device [`SelfJoin::run`] passes every unit with
-    /// `ctx.device = None`, which keeps its behaviour and telemetry
-    /// bit-identical to the pre-fleet executor; the fleet path passes each
-    /// shard's contiguous unit region with its device's context.
+    /// Executes work items on one device through the one batch walk,
+    /// [`SelfJoin::walk`], and hands back the raw output (pairs, batch
+    /// reports, recovery tallies) for the caller to re-key and merge.
+    ///
+    /// Running in parallel is only a way to capture and re-order the
+    /// walk's events. Without a fault plane and with more than one host
+    /// job, every item walks alone on a pool thread against a **private**
+    /// queue-head counter — every queue chunk re-aims the head at its own
+    /// start before launching, so a private head pops exactly the chunk's
+    /// range — with its events captured into a per-item buffer. Outputs
+    /// and events are then spliced strictly in item order, which is the
+    /// order the serial walk produces them in (it executes items
+    /// depth-first), so pairs, batch reports, recovery tallies and the
+    /// event stream are bit-identical; only wall-clock time changes.
+    /// Run-global running counts in events (`executor.batch` `index`,
+    /// `executor.overflow_recovery` `split`/`splits_used`) are restored by
+    /// offsetting each item's local counts with the totals of the items
+    /// before it.
+    ///
+    /// Fault admission is a cross-item serial protocol (the plane's
+    /// schedule is keyed by global launch index), so a faulted context
+    /// always walks serially; only clean-path recovery (overflow splits,
+    /// whose budget is per unit) ever runs item-parallel.
     fn execute_units(
         &self,
-        plan: &BatchPlan,
-        items: &[WorkItem],
-        ctx: &ShardCtx<'_>,
-    ) -> Result<ShardExecution, JoinError> {
-        self.execute_units_with(plan, items, ctx, self.telemetry)
-    }
-
-    /// [`SelfJoin::execute_units`] with an explicit telemetry sink, so a
-    /// caller running several shards concurrently can capture each shard's
-    /// event stream into its own buffer.
-    ///
-    /// Dispatches between the serial walk and the host-parallel item merge.
-    /// Independent items execute on pool threads only when no fault plane
-    /// is attached — fault admission is a cross-item serial protocol (the
-    /// plane's schedule is keyed by global launch index), so faulted
-    /// contexts always take the serial walk. Either path produces
-    /// bit-identical results, reports, and event streams; only wall-clock
-    /// time differs.
-    fn execute_units_with(
-        &self,
-        plan: &BatchPlan,
         items: &[WorkItem],
         ctx: &ShardCtx<'_>,
         sink: &dyn Telemetry,
     ) -> Result<ShardExecution, JoinError> {
         let jobs = self.config.resolved_host_jobs();
         if ctx.fault.is_some() || jobs <= 1 || items.len() <= 1 {
-            return self.execute_units_serial(plan, items, ctx, sink, jobs.max(1));
+            return self.walk(items, ctx, sink, jobs.max(1));
         }
-        self.execute_units_parallel(plan, items, ctx, sink, jobs)
+        let telemetry_on = sink.is_enabled();
+        let walks = crate::pool::par_map(jobs, items.to_vec(), |item| {
+            let buffer = EventBuffer::new(telemetry_on);
+            let counter = DeviceCounter::new();
+            let item_ctx = ShardCtx {
+                counter: &counter,
+                ..*ctx
+            };
+            let res = self.walk(std::slice::from_ref(&item), &item_ctx, &buffer, 1);
+            (buffer, res)
+        });
+        let mut exec = ShardExecution::default();
+        for (item_idx, (buffer, res)) in walks.into_iter().enumerate() {
+            buffer.splice_into(
+                sink,
+                exec.batch_reports.len() as u64,
+                exec.recovery.overflow_splits as u64,
+            );
+            // An error aborts the splice exactly where the serial walk
+            // would have stopped: this item's partial events are spliced,
+            // later items' buffers are dropped unseen.
+            let item = res?;
+            debug_assert!(
+                item.interruption.is_none() && item.cpu_tail_key.is_none(),
+                "faultless items cannot interrupt or degrade"
+            );
+            exec.result.extend(item.result.pairs());
+            let batches = exec.batch_items.len() + item.batch_reports.len();
+            exec.batch_items.resize(batches, item_idx);
+            exec.batch_reports.extend(item.batch_reports);
+            exec.gather_ns += item.gather_ns;
+            exec.recovery.merge(&item.recovery);
+        }
+        // Leave the shared queue head where the serial walk would have.
+        if let Some(expected) = queue_drain_target(&ctx.planned.plan, items) {
+            ctx.counter.store(expected);
+        }
+        Ok(exec)
     }
 
-    /// The serial item walk: one item at a time, depth-first through its
-    /// recovery splits. `workers` bounds the host threads the warp
-    /// simulator may use underneath each launch.
-    fn execute_units_serial(
+    /// The batch walk: one item at a time, depth-first through its
+    /// recovery splits, with the full per-batch fault-recovery loop.
+    /// `workers` bounds the host threads the warp simulator may use
+    /// underneath each launch.
+    fn walk(
         &self,
-        plan: &BatchPlan,
         items: &[WorkItem],
         ctx: &ShardCtx<'_>,
         sink: &dyn Telemetry,
@@ -1823,74 +1544,58 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     ) -> Result<ShardExecution, JoinError> {
         let telemetry_on = sink.is_enabled();
         let c = &self.config;
+        let plan = &ctx.planned.plan;
         let issue_order = c.issue_order();
         let tag = |event: Event| match ctx.device {
             Some(d) => event.u64("device", d),
             None => event,
         };
-        let mut result = ResultSet::default();
-        let mut batch_reports: Vec<BatchReport> = Vec::with_capacity(items.len());
-        let mut batch_items: Vec<usize> = Vec::with_capacity(items.len());
-        let mut totals = WarpExecution {
-            warp_size: ctx.gpu.warp_size,
-            ..WarpExecution::default()
+        let mut exec = ShardExecution {
+            batch_reports: Vec::with_capacity(items.len()),
+            batch_items: Vec::with_capacity(items.len()),
+            ..ShardExecution::default()
         };
-        let mut buffer = DeviceBuffer::with_capacity(ctx.capacity);
-        let mut gather_ns: u64 = 0;
+        let mut buffer = DeviceBuffer::with_capacity(ctx.planned.capacity);
 
         let counter = ctx.counter;
-        let queue_limit = ctx.queue_limit;
+        let queue_limit = plan.queue_limit();
         let mut pending: VecDeque<Pending> = items
             .iter()
             .enumerate()
             .filter_map(|(idx, item)| match &item.queries {
                 Some(queries) if queries.is_empty() => None,
-                Some(queries) => Some(Pending::split(idx, queries.clone(), item.split_attempts)),
+                Some(queries) => Some(Pending::new(
+                    idx,
+                    Work::Split(queries.clone()),
+                    item.split_attempts,
+                )),
                 None => match plan {
                     BatchPlan::Queue { chunks, .. } if chunks[item.unit].is_empty() => None,
-                    _ => Some(Pending::planned(idx, item.unit)),
+                    _ => Some(Pending::new(idx, Work::Planned(item.unit), 0)),
                 },
             })
             .collect();
-        // Queue-plan drain target: where the head must land once the last
-        // planned chunk of this item list is done. `None` when the list
-        // carries no non-empty planned chunk (then the head never moves).
-        let expected_final: Option<u64> = match plan {
-            BatchPlan::Queue { chunks, .. } => items
-                .iter()
-                .filter(|item| item.queries.is_none() && !chunks[item.unit].is_empty())
-                .map(|item| chunks[item.unit].end as u64)
-                .next_back(),
-            _ => None,
-        };
-        let mut recovery = RecoveryCounters::default();
+        let recovery = &mut exec.recovery;
         let mut degraded: Option<Vec<u32>> = None;
-        let mut cpu_tail_key: Option<usize> = None;
-        let mut interruption: Option<Interruption> = None;
-        // The plan-unit merge key of a pending entry.
-        let key_of = |p: &Pending| -> usize {
-            match &p.work {
-                Work::Planned(i) => *i,
-                Work::Split(_) => items[p.item].unit,
-            }
-        };
-
-        // Resolves a unit back to its query set (for splits, counter
-        // repairs, and degradation hand-off).
-        let queries_of = |work: &Work| -> Vec<u32> {
-            match (work, plan) {
-                (Work::Planned(i), BatchPlan::Strided { batches }) => batches[*i].clone(),
-                (Work::Planned(i), BatchPlan::Queue { order, chunks }) => {
-                    order[chunks[*i].clone()].to_vec()
-                }
-                (Work::Split(queries), _) => queries.clone(),
-            }
-        };
-
         while let Some(mut unit) = pending.pop_front() {
-            let chunk_range = match (&unit.work, plan) {
-                (Work::Planned(i), BatchPlan::Queue { chunks, .. }) => Some(chunks[*i].clone()),
-                _ => None,
+            let (assignment, num_groups, chunk_range) = match (&unit.work, plan) {
+                (Work::Planned(i), BatchPlan::Strided { batches }) => (
+                    Assignment::Static {
+                        queries: &batches[*i],
+                    },
+                    batches[*i].len(),
+                    None,
+                ),
+                (Work::Planned(i), BatchPlan::Queue { order, chunks }) => (
+                    Assignment::Queue {
+                        order,
+                        counter,
+                        limit: queue_limit,
+                    },
+                    chunks[*i].len(),
+                    Some(chunks[*i].clone()),
+                ),
+                (Work::Split(queries), _) => (Assignment::Static { queries }, queries.len(), None),
             };
             if let Some(chunk) = &chunk_range {
                 // Aim the queue head at this chunk's start. On a contiguous
@@ -1912,23 +1617,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     }
                 }
             }
-            let (assignment, num_groups) = match (&unit.work, plan) {
-                (Work::Planned(i), BatchPlan::Strided { batches }) => (
-                    Assignment::Static {
-                        queries: &batches[*i],
-                    },
-                    batches[*i].len(),
-                ),
-                (Work::Planned(i), BatchPlan::Queue { order, chunks }) => (
-                    Assignment::Queue {
-                        order,
-                        counter,
-                        limit: queue_limit,
-                    },
-                    chunks[*i].len(),
-                ),
-                (Work::Split(queries), _) => (Assignment::Static { queries }, queries.len()),
-            };
             let source = JoinKernelSource {
                 grid: &self.grid,
                 points: self.points,
@@ -1944,7 +1632,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             opts.fault_plane = ctx.fault;
             opts.step_mode = c.step_mode;
             opts.workers = Some(workers);
-            match launch_with(ctx.gpu, &source, issue_order, &mut buffer, &opts) {
+            let failure = match launch_with(ctx.gpu, &source, issue_order, &mut buffer, &opts) {
                 Ok(launch_report) => {
                     // Queue-drain invariant, promoted from a debug assert:
                     // each pop advances the counter by the group's slot
@@ -1982,23 +1670,17 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                             // Repair the head for the chunks behind us and
                             // re-run exactly this chunk's queries statically.
                             counter.store(expected);
-                            let queries = queries_of(&unit.work);
-                            pending.push_front(Pending {
-                                item: unit.item,
-                                work: Work::Split(queries),
-                                transient_attempts: unit.transient_attempts,
-                                counter_attempts: unit.counter_attempts,
-                                split_attempts: unit.split_attempts,
-                            });
+                            let queries = unit.work.queries(plan);
+                            unit.work = Work::Split(queries);
+                            pending.push_front(unit);
                             continue;
                         }
                     }
                     let pairs = buffer.len();
                     let sw_gather = Stopwatch::start();
-                    result.extend(buffer.as_slice());
+                    exec.result.extend(buffer.as_slice());
                     buffer.clear();
-                    gather_ns += sw_gather.elapsed_ns();
-                    totals.accumulate(&launch_report.totals);
+                    exec.gather_ns += sw_gather.elapsed_ns();
                     let kernel_s = launch_report.elapsed_seconds();
                     let mut transfer_s = c.batching.transfer_seconds(pairs);
                     if let Some(plane) = ctx.fault {
@@ -2017,18 +1699,19 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     }
                     if telemetry_on {
                         sink.record(tag(Event::new("executor", "batch")
-                            .u64("index", batch_reports.len() as u64)
+                            .u64("index", exec.batch_reports.len() as u64)
                             .u64("pairs", pairs as u64)
                             .f64("kernel_model_s", kernel_s)
                             .f64("transfer_model_s", transfer_s)));
                     }
-                    batch_reports.push(BatchReport {
+                    exec.batch_reports.push(BatchReport {
                         launch: launch_report,
                         pairs,
                         kernel_s,
                         transfer_s,
                     });
-                    batch_items.push(unit.item);
+                    exec.batch_items.push(unit.item);
+                    None
                 }
                 Err(LaunchError::ResultOverflow(overflow)) => {
                     buffer.clear();
@@ -2041,7 +1724,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     }
                     let mut queries = match unit.work {
                         Work::Split(queries) => queries,
-                        ref planned => queries_of(planned),
+                        ref planned => planned.queries(plan),
                     };
                     // The split budget is the unit's own ancestry depth —
                     // never a run-global tally — so the terminal decision
@@ -2076,8 +1759,9 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                             .u64("right_queries", right.len() as u64)
                             .f64("backoff_model_s", backoff)));
                     }
-                    pending.push_front(Pending::split(unit.item, right, attempt));
-                    pending.push_front(Pending::split(unit.item, queries, attempt));
+                    pending.push_front(Pending::new(unit.item, Work::Split(right), attempt));
+                    pending.push_front(Pending::new(unit.item, Work::Split(queries), attempt));
+                    None
                 }
                 Err(err @ LaunchError::Transient(_)) => {
                     // Transient faults fail at admission, before any queue
@@ -2099,56 +1783,38 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                         pending.push_front(unit);
                         continue;
                     }
-                    // Persistently failing launch: treat the device as
-                    // unusable for the rest of the join.
-                    if ctx.defer {
-                        let mut remnants = vec![remnant_of(items, unit)];
-                        remnants.extend(pending.drain(..).map(|p| remnant_of(items, p)));
-                        interruption = Some(Interruption {
-                            error: err,
-                            device_lost: false,
-                            remnants,
-                        });
-                        break;
-                    }
-                    if !c.retry.cpu_fallback {
-                        return Err(JoinError::Launch(err));
-                    }
-                    cpu_tail_key = Some(key_of(&unit));
-                    let mut remaining = queries_of(&unit.work);
-                    for p in pending.drain(..) {
-                        remaining.extend(queries_of(&p.work));
-                    }
-                    degraded = Some(remaining);
+                    Some((err, unit))
                 }
                 Err(err @ LaunchError::DeviceLost(_)) => {
                     recovery.device_lost = true;
-                    if ctx.defer {
-                        let mut remnants = vec![remnant_of(items, unit)];
-                        remnants.extend(pending.drain(..).map(|p| remnant_of(items, p)));
-                        interruption = Some(Interruption {
-                            error: err,
-                            device_lost: true,
-                            remnants,
-                        });
-                        break;
-                    }
-                    if !c.retry.cpu_fallback {
-                        return Err(JoinError::Launch(err));
-                    }
-                    cpu_tail_key = Some(key_of(&unit));
-                    let mut remaining = queries_of(&unit.work);
-                    for p in pending.drain(..) {
-                        remaining.extend(queries_of(&p.work));
-                    }
-                    degraded = Some(remaining);
+                    Some((err, unit))
                 }
                 Err(err @ LaunchError::CounterFault(_)) => {
                     // Not raised by the device model today; never retryable.
                     return Err(JoinError::Launch(err));
                 }
-            }
-            if degraded.is_some() {
+            };
+            // Persistently failing launch: the device is unusable for the
+            // rest of the join.
+            if let Some((err, unit)) = failure {
+                pending.push_front(unit);
+                if ctx.defer {
+                    exec.interruption = Some(Interruption {
+                        device_lost: matches!(err, LaunchError::DeviceLost(_)),
+                        error: err,
+                        remnants: pending.into_iter().map(|p| p.remnant(items)).collect(),
+                    });
+                } else if c.retry.cpu_fallback {
+                    exec.cpu_tail_key = pending.front().map(|p| items[p.item].unit);
+                    degraded = Some(
+                        pending
+                            .drain(..)
+                            .flat_map(|p| p.work.queries(plan))
+                            .collect(),
+                    );
+                } else {
+                    return Err(JoinError::Launch(err));
+                }
                 break;
             }
         }
@@ -2164,26 +1830,26 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 remaining,
                 &mut cpu_pairs,
             );
-            result.extend(&cpu_pairs);
+            exec.result.extend(&cpu_pairs);
             let cpu_model_s = c
                 .cpu_fallback
                 .model_seconds(&stats, N as u32, &ctx.gpu.cost);
-            recovery.cpu = Some((remaining.len(), stats.pairs, cpu_model_s));
+            exec.recovery.cpu = Some((remaining.len(), stats.pairs, cpu_model_s));
             if telemetry_on {
                 sink.record(tag(Event::new("executor", "degradation")
-                    .u64("batches_salvaged", batch_reports.len() as u64)
+                    .u64("batches_salvaged", exec.batch_reports.len() as u64)
                     .u64("points_degraded", remaining.len() as u64)
                     .u64("cpu_pairs", stats.pairs)
                     .u64("cpu_distance_calcs", stats.distance_calcs)
                     .f64("cpu_model_s", cpu_model_s)
-                    .bool("device_lost", recovery.device_lost)
+                    .bool("device_lost", exec.recovery.device_lost)
                     .u64("host_ns", sw_cpu.elapsed_ns())));
             }
-        } else if interruption.is_none() {
+        } else if exec.interruption.is_none() {
             // Final queue-drain invariant: a fully GPU-completed queue shard
             // must have consumed exactly its slice of the sorted dataset
             // (for the single-device path, the whole of it).
-            if let Some(expected) = expected_final {
+            if let Some(expected) = queue_drain_target(plan, items) {
                 let observed = counter.load();
                 if observed != expected {
                     return Err(JoinError::Launch(LaunchError::CounterFault(CounterFault {
@@ -2193,139 +1859,68 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 }
             }
         }
-
-        Ok(ShardExecution {
-            result,
-            batch_reports,
-            batch_items,
-            totals,
-            gather_ns,
-            recovery,
-            interruption,
-            cpu_tail_key,
-        })
+        Ok(exec)
     }
+}
 
-    /// Executes independent work items concurrently on the host pool.
-    ///
-    /// Each item runs alone through [`SelfJoin::execute_units_serial`]
-    /// against a **private** queue-head counter — every queue chunk re-aims
-    /// the head at its own start before launching, so a private head pops
-    /// exactly the chunk's range — with its events captured into a
-    /// per-item buffer. Outputs are then merged strictly in item order:
-    /// pairs, batch reports, warp totals, recovery tallies, and the spliced
-    /// event stream are bit-identical to the serial walk (which executes
-    /// items depth-first, so its outputs are grouped by item in item
-    /// order); only wall-clock time changes. Run-global running counts in
-    /// events (`executor.batch` `index`, `executor.overflow_recovery`
-    /// `split`/`splits_used`) are restored during the splice by offsetting
-    /// each item's local counts with the totals of the items before it.
-    ///
-    /// Only clean-path recovery (result-buffer overflow splits, whose
-    /// budget is per-unit) can occur here: the dispatcher routes every
-    /// faulted context to the serial walk, so transient/device-lost/counter
-    /// handling — and therefore interruptions, degradation, and CPU tails —
-    /// never cross threads.
-    fn execute_units_parallel(
-        &self,
-        plan: &BatchPlan,
-        items: &[WorkItem],
-        ctx: &ShardCtx<'_>,
-        sink: &dyn Telemetry,
-        jobs: usize,
-    ) -> Result<ShardExecution, JoinError> {
-        let telemetry_on = sink.is_enabled();
-        let subs: Vec<(EventBuffer, Result<ShardExecution, JoinError>)> =
-            crate::pool::par_map(jobs, items.to_vec(), |item| {
-                let buffer = EventBuffer::new(telemetry_on);
-                let counter = DeviceCounter::new();
-                let sub_ctx = ShardCtx {
-                    device: ctx.device,
-                    gpu: ctx.gpu,
-                    fault: None,
-                    counter: &counter,
-                    capacity: ctx.capacity,
-                    queue_limit: ctx.queue_limit,
-                    defer: ctx.defer,
-                };
-                let res = self.execute_units_serial(
-                    plan,
-                    std::slice::from_ref(&item),
-                    &sub_ctx,
-                    &buffer,
-                    1,
-                );
-                (buffer, res)
-            });
+impl BatchReport {
+    /// The batch's kernel and transfer times, as the stream pipeline
+    /// schedules them.
+    fn timing(&self) -> BatchTiming {
+        BatchTiming {
+            kernel_s: self.kernel_s,
+            transfer_s: self.transfer_s,
+        }
+    }
+}
 
-        let mut result = ResultSet::default();
-        let mut batch_reports: Vec<BatchReport> = Vec::with_capacity(items.len());
-        let mut batch_items: Vec<usize> = Vec::with_capacity(items.len());
-        let mut totals = WarpExecution {
-            warp_size: ctx.gpu.warp_size,
-            ..WarpExecution::default()
-        };
-        let mut gather_ns: u64 = 0;
-        let mut recovery = RecoveryCounters::default();
-        for (item_idx, (buffer, res)) in subs.into_iter().enumerate() {
-            // Offsets restoring the run-global running counts this item's
-            // events would have carried in the serial walk.
-            let batch_offset = batch_reports.len() as u64;
-            let split_offset = recovery.overflow_splits as u64;
-            if telemetry_on {
-                for mut event in buffer.into_events() {
-                    if event.scope == "executor" {
-                        match event.name {
-                            "batch" => bump_u64_field(&mut event, "index", batch_offset),
-                            "overflow_recovery" => {
-                                bump_u64_field(&mut event, "split", split_offset);
-                                bump_u64_field(&mut event, "splits_used", split_offset);
-                            }
-                            _ => {}
-                        }
-                    }
-                    sink.record(event);
-                }
-            }
-            // An error aborts the merge exactly where the serial walk would
-            // have stopped: this item's partial events are spliced, later
-            // items' buffers are dropped unseen.
-            let sub = res?;
-            debug_assert!(
-                sub.interruption.is_none() && sub.cpu_tail_key.is_none(),
-                "faultless items cannot interrupt or degrade"
-            );
-            result.extend(sub.result.pairs());
-            for report in sub.batch_reports {
-                totals.accumulate(&report.launch.totals);
-                batch_reports.push(report);
-                batch_items.push(item_idx);
-            }
-            gather_ns += sub.gather_ns;
-            recovery.merge(&sub.recovery);
-        }
-        // Leave the shared queue head where the serial walk would have:
-        // drained past this item list's last planned chunk.
-        if let BatchPlan::Queue { chunks, .. } = plan {
-            if let Some(expected) = items
-                .iter()
-                .filter(|item| item.queries.is_none() && !chunks[item.unit].is_empty())
-                .map(|item| chunks[item.unit].end as u64)
-                .next_back()
-            {
-                ctx.counter.store(expected);
-            }
-        }
-        Ok(ShardExecution {
-            result,
-            batch_reports,
-            batch_items,
-            totals,
-            gather_ns,
-            recovery,
-            interruption: None,
-            cpu_tail_key: None,
-        })
+/// The `scan` phase event of a device pre-pass; `site` names a scan that
+/// ran outside the planner.
+fn scan_event(pp: &PrePassReport, site: Option<&'static str>) -> Event {
+    let mut event = Event::new("executor.phase", "scan").str("backend", "device");
+    if let Some(site) = site {
+        event = event.str("site", site);
+    }
+    event
+        .u64("invocations", pp.scan_invocations as u64)
+        .u64("launches", pp.scan_launches)
+        .u64("cycles", pp.scan_cycles)
+        .f64("model_s", pp.scan_model_s)
+        .u64("transient_retries", pp.transient_retries as u64)
+        .f64("backoff_model_s", pp.backoff_s)
+        .bool("degraded_to_host", pp.degraded_to_host)
+}
+
+/// The stream-pipeline schedule of `batches`, in order.
+fn schedule<'b>(
+    batches: impl IntoIterator<Item = &'b BatchReport>,
+    num_streams: usize,
+) -> PipelineReport {
+    let timings: Vec<BatchTiming> = batches.into_iter().map(BatchReport::timing).collect();
+    StreamPipeline::new(num_streams).schedule(&timings)
+}
+
+/// A planned join: the estimate, the batch plan, its device pre-pass
+/// accounting, and the result-buffer capacity every launch of the plan is
+/// sized with.
+struct Planned {
+    estimate: ResultEstimate,
+    plan: BatchPlan,
+    prepass: Option<PrePassReport>,
+    capacity: usize,
+}
+
+/// Where a queue plan's head must land once the last non-empty planned
+/// chunk of `items` is done; `None` when the list carries no such chunk
+/// (then the head never moves) or the plan has no queue.
+fn queue_drain_target(plan: &BatchPlan, items: &[WorkItem]) -> Option<u64> {
+    match plan {
+        BatchPlan::Queue { chunks, .. } => items
+            .iter()
+            .filter(|item| item.queries.is_none() && !chunks[item.unit].is_empty())
+            .map(|item| chunks[item.unit].end as u64)
+            .next_back(),
+        BatchPlan::Strided { .. } => None,
     }
 }
 
@@ -2346,8 +1941,24 @@ impl EventBuffer {
         }
     }
 
-    fn into_events(self) -> Vec<Event> {
-        self.events.into_inner().unwrap()
+    /// Records the captured events into `sink`, adding `batch_offset` to
+    /// `executor.batch` indices and `split_offset` to
+    /// `executor.overflow_recovery` split counts: the splice-time
+    /// restoration of run-global running counts in a per-item capture.
+    fn splice_into(self, sink: &dyn Telemetry, batch_offset: u64, split_offset: u64) {
+        for mut event in self.events.into_inner().expect("a capturing walk panicked") {
+            let (keys, delta): (&[&str], u64) = match (event.scope, event.name) {
+                ("executor", "batch") => (&["index"], batch_offset),
+                ("executor", "overflow_recovery") => (&["split", "splits_used"], split_offset),
+                _ => (&[], 0),
+            };
+            for (key, value) in event.fields.iter_mut() {
+                if let (true, Value::U64(x)) = (keys.contains(key), value) {
+                    *x += delta;
+                }
+            }
+            sink.record(event);
+        }
     }
 }
 
@@ -2363,46 +1974,13 @@ impl Telemetry for EventBuffer {
     }
 }
 
-/// Adds `delta` to an event's `key` field (when present and `u64`-typed):
-/// the splice-time restoration of run-global running counts in buffered
-/// per-item event streams.
-fn bump_u64_field(event: &mut Event, key: &str, delta: u64) {
-    if delta == 0 {
-        return;
-    }
-    for (k, v) in event.fields.iter_mut() {
-        if *k == key {
-            if let Value::U64(x) = v {
-                *x += delta;
-            }
-        }
-    }
-}
-
-/// Rebuilds the re-submittable [`WorkItem`] of an unexecuted pending entry:
-/// a still-planned unit stays planned (a surviving device re-aims its own
-/// queue head at the chunk), while recovery-produced query sets travel as
-/// explicit query items keyed to their originating unit.
-fn remnant_of(items: &[WorkItem], p: Pending) -> WorkItem {
-    match p.work {
-        Work::Planned(i) => WorkItem {
-            unit: i,
-            queries: None,
-            split_attempts: p.split_attempts,
-        },
-        Work::Split(queries) => WorkItem {
-            unit: items[p.item].unit,
-            queries: Some(queries),
-            split_attempts: p.split_attempts,
-        },
-    }
-}
-
 /// Execution context of one shard — or, on the single-device path, of the
-/// whole join: which device runs it (for telemetry tagging and the GPU
-/// configuration), through which fault plane and queue head, and how its
-/// result buffer is sized.
+/// whole join: which plan it executes, which device runs it (for
+/// telemetry tagging and the GPU configuration), and through which fault
+/// plane and queue head.
 struct ShardCtx<'s> {
+    /// The plan being executed, with the result-buffer capacity.
+    planned: &'s Planned,
     /// Device id for telemetry; `None` on the single-device path keeps its
     /// event stream bit-identical to the pre-fleet executor.
     device: Option<u64>,
@@ -2412,23 +1990,18 @@ struct ShardCtx<'s> {
     fault: Option<&'s FaultPlane>,
     /// This device's queue-head atomic.
     counter: &'s DeviceCounter,
-    /// Result-buffer capacity in pairs.
-    capacity: usize,
-    /// Global queue length (`order.len()`), the pop limit shared by every
-    /// shard so per-chunk launches stay bit-identical to a single device.
-    queue_limit: u64,
-    /// Fleet failover mode: instead of degrading to the CPU (or erroring)
-    /// on persistent device failure, hand the unexecuted work items back to
+    /// Failover mode: instead of degrading to the CPU (or erroring) on
+    /// persistent device failure, hand the unexecuted work items back to
     /// the caller as an [`Interruption`] so they can be re-sharded onto
-    /// surviving devices.
+    /// surviving devices or spilled onto the CPU backend.
     defer: bool,
 }
 
 /// One top-level item of shard work: a unit of the original batch plan, or
 /// an explicit query set carried over from an interrupted device (a split
 /// half whose sibling already completed elsewhere). `unit` is always the
-/// originating plan-unit index — the merge key that lets the fleet
-/// reassemble shard outputs in original plan order no matter which device
+/// originating plan-unit index — the merge key that lets the ledger
+/// reassemble outputs in original plan order no matter which device
 /// executed what.
 #[derive(Clone)]
 struct WorkItem {
@@ -2450,6 +2023,13 @@ impl WorkItem {
             split_attempts: 0,
         }
     }
+
+    /// The query ids this item runs.
+    fn queries<'p>(&'p self, plan: &'p BatchPlan) -> &'p [u32] {
+        self.queries
+            .as_deref()
+            .unwrap_or_else(|| plan.unit_queries(self.unit))
+    }
 }
 
 /// Unexecuted remainder of a persistently failed shard (only produced under
@@ -2466,8 +2046,10 @@ struct Interruption {
     remnants: Vec<WorkItem>,
 }
 
-/// What one shard's execution produced, before pipeline scheduling.
+/// What one execution of work items produced, before re-keying.
+#[derive(Default)]
 struct ShardExecution {
+    /// Every pair, in production order (the execution's flat buffer).
     result: ResultSet,
     batch_reports: Vec<BatchReport>,
     /// The submitting item index (into the `items` slice given to
@@ -2475,7 +2057,6 @@ struct ShardExecution {
     /// `batch_reports`. Items complete strictly in order, so this is
     /// non-decreasing.
     batch_items: Vec<usize>,
-    totals: WarpExecution,
     gather_ns: u64,
     recovery: RecoveryCounters,
     /// Present when the shard failed persistently under `defer` mode.
@@ -2487,7 +2068,7 @@ struct ShardExecution {
 }
 
 /// One completed work item's checkpointed output, tagged for the canonical
-/// fleet merge: `key` is the originating plan-unit index, `seq` the global
+/// merge: `key` is the originating plan-unit index, `seq` the global
 /// completion order (the tiebreak that keeps same-unit fragments — e.g. a
 /// salvaged split half and its re-homed sibling — in execution order).
 struct DoneItem {
@@ -2498,15 +2079,165 @@ struct DoneItem {
     /// for fragments salvaged from an interrupted shard and for CPU
     /// segments — those are checkpointed output only.
     work: Option<WorkItem>,
-    pairs: Vec<(u32, u32)>,
+    /// The ledger buffer holding this item's pairs, and their range in it.
+    buffer: usize,
+    pairs: Range<usize>,
     batches: Vec<BatchReport>,
 }
 
+/// Every execution's output for one join, re-keyed by plan unit. Pairs
+/// stay in each execution's flat buffer; checkpointed items hold ranges
+/// into it, so a join that merges one execution in order never copies its
+/// pairs.
+#[derive(Default)]
+struct Ledger {
+    buffers: Vec<ResultSet>,
+    seq: usize,
+}
+
+impl Ledger {
+    fn next_seq(&mut self) -> usize {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Re-keys an execution's output by submitting item, moving its pair
+    /// buffer and batch reports into the ledger. Items complete strictly in
+    /// order, so each item's batches and pairs are contiguous runs of the
+    /// output. An in-shard CPU fallback's pairs follow as one more item,
+    /// keyed to the unit where it took over, so they sort right after that
+    /// unit's salvaged fragments.
+    fn checkpoint(&mut self, exec: &mut ShardExecution, items: &[WorkItem]) -> Vec<DoneItem> {
+        let buffer = self.buffers.len();
+        // An interrupted shard's completed fragments may be partial (a
+        // split half whose sibling never ran); they are checkpointed
+        // output, never respawned.
+        let interrupted = exec.interruption.is_some();
+        let mut done: Vec<DoneItem> = Vec::new();
+        let mut pair_off = 0usize;
+        let mut reports = std::mem::take(&mut exec.batch_reports)
+            .into_iter()
+            .zip(exec.batch_items.iter().copied())
+            .peekable();
+        while let Some((first, item_idx)) = reports.next() {
+            let mut batches = vec![first];
+            while let Some((batch, _)) = reports.next_if(|&(_, i)| i == item_idx) {
+                batches.push(batch);
+            }
+            let pairs: usize = batches.iter().map(|b| b.pairs).sum();
+            done.push(DoneItem {
+                key: items[item_idx].unit,
+                seq: self.next_seq(),
+                work: (!interrupted).then(|| items[item_idx].clone()),
+                buffer,
+                pairs: pair_off..pair_off + pairs,
+                batches,
+            });
+            pair_off += pairs;
+        }
+        let result = std::mem::take(&mut exec.result);
+        if exec.recovery.cpu.is_some() {
+            let key = exec
+                .cpu_tail_key
+                .unwrap_or_else(|| items.last().map_or(0, |it| it.unit));
+            done.push(DoneItem {
+                key,
+                seq: self.next_seq(),
+                work: None,
+                buffer,
+                pairs: pair_off..result.len(),
+                batches: Vec::new(),
+            });
+        }
+        self.buffers.push(result);
+        done
+    }
+
+    /// Checkpoints a CPU-computed pair segment for plan unit `key`.
+    fn segment(&mut self, key: usize, pairs: Vec<(u32, u32)>) -> DoneItem {
+        let len = pairs.len();
+        self.buffers.push(ResultSet::from_pairs(pairs));
+        DoneItem {
+            key,
+            seq: self.next_seq(),
+            work: None,
+            buffer: self.buffers.len() - 1,
+            pairs: 0..len,
+            batches: Vec::new(),
+        }
+    }
+
+    /// The pairs a checkpointed item holds.
+    fn pairs(&self, item: &DoneItem) -> &[(u32, u32)] {
+        &self.buffers[item.buffer].pairs()[item.pairs.clone()]
+    }
+
+    /// The canonical merge: items in plan-unit order (completion order
+    /// within a unit), their pairs concatenated and their batches listed in
+    /// that same order. A single buffer the items tile in order moves
+    /// through uncopied.
+    fn merge(mut self, mut done: Vec<DoneItem>) -> (ResultSet, Vec<BatchReport>) {
+        done.sort_by_key(|di| (di.key, di.seq));
+        let mut end = 0usize;
+        let tiles = self.buffers.len() == 1
+            && done.iter().all(|di| {
+                let contiguous = di.pairs.start == end;
+                end = di.pairs.end;
+                contiguous
+            })
+            && end == self.buffers[0].len();
+        let result = if tiles {
+            self.buffers.pop().unwrap_or_default()
+        } else {
+            let total: usize = done.iter().map(|di| di.pairs.len()).sum();
+            let mut pairs = Vec::with_capacity(total);
+            for di in &done {
+                pairs.extend_from_slice(self.pairs(di));
+            }
+            ResultSet::from_pairs(pairs)
+        };
+        let batches = done.into_iter().flat_map(|di| di.batches).collect();
+        (result, batches)
+    }
+}
+
+/// Cuts `moved` work items across `receivers` on their quantified
+/// workload (the fleet's own workload-aware cut) and queues each slice on
+/// its receiver for the next round, recording the health transitions.
+fn reassign(
+    moved: &[WorkItem],
+    receivers: &[usize],
+    weight: &dyn Fn(&WorkItem) -> u64,
+    round: u32,
+    states: &mut [DeviceState],
+    rec: &mut crate::fleet::FleetRecoveryReport,
+    assignment: &mut Vec<(usize, Vec<WorkItem>)>,
+) {
+    let weights: Vec<u64> = moved.iter().map(weight).collect();
+    let cuts = partition_units(&weights, receivers.len(), ShardStrategy::WorkloadAware);
+    for (slot, cut) in cuts.iter().enumerate() {
+        if cut.is_empty() {
+            continue;
+        }
+        let d = receivers[slot];
+        let slice = moved[cut.clone()].to_vec();
+        states[d].reassigned_in += slice.len();
+        rec.health.push(crate::fleet::HealthEvent {
+            device: d as u64,
+            round,
+            state: crate::fleet::DeviceHealth::Reassigned,
+            units: slice.len(),
+        });
+        assignment.push((d, slice));
+    }
+}
+
 /// Accumulated per-device state across recovery rounds.
+#[derive(Default)]
 struct DeviceState {
-    /// Cleared when the device latches a persistent failure; unusable
-    /// devices never receive re-sharded work.
-    usable: bool,
+    /// Set when the device latches a persistent failure; failed devices
+    /// never receive re-sharded work.
+    failed: bool,
     done: Vec<DoneItem>,
     recovery: RecoveryCounters,
     reassigned_in: usize,
@@ -2514,30 +2245,11 @@ struct DeviceState {
 }
 
 impl DeviceState {
-    fn new() -> Self {
-        DeviceState {
-            usable: true,
-            done: Vec::new(),
-            recovery: RecoveryCounters::default(),
-            reassigned_in: 0,
-            reassigned_out: 0,
-        }
-    }
-
     /// This device's pipeline schedule over everything it has executed so
     /// far, and its response time: pipeline makespan plus serially accrued
     /// recovery time (retry backoff, in-shard CPU fallback).
-    fn pipeline_and_response(&self, num_streams: usize) -> (warpsim::PipelineReport, f64) {
-        let timings: Vec<BatchTiming> = self
-            .done
-            .iter()
-            .flat_map(|di| di.batches.iter())
-            .map(|b| BatchTiming {
-                kernel_s: b.kernel_s,
-                transfer_s: b.transfer_s,
-            })
-            .collect();
-        let pipeline = StreamPipeline::new(num_streams).schedule(&timings);
+    fn pipeline_and_response(&self, num_streams: usize) -> (PipelineReport, f64) {
+        let pipeline = schedule(self.done.iter().flat_map(|di| &di.batches), num_streams);
         let cpu_s = self.recovery.cpu.map_or(0.0, |(_, _, s)| s);
         let response = pipeline.total_s + self.recovery.backoff_s() + cpu_s;
         (pipeline, response)
@@ -2550,6 +2262,17 @@ impl DeviceState {
 enum Work {
     Planned(usize),
     Split(Vec<u32>),
+}
+
+impl Work {
+    /// The query ids this work runs (for splits, counter repairs, and
+    /// degradation hand-off).
+    fn queries(&self, plan: &BatchPlan) -> Vec<u32> {
+        match self {
+            Work::Planned(unit) => plan.unit_queries(*unit).to_vec(),
+            Work::Split(queries) => queries.clone(),
+        }
+    }
 }
 
 struct Pending {
@@ -2565,23 +2288,28 @@ struct Pending {
 }
 
 impl Pending {
-    fn planned(item: usize, index: usize) -> Self {
+    fn new(item: usize, work: Work, split_attempts: u32) -> Self {
         Pending {
             item,
-            work: Work::Planned(index),
-            transient_attempts: 0,
-            counter_attempts: 0,
-            split_attempts: 0,
-        }
-    }
-
-    fn split(item: usize, queries: Vec<u32>, split_attempts: u32) -> Self {
-        Pending {
-            item,
-            work: Work::Split(queries),
+            work,
             transient_attempts: 0,
             counter_attempts: 0,
             split_attempts,
+        }
+    }
+
+    /// The re-submittable [`WorkItem`] of this unexecuted entry: a
+    /// still-planned unit stays planned (a surviving device re-aims its own
+    /// queue head at the chunk), while recovery-produced query sets travel
+    /// as explicit query items keyed to their originating unit.
+    fn remnant(self, items: &[WorkItem]) -> WorkItem {
+        WorkItem {
+            unit: items[self.item].unit,
+            queries: match self.work {
+                Work::Planned(_) => None,
+                Work::Split(queries) => Some(queries),
+            },
+            split_attempts: self.split_attempts,
         }
     }
 }
@@ -2927,6 +2655,20 @@ mod tests {
             wq.report.wee(),
             base.report.wee()
         );
+    }
+
+    #[test]
+    fn stale_maintained_index_is_a_stale_index_error() {
+        let pts = skewed_points(60);
+        let config = SelfJoinConfig::new(0.1);
+        let grid = GridIndex::build(&pts, 0.2).unwrap();
+        let err = SelfJoin::with_maintained_index(&pts, config.clone(), grid, None).unwrap_err();
+        assert!(matches!(err, JoinError::StaleIndex(_)), "{err}");
+        assert!(!err.to_string().contains("fleet"), "{err}");
+        let grid = GridIndex::build(&pts[..30], 0.1).unwrap();
+        let err = SelfJoin::with_maintained_index(&pts, config, grid, None).unwrap_err();
+        assert!(matches!(err, JoinError::StaleIndex(_)), "{err}");
+        assert!(!err.is_execution());
     }
 
     #[test]

@@ -32,6 +32,15 @@ pub struct CpuFallbackStats {
     pub pairs: u64,
 }
 
+impl CpuFallbackStats {
+    /// Adds another run's counts to these.
+    pub fn add(&mut self, other: &CpuFallbackStats) {
+        self.queries += other.queries;
+        self.distance_calcs += other.distance_calcs;
+        self.pairs += other.pairs;
+    }
+}
+
 /// The modeled host CPU the executor degrades onto (defaults approximate
 /// the paper's 2× Xeon E5-2620 v4: 16 cores at 2.1 GHz, ~2 effective
 /// SIMD/ILP lanes — the same machine `bench::CpuModel` models for
@@ -200,10 +209,9 @@ pub fn cpu_join_query_sets<const N: usize>(
     let mut stats = CpuFallbackStats::default();
     for &queries in sets {
         let mut out = Vec::new();
-        let s = cpu_join_queries(grid, points, resolved, epsilon, queries, &mut out);
-        stats.queries += s.queries;
-        stats.distance_calcs += s.distance_calcs;
-        stats.pairs += s.pairs;
+        stats.add(&cpu_join_queries(
+            grid, points, resolved, epsilon, queries, &mut out,
+        ));
         out_per_set.push(out);
     }
     stats

@@ -68,21 +68,14 @@ impl ShardStrategy {
 /// point id (as produced by
 /// [`WorkloadProfile::per_point`](crate::WorkloadProfile::per_point)).
 pub fn unit_workloads(plan: &BatchPlan, per_point: &[u64]) -> Vec<u64> {
-    match plan {
-        BatchPlan::Strided { batches } => batches
-            .iter()
-            .map(|b| b.iter().map(|&q| per_point[q as usize]).sum())
-            .collect(),
-        BatchPlan::Queue { order, chunks } => chunks
-            .iter()
-            .map(|c| {
-                order[c.clone()]
-                    .iter()
-                    .map(|&q| per_point[q as usize])
-                    .sum()
-            })
-            .collect(),
-    }
+    (0..plan.num_batches())
+        .map(|u| {
+            plan.unit_queries(u)
+                .iter()
+                .map(|&q| per_point[q as usize])
+                .sum()
+        })
+        .collect()
 }
 
 /// Cuts `weights.len()` plan units into exactly `devices` contiguous

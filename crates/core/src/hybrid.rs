@@ -17,8 +17,8 @@
 //! preserve the exact-result invariant *and* the canonical-report invariant
 //! (the hybrid [`crate::JoinReport`] is bit-identical to the single-device
 //! GPU run, just as fleet runs are for any device count), the co-executor is
-//! **differential**: the GPU still executes the full plan through the shared
-//! `execute_units` path, the CPU pool independently recomputes its share, and
+//! **differential**: the GPU still executes the full plan exactly as a
+//! single-device run does, the CPU pool independently recomputes its share, and
 //! every CPU segment is checked pair-for-pair against the GPU segment it
 //! replaces before the merge. A mismatch is a typed error, never a silent
 //! result difference — this is the co-processing test harness the hybrid
@@ -305,8 +305,8 @@ impl Default for HybridPolicy {
 }
 
 impl HybridPolicy {
-    /// A policy that forces every unit onto the CPU backend
-    /// ([`crate::config::ExecMode::Cpu`] routes through this).
+    /// A policy that forces every unit onto the CPU backend (the split
+    /// [`crate::config::ExecMode::Cpu`] selects).
     pub fn cpu_only() -> Self {
         Self {
             forced_cpu_fraction: Some(1.0),
@@ -371,16 +371,10 @@ pub struct HybridOutcome {
     pub hybrid: HybridReport,
 }
 
-/// Deterministic worker pool, re-exported from [`crate::pool`].
-///
-/// The PR-3 bench pool was first promoted here for the hybrid CPU backend;
-/// it now lives in [`crate::pool`], shared by every host-parallel layer
-/// (sweep cells, the CPU backend, fleet shards, within-device batches).
-pub use crate::pool::par_map;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::par_map;
 
     const GPU_RATE: f64 = 1e6;
     const CPU_RATE: f64 = 1e4;

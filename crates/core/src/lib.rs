@@ -48,6 +48,7 @@ pub mod patterns;
 pub mod pool;
 pub mod result;
 pub mod serve;
+pub mod target;
 pub mod workload;
 
 pub use batching::{BatchPlan, BatchingConfig, ResultEstimate};
@@ -76,4 +77,5 @@ pub use result::ResultSet;
 pub use serve::{
     Latency, Reply, Request, Response, ServeConfig, ServeError, ServeReport, ServeSession,
 };
+pub use target::{with_points, DynSelfJoin, ExecOutcome, ExecTarget, WithPoints, DIMS};
 pub use workload::{expand_cell_order, CellWorkload, WorkloadProfile};

@@ -15,10 +15,10 @@
 //!   with typed rejection ([`ServeError::QueueFull`]) instead of unbounded
 //!   buffering;
 //! - queued requests at the same ε are **coalesced** into one batched
-//!   launch through the existing executor paths ([`SelfJoin::run`],
-//!   [`SelfJoin::run_hybrid`]) and answered from the shared
-//!   [`ResultSet`]; repeated flushes in the same churn epoch answer from a
-//!   result cache without launching at all;
+//!   launch on [`ServeConfig::target`] (through [`SelfJoin::run_on`]) and
+//!   answered from the shared [`ResultSet`](crate::ResultSet); repeated
+//!   flushes in the same churn epoch answer from a result cache without
+//!   launching at all;
 //! - every request is timed in **model seconds** on the session's service
 //!   clock (queue wait + execute), recorded as `serve.request` events and
 //!   rolled up into P50/P99 latencies in the [`ServeReport`].
@@ -37,16 +37,15 @@ use std::fmt::Write as _;
 use epsgrid::{ChurnError, DynamicGrid, GridBuildError, Point};
 use sj_telemetry::{json, Event, Telemetry};
 
-use crate::config::{validate_epsilon, EpsilonError, ExecMode, SelfJoinConfig};
+use crate::config::{validate_epsilon, EpsilonError, SelfJoinConfig};
 use crate::executor::{JoinError, SelfJoin};
-use crate::hybrid::HybridPolicy;
-use crate::result::ResultSet;
+use crate::target::ExecTarget;
 
 /// Default bound on the admission queue.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
 /// Service-level knobs, layered over the join's own [`SelfJoinConfig`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Maximum queued (admitted but unexecuted) queries and joins. Further
     /// submissions are rejected with [`ServeError::QueueFull`].
@@ -61,6 +60,8 @@ pub struct ServeConfig {
     /// incremental patching and rebuilds (see
     /// [`epsgrid::DynamicGrid::with_rebuild_limit`]).
     pub rebuild_limit: f64,
+    /// Where every launch executes.
+    pub target: ExecTarget<'static>,
 }
 
 impl Default for ServeConfig {
@@ -69,6 +70,7 @@ impl Default for ServeConfig {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             coalesce: true,
             rebuild_limit: epsgrid::dynamic::DEFAULT_REBUILD_LIMIT,
+            target: ExecTarget::Gpu,
         }
     }
 }
@@ -630,30 +632,15 @@ impl<'a, const N: usize> ServeSession<'a, N> {
         let points: Vec<Point<N>> = self.grid.points().to_vec();
         let mut config = self.base.clone();
         config.epsilon = epsilon;
-        let exec_mode = config.exec_mode;
         let join = if maintained {
             SelfJoin::with_maintained_index(&points, config, index, Some(&per_cell))?
         } else {
             SelfJoin::new(&points, config)?
         }
         .with_telemetry(self.telemetry);
-        let (result, execute_s): (ResultSet, f64) = match exec_mode {
-            ExecMode::Gpu => {
-                let outcome = join.run()?;
-                let s = outcome.report.response_time_s();
-                (outcome.result, s)
-            }
-            ExecMode::Cpu => {
-                let outcome = join.run_hybrid(&HybridPolicy::cpu_only())?;
-                let s = outcome.hybrid.makespan_s;
-                (outcome.result, s)
-            }
-            ExecMode::Hybrid => {
-                let outcome = join.run_hybrid(&HybridPolicy::default())?;
-                let s = outcome.hybrid.makespan_s;
-                (outcome.result, s)
-            }
-        };
+        let outcome = join.run_on(&self.cfg.target)?;
+        let execute_s = outcome.model_s();
+        let result = outcome.result;
         let n = points.len();
         let answer = CachedAnswer {
             eps_bits: epsilon.to_bits(),
@@ -1001,6 +988,7 @@ fn json_string(out: &mut String, s: &str) {
 mod tests {
     use super::*;
     use crate::brute::brute_force_join;
+    use crate::result::ResultSet;
 
     fn dataset() -> Vec<Point<2>> {
         let mut pts = Vec::new();
@@ -1056,6 +1044,39 @@ mod tests {
         let r = s.report();
         assert_eq!(r.launches, 1);
         assert_eq!(r.coalesced_requests, 2);
+    }
+
+    #[test]
+    fn every_target_answers_exactly_and_is_charged_its_model_seconds() {
+        let oracle = ResultSet::from_pairs(brute_force_join(&dataset(), 0.8)).to_neighbor_lists(40);
+        let policy = crate::HybridPolicy::default();
+        for target in [
+            ExecTarget::Gpu,
+            ExecTarget::Hybrid(policy),
+            ExecTarget::Hybrid(policy.with_forced_cpu_fraction(1.0)),
+        ] {
+            let mut s = session(ServeConfig {
+                target,
+                ..ServeConfig::default()
+            });
+            s.request(Request::Query {
+                point_id: 5,
+                epsilon: 0.8,
+            });
+            let out = s.request(Request::Flush);
+            let (neighbors, latency, _, _) = expect_neighbors(&out[0]);
+            assert_eq!(neighbors, &oracle[5], "{target:?}");
+            // A hybrid launch costs its makespan, not the GPU shadow's
+            // response time.
+            let points = dataset();
+            let join = SelfJoin::new(&points, SelfJoinConfig::new(0.8)).unwrap();
+            let expected_s = join.run_on(&target).unwrap().model_s();
+            assert_eq!(
+                latency.execute_s.to_bits(),
+                expected_s.to_bits(),
+                "{target:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Shared fixtures for the cross-crate integration tests.
 
-use epsgrid::DynPoints;
+use epsgrid::{DynPoints, Point};
+use simjoin::{DynSelfJoin, ExecTarget, WithPoints};
 use sjdata::DatasetSpec;
 
 /// A small skewed dataset: dense enough that every fault class in the named
@@ -91,19 +92,16 @@ pub fn small_datasets(n: usize) -> Vec<(String, DynPoints, f32)> {
 
 /// Brute-force self-join over a dimension-erased dataset.
 pub fn brute_force_dyn(points: &DynPoints, eps: f32) -> Vec<(u32, u32)> {
-    fn brute<const N: usize>(pts: &[[f32; N]], eps: f32) -> Vec<(u32, u32)> {
-        let mut pairs = simjoin::brute_force_join(pts, eps);
-        pairs.sort_unstable();
-        pairs
+    struct Brute(f32);
+    impl WithPoints for Brute {
+        type Output = Vec<(u32, u32)>;
+        fn call<const N: usize>(self, pts: &[Point<N>]) -> Self::Output {
+            let mut pairs = simjoin::brute_force_join(pts, self.0);
+            pairs.sort_unstable();
+            pairs
+        }
     }
-    match points.dims() {
-        2 => brute(&points.as_fixed::<2>().unwrap(), eps),
-        3 => brute(&points.as_fixed::<3>().unwrap(), eps),
-        4 => brute(&points.as_fixed::<4>().unwrap(), eps),
-        5 => brute(&points.as_fixed::<5>().unwrap(), eps),
-        6 => brute(&points.as_fixed::<6>().unwrap(), eps),
-        d => panic!("unsupported dims {d}"),
-    }
+    simjoin::with_points(points, Brute(eps)).expect("supported dims")
 }
 
 /// Runs a GPU self-join variant over a dimension-erased dataset and returns
@@ -112,24 +110,10 @@ pub fn join_dyn(
     points: &DynPoints,
     config: simjoin::SelfJoinConfig,
 ) -> (Vec<(u32, u32)>, simjoin::JoinReport) {
-    fn run<const N: usize>(
-        pts: &[[f32; N]],
-        config: simjoin::SelfJoinConfig,
-    ) -> (Vec<(u32, u32)>, simjoin::JoinReport) {
-        let outcome = simjoin::SelfJoin::new(pts, config)
-            .expect("config")
-            .run()
-            .expect("join");
-        (outcome.result.sorted_pairs(), outcome.report)
-    }
-    match points.dims() {
-        2 => run(&points.as_fixed::<2>().unwrap(), config),
-        3 => run(&points.as_fixed::<3>().unwrap(), config),
-        4 => run(&points.as_fixed::<4>().unwrap(), config),
-        5 => run(&points.as_fixed::<5>().unwrap(), config),
-        6 => run(&points.as_fixed::<6>().unwrap(), config),
-        d => panic!("unsupported dims {d}"),
-    }
+    let o = DynSelfJoin::new(points, config)
+        .run(&ExecTarget::Gpu)
+        .expect("join");
+    (o.result.sorted_pairs(), o.report)
 }
 
 /// Runs a GPU self-join sharded across `devices` homogeneous simulated
@@ -140,27 +124,7 @@ pub fn join_fleet_dyn(
     devices: usize,
     strategy: simjoin::ShardStrategy,
 ) -> (Vec<(u32, u32)>, simjoin::JoinReport, simjoin::FleetReport) {
-    fn run<const N: usize>(
-        pts: &[[f32; N]],
-        config: simjoin::SelfJoinConfig,
-        devices: usize,
-        strategy: simjoin::ShardStrategy,
-    ) -> (Vec<(u32, u32)>, simjoin::JoinReport, simjoin::FleetReport) {
-        let fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
-        let outcome = simjoin::SelfJoin::new(pts, config)
-            .expect("config")
-            .run_on_fleet(&fleet, strategy)
-            .expect("fleet join");
-        (outcome.result.sorted_pairs(), outcome.report, outcome.fleet)
-    }
-    match points.dims() {
-        2 => run(&points.as_fixed::<2>().unwrap(), config, devices, strategy),
-        3 => run(&points.as_fixed::<3>().unwrap(), config, devices, strategy),
-        4 => run(&points.as_fixed::<4>().unwrap(), config, devices, strategy),
-        5 => run(&points.as_fixed::<5>().unwrap(), config, devices, strategy),
-        6 => run(&points.as_fixed::<6>().unwrap(), config, devices, strategy),
-        d => panic!("unsupported dims {d}"),
-    }
+    join_fleet_dyn_chaos(points, config, devices, strategy, &[]).expect("fleet join")
 }
 
 /// Runs a GPU self-join with a fault plane and telemetry attached. `Err`
@@ -172,26 +136,11 @@ pub fn join_dyn_chaos(
     plane: &warpsim::FaultPlane,
     telemetry: &dyn sj_telemetry::Telemetry,
 ) -> Result<(Vec<(u32, u32)>, simjoin::JoinReport), simjoin::JoinError> {
-    fn run<const N: usize>(
-        pts: &[[f32; N]],
-        config: simjoin::SelfJoinConfig,
-        plane: &warpsim::FaultPlane,
-        telemetry: &dyn sj_telemetry::Telemetry,
-    ) -> Result<(Vec<(u32, u32)>, simjoin::JoinReport), simjoin::JoinError> {
-        let outcome = simjoin::SelfJoin::new(pts, config)?
-            .with_telemetry(telemetry)
-            .with_fault_plane(plane)
-            .run()?;
-        Ok((outcome.result.sorted_pairs(), outcome.report))
-    }
-    match points.dims() {
-        2 => run(&points.as_fixed::<2>().unwrap(), config, plane, telemetry),
-        3 => run(&points.as_fixed::<3>().unwrap(), config, plane, telemetry),
-        4 => run(&points.as_fixed::<4>().unwrap(), config, plane, telemetry),
-        5 => run(&points.as_fixed::<5>().unwrap(), config, plane, telemetry),
-        6 => run(&points.as_fixed::<6>().unwrap(), config, plane, telemetry),
-        d => panic!("unsupported dims {d}"),
-    }
+    let o = DynSelfJoin::new(points, config)
+        .with_telemetry(telemetry)
+        .with_fault_plane(plane)
+        .run(&ExecTarget::Gpu)?;
+    Ok((o.result.sorted_pairs(), o.report))
 }
 
 /// What a faulted fleet run yields: `(sorted pairs, canonical report,
@@ -210,58 +159,16 @@ pub fn join_fleet_dyn_chaos(
     strategy: simjoin::ShardStrategy,
     faults: &[(usize, warpsim::FaultSchedule)],
 ) -> FleetChaosResult {
-    fn run<const N: usize>(
-        pts: &[[f32; N]],
-        config: simjoin::SelfJoinConfig,
-        devices: usize,
-        strategy: simjoin::ShardStrategy,
-        faults: &[(usize, warpsim::FaultSchedule)],
-    ) -> FleetChaosResult {
-        let mut fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
-        for (device, schedule) in faults {
-            fleet = fleet.with_fault_schedule(*device, schedule.clone());
-        }
-        let outcome = simjoin::SelfJoin::new(pts, config)?.run_on_fleet(&fleet, strategy)?;
-        Ok((outcome.result.sorted_pairs(), outcome.report, outcome.fleet))
+    let mut fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
+    for (device, schedule) in faults {
+        fleet = fleet.with_fault_schedule(*device, schedule.clone());
     }
-    match points.dims() {
-        2 => run(
-            &points.as_fixed::<2>().unwrap(),
-            config,
-            devices,
-            strategy,
-            faults,
-        ),
-        3 => run(
-            &points.as_fixed::<3>().unwrap(),
-            config,
-            devices,
-            strategy,
-            faults,
-        ),
-        4 => run(
-            &points.as_fixed::<4>().unwrap(),
-            config,
-            devices,
-            strategy,
-            faults,
-        ),
-        5 => run(
-            &points.as_fixed::<5>().unwrap(),
-            config,
-            devices,
-            strategy,
-            faults,
-        ),
-        6 => run(
-            &points.as_fixed::<6>().unwrap(),
-            config,
-            devices,
-            strategy,
-            faults,
-        ),
-        d => panic!("unsupported dims {d}"),
-    }
+    let o = DynSelfJoin::new(points, config).run(&ExecTarget::Fleet(&fleet, strategy))?;
+    Ok((
+        o.result.sorted_pairs(),
+        o.report,
+        o.fleet.expect("fleet report"),
+    ))
 }
 
 /// Runs a hybrid CPU/GPU co-processed self-join over a dimension-erased
@@ -272,29 +179,14 @@ pub fn join_dyn_hybrid(
     config: simjoin::SelfJoinConfig,
     policy: &simjoin::HybridPolicy,
 ) -> (Vec<(u32, u32)>, simjoin::JoinReport, simjoin::HybridReport) {
-    fn run<const N: usize>(
-        pts: &[[f32; N]],
-        config: simjoin::SelfJoinConfig,
-        policy: &simjoin::HybridPolicy,
-    ) -> (Vec<(u32, u32)>, simjoin::JoinReport, simjoin::HybridReport) {
-        let outcome = simjoin::SelfJoin::new(pts, config)
-            .expect("config")
-            .run_hybrid(policy)
-            .expect("hybrid join");
-        (
-            outcome.result.sorted_pairs(),
-            outcome.report,
-            outcome.hybrid,
-        )
-    }
-    match points.dims() {
-        2 => run(&points.as_fixed::<2>().unwrap(), config, policy),
-        3 => run(&points.as_fixed::<3>().unwrap(), config, policy),
-        4 => run(&points.as_fixed::<4>().unwrap(), config, policy),
-        5 => run(&points.as_fixed::<5>().unwrap(), config, policy),
-        6 => run(&points.as_fixed::<6>().unwrap(), config, policy),
-        d => panic!("unsupported dims {d}"),
-    }
+    let o = DynSelfJoin::new(points, config)
+        .run(&ExecTarget::Hybrid(*policy))
+        .expect("hybrid join");
+    (
+        o.result.sorted_pairs(),
+        o.report,
+        o.hybrid.expect("hybrid report"),
+    )
 }
 
 /// What a faulted hybrid run yields: `(sorted pairs, canonical report,
@@ -312,76 +204,28 @@ pub fn join_dyn_hybrid_chaos(
     plane: &warpsim::FaultPlane,
     telemetry: &dyn sj_telemetry::Telemetry,
 ) -> HybridChaosResult {
-    fn run<const N: usize>(
-        pts: &[[f32; N]],
-        config: simjoin::SelfJoinConfig,
-        policy: &simjoin::HybridPolicy,
-        plane: &warpsim::FaultPlane,
-        telemetry: &dyn sj_telemetry::Telemetry,
-    ) -> HybridChaosResult {
-        let outcome = simjoin::SelfJoin::new(pts, config)?
-            .with_telemetry(telemetry)
-            .with_fault_plane(plane)
-            .run_hybrid(policy)?;
-        Ok((
-            outcome.result.sorted_pairs(),
-            outcome.report,
-            outcome.hybrid,
-        ))
-    }
-    match points.dims() {
-        2 => run(
-            &points.as_fixed::<2>().unwrap(),
-            config,
-            policy,
-            plane,
-            telemetry,
-        ),
-        3 => run(
-            &points.as_fixed::<3>().unwrap(),
-            config,
-            policy,
-            plane,
-            telemetry,
-        ),
-        4 => run(
-            &points.as_fixed::<4>().unwrap(),
-            config,
-            policy,
-            plane,
-            telemetry,
-        ),
-        5 => run(
-            &points.as_fixed::<5>().unwrap(),
-            config,
-            policy,
-            plane,
-            telemetry,
-        ),
-        6 => run(
-            &points.as_fixed::<6>().unwrap(),
-            config,
-            policy,
-            plane,
-            telemetry,
-        ),
-        d => panic!("unsupported dims {d}"),
-    }
+    let o = DynSelfJoin::new(points, config)
+        .with_telemetry(telemetry)
+        .with_fault_plane(plane)
+        .run(&ExecTarget::Hybrid(*policy))?;
+    Ok((
+        o.result.sorted_pairs(),
+        o.report,
+        o.hybrid.expect("hybrid report"),
+    ))
 }
 
 /// Runs SUPER-EGO over a dimension-erased dataset and returns sorted pairs.
 pub fn superego_dyn(points: &DynPoints, eps: f32) -> Vec<(u32, u32)> {
-    fn run<const N: usize>(pts: &[[f32; N]], eps: f32) -> Vec<(u32, u32)> {
-        let mut pairs = superego::super_ego_join(pts, &superego::SuperEgoConfig::new(eps)).pairs;
-        pairs.sort_unstable();
-        pairs
+    struct SuperEgo(f32);
+    impl WithPoints for SuperEgo {
+        type Output = Vec<(u32, u32)>;
+        fn call<const N: usize>(self, pts: &[Point<N>]) -> Self::Output {
+            let config = superego::SuperEgoConfig::new(self.0);
+            let mut pairs = superego::super_ego_join(pts, &config).pairs;
+            pairs.sort_unstable();
+            pairs
+        }
     }
-    match points.dims() {
-        2 => run(&points.as_fixed::<2>().unwrap(), eps),
-        3 => run(&points.as_fixed::<3>().unwrap(), eps),
-        4 => run(&points.as_fixed::<4>().unwrap(), eps),
-        5 => run(&points.as_fixed::<5>().unwrap(), eps),
-        6 => run(&points.as_fixed::<6>().unwrap(), eps),
-        d => panic!("unsupported dims {d}"),
-    }
+    simjoin::with_points(points, SuperEgo(eps)).expect("supported dims")
 }
