@@ -1255,9 +1255,9 @@ impl Experiments {
         let batching = self.unit_batching(&pts, eps);
         let mut points = Vec::new();
         for (mode, recovery, faulted) in [
-            ("clean", RecoveryPolicy::reshard(), false),
-            ("reshard", RecoveryPolicy::reshard(), true),
-            ("degrade", RecoveryPolicy::degrade(), true),
+            ("clean", RecoveryPolicy::Reshard, false),
+            ("reshard", RecoveryPolicy::Reshard, true),
+            ("degrade", RecoveryPolicy::Degrade, true),
         ] {
             let config = SelfJoinConfig::optimized(eps)
                 .with_batching(batching)

@@ -359,8 +359,8 @@ fn print_recovery(rec: &simjoin::FleetRecoveryReport) {
     }
     println!(
         "fleet recovery        : {} reshard round(s), {} unit(s) reassigned, \
-         {} device(s) lost, {} straggler rebalance(s)",
-        rec.reshard_rounds, rec.reassigned_units, rec.devices_lost, rec.straggler_rebalances
+         {} device(s) lost",
+        rec.reshard_rounds, rec.reassigned_units, rec.devices_lost
     );
     if rec.cpu_last_resort_points > 0 {
         println!(
@@ -1490,9 +1490,9 @@ mod tests {
     #[test]
     fn recovery_flag_is_validated() {
         let p = Parsed::parse(&argv(&["--recovery", "reshard"])).unwrap();
-        assert!(recovery_flag(&p).unwrap().reshard_enabled());
+        assert_eq!(recovery_flag(&p).unwrap(), simjoin::RecoveryPolicy::Reshard);
         let p = Parsed::parse(&argv(&["--recovery", "degrade"])).unwrap();
-        assert!(!recovery_flag(&p).unwrap().reshard_enabled());
+        assert_eq!(recovery_flag(&p).unwrap(), simjoin::RecoveryPolicy::Degrade);
         let p = Parsed::parse(&argv(&["--recovery", "bogus"])).unwrap();
         assert!(recovery_flag(&p).unwrap_err().contains("reshard|degrade"));
         // Through the join command, mirroring the --shard-strategy error.

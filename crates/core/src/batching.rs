@@ -221,23 +221,8 @@ impl BatchPlan {
 /// at least 1, capped at [`BatchingConfig::max_batches`] when that floor is
 /// set.
 pub fn num_batches_for(estimate: &ResultEstimate, config: &BatchingConfig) -> usize {
-    num_batches_scaled(estimate, config, 1)
-}
-
-/// [`num_batches_for`] with the *uncapped* count scaled by `multiplier`
-/// (an overflow-recovery planner asking for more total capacity). The
-/// device-saturation cap applies to the **final** count: when it binds, the
-/// extra capacity must come from growing the per-batch buffer
-/// ([`buffer_capacity_scaled`]) rather than from violating the cap.
-pub fn num_batches_scaled(
-    estimate: &ResultEstimate,
-    config: &BatchingConfig,
-    multiplier: usize,
-) -> usize {
     let padded = (estimate.estimated_total as f64 * config.safety_factor).ceil() as u64;
-    let nb = (padded.div_ceil(config.batch_result_capacity.max(1) as u64) as usize)
-        .max(1)
-        .saturating_mul(multiplier.max(1));
+    let nb = (padded.div_ceil(config.batch_result_capacity.max(1) as u64) as usize).max(1);
     if config.max_batches > 0 {
         nb.min(config.max_batches)
     } else {
@@ -253,20 +238,7 @@ pub fn buffer_capacity_for(
     num_batches: usize,
     config: &BatchingConfig,
 ) -> usize {
-    buffer_capacity_scaled(estimate, num_batches, config, 1)
-}
-
-/// [`buffer_capacity_for`] under an overflow-recovery `multiplier`: the
-/// estimate is scaled up by the same factor the planner asked for, so the
-/// buffer absorbs the capacity the capped batch count cannot.
-pub fn buffer_capacity_scaled(
-    estimate: &ResultEstimate,
-    num_batches: usize,
-    config: &BatchingConfig,
-    multiplier: usize,
-) -> usize {
-    let padded = (estimate.estimated_total as f64 * config.safety_factor * multiplier.max(1) as f64)
-        .ceil() as u64;
+    let padded = (estimate.estimated_total as f64 * config.safety_factor).ceil() as u64;
     let per_batch = padded.div_ceil(num_batches.max(1) as u64);
     config
         .batch_result_capacity
@@ -510,8 +482,8 @@ mod tests {
 
     #[test]
     fn multiplier_respects_the_saturation_cap() {
-        // The overflow-recovery multiplier scales the *uncapped* count; the
-        // cap applies last, and the buffer grows to absorb the difference.
+        // The cap applies to the final batch count; under it the count
+        // follows the estimate.
         let config = BatchingConfig {
             batch_result_capacity: 1000,
             safety_factor: 1.0,
@@ -523,29 +495,7 @@ mod tests {
             sampled_pairs: 1,
             estimated_total: 3_000,
         };
-        assert_eq!(num_batches_scaled(&est, &config, 1), 3);
-        assert_eq!(
-            num_batches_scaled(&est, &config, 4),
-            4,
-            "12 uncapped batches must still clamp to the cap"
-        );
-        let cap = buffer_capacity_scaled(&est, 4, &config, 4);
-        assert!(
-            cap >= 3_000 * 4 / 4,
-            "the buffer must absorb the capacity the cap refused: got {cap}"
-        );
-        // Uncapped config: the multiplier multiplies the batch count.
-        let uncapped = BatchingConfig {
-            max_batches: 0,
-            ..config
-        };
-        assert_eq!(num_batches_scaled(&est, &uncapped, 4), 12);
-        assert_eq!(
-            buffer_capacity_scaled(&est, 12, &uncapped, 4),
-            buffer_capacity_for(&est, 3, &uncapped),
-            "when the batch count grows with the multiplier, per-batch \
-             demand — and so the buffer — stays at the unscaled size"
-        );
+        assert_eq!(num_batches_for(&est, &config), 3);
     }
 
     #[test]

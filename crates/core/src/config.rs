@@ -86,9 +86,6 @@ pub struct RetryPolicy {
     pub counter_backoff_s: f64,
     /// Geometric growth factor of per-class backoff across attempts.
     pub backoff_multiplier: f64,
-    /// Degrade remaining query points to the exact CPU fallback join after
-    /// persistent device failure (`false` surfaces the error instead).
-    pub cpu_fallback: bool,
 }
 
 impl Default for RetryPolicy {
@@ -101,7 +98,6 @@ impl Default for RetryPolicy {
             overflow_backoff_s: 1e-3,
             counter_backoff_s: 5e-4,
             backoff_multiplier: 2.0,
-            cpu_fallback: true,
         }
     }
 }
@@ -117,105 +113,46 @@ impl RetryPolicy {
     }
 }
 
-/// Fleet-level failover behaviour of [`SelfJoin::run_on_fleet`]
-/// (`crate::SelfJoin::run_on_fleet`).
+/// What happens to the work a persistently failed device left unexecuted
+/// (the device latched `DeviceLost`, or a launch exhausted the transient
+/// budget of its [`RetryPolicy`]). The remainder always ends exact.
 ///
-/// When a shard's device latches `DeviceLost` (or exhausts the transient
-/// budget of its [`RetryPolicy`]), the recovery layer checkpoints the
-/// shard's completed units and re-cuts the *unexecuted* remainder
-/// workload-aware across the surviving devices — the same
-/// `partition_units` cut applied to a shrunken fleet. The CPU fallback
-/// only fires when no device survives or the re-shard round budget is
-/// exhausted. All recovery costs are accounted in **model seconds**; the
-/// host-side re-cut itself is charged at zero model cost (it reuses the
-/// already-computed per-unit workloads).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Re-shard rounds the fleet may spend redistributing lost or
-    /// straggling work before falling back. `0` disables fleet recovery
-    /// entirely: a failed shard degrades its own remainder to the CPU
-    /// fallback exactly as the pre-recovery executor did (`degrade` mode).
-    pub max_reshard_rounds: u32,
-    /// Straggler trigger: a shard whose response time (pipeline plus
-    /// accrued backoff) exceeds `straggler_threshold ×` the fleet median
-    /// has its unstarted tail units rebalanced onto under-loaded
-    /// survivors. `<= 0` disables straggler mitigation (the default: the
-    /// workload-aware cut already equalizes clean shards).
-    pub straggler_threshold: f64,
-    /// Degrade whatever work remains after the round budget (or the whole
-    /// fleet) is exhausted to the exact CPU fallback; `false` surfaces the
-    /// originating launch error instead.
-    pub cpu_last_resort: bool,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self::reshard()
-    }
+/// A single-device join, and every fleet shard under `Degrade`, finishes it
+/// on the exact CPU fallback join, charged to the failed device. Under
+/// `Reshard` a fleet re-cuts it workload-aware across the surviving devices
+/// — the same `partition_units` cut applied to a shrunken fleet — for up to
+/// [`RecoveryPolicy::RESHARD_ROUNDS`] rounds, and finishes what is left on
+/// the CPU as a last resort when no device survives or the rounds run out;
+/// a hybrid join spills it onto its CPU backend. All recovery costs are
+/// accounted in **model seconds**; the host-side re-cut itself is charged
+/// at zero model cost (it reuses the already-computed per-unit workloads).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RecoveryPolicy {
+    /// Fleet failover onto surviving devices (the default).
+    #[default]
+    Reshard,
+    /// The pre-recovery behaviour: a failed shard finishes its own
+    /// remainder on the CPU fallback.
+    Degrade,
 }
 
 impl RecoveryPolicy {
-    /// The default failover policy: up to four re-shard rounds, straggler
-    /// mitigation off, CPU as the last resort.
-    pub fn reshard() -> Self {
-        Self {
-            max_reshard_rounds: 4,
-            straggler_threshold: 0.0,
-            cpu_last_resort: true,
-        }
-    }
+    /// Re-shard rounds a fleet may spend before the CPU last resort.
+    pub const RESHARD_ROUNDS: u32 = 4;
 
-    /// The pre-recovery behaviour: no resharding; a failed shard degrades
-    /// its own remainder straight to the CPU fallback (gated by
-    /// [`RetryPolicy::cpu_fallback`]).
-    pub fn degrade() -> Self {
-        Self {
-            max_reshard_rounds: 0,
-            straggler_threshold: 0.0,
-            cpu_last_resort: true,
-        }
-    }
-
-    /// Builder-style: set the straggler trigger (multiple of the fleet
-    /// median response time; `<= 0` disables).
-    pub fn with_straggler_threshold(mut self, threshold: f64) -> Self {
-        self.straggler_threshold = threshold;
-        self
-    }
-
-    /// Builder-style: set the re-shard round budget.
-    pub fn with_max_reshard_rounds(mut self, rounds: u32) -> Self {
-        self.max_reshard_rounds = rounds;
-        self
-    }
-
-    /// Builder-style: set whether exhausted recovery degrades to the CPU.
-    pub fn with_cpu_last_resort(mut self, cpu: bool) -> Self {
-        self.cpu_last_resort = cpu;
-        self
-    }
-
-    /// Whether fleet failover (re-sharding) is enabled at all.
-    pub fn reshard_enabled(&self) -> bool {
-        self.max_reshard_rounds > 0
-    }
-
-    /// Short stable mode name (used by CLI flags and telemetry):
-    /// `"reshard"` when failover is enabled, `"degrade"` otherwise.
+    /// Short stable mode name (used by CLI flags and telemetry).
     pub fn label(&self) -> &'static str {
-        if self.reshard_enabled() {
-            "reshard"
-        } else {
-            "degrade"
+        match self {
+            RecoveryPolicy::Reshard => "reshard",
+            RecoveryPolicy::Degrade => "degrade",
         }
     }
 
-    /// Parses a [`RecoveryPolicy::label`] name into the corresponding
-    /// canned policy.
+    /// Parses a [`RecoveryPolicy::label`] name.
     pub fn by_name(name: &str) -> Option<Self> {
         match name {
-            "reshard" => Some(Self::reshard()),
-            "degrade" => Some(Self::degrade()),
+            "reshard" => Some(RecoveryPolicy::Reshard),
+            "degrade" => Some(RecoveryPolicy::Degrade),
             _ => None,
         }
     }
@@ -394,8 +331,8 @@ pub struct SelfJoinConfig {
     pub issue_override: Option<IssueOrder>,
     /// Bounded recovery behaviour under faults and overflows.
     pub retry: RetryPolicy,
-    /// Fleet-level failover behaviour (re-sharding lost or straggling work
-    /// across surviving devices; only consulted by `run_on_fleet`).
+    /// What happens to a failed device's unexecuted work (re-sharding it
+    /// across surviving devices, or finishing it on the CPU).
     pub recovery: RecoveryPolicy,
     /// The host CPU model used when the join degrades to the exact CPU
     /// fallback after persistent device failure.
@@ -619,22 +556,13 @@ mod tests {
 
     #[test]
     fn recovery_policy_round_trips() {
-        assert_eq!(RecoveryPolicy::default(), RecoveryPolicy::reshard());
-        assert!(RecoveryPolicy::reshard().reshard_enabled());
-        assert!(!RecoveryPolicy::degrade().reshard_enabled());
-        for p in [RecoveryPolicy::reshard(), RecoveryPolicy::degrade()] {
+        assert_eq!(RecoveryPolicy::default(), RecoveryPolicy::Reshard);
+        for p in [RecoveryPolicy::Reshard, RecoveryPolicy::Degrade] {
             assert_eq!(RecoveryPolicy::by_name(p.label()), Some(p));
         }
         assert_eq!(RecoveryPolicy::by_name("retry"), None);
-        let tuned = RecoveryPolicy::reshard()
-            .with_straggler_threshold(1.5)
-            .with_max_reshard_rounds(2)
-            .with_cpu_last_resort(false);
-        assert_eq!(tuned.straggler_threshold, 1.5);
-        assert_eq!(tuned.max_reshard_rounds, 2);
-        assert!(!tuned.cpu_last_resort);
-        let c = SelfJoinConfig::new(0.5).with_recovery(RecoveryPolicy::degrade());
-        assert_eq!(c.recovery, RecoveryPolicy::degrade());
+        let c = SelfJoinConfig::new(0.5).with_recovery(RecoveryPolicy::Degrade);
+        assert_eq!(c.recovery, RecoveryPolicy::Degrade);
     }
 
     #[test]

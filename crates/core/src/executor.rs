@@ -17,7 +17,7 @@ use crate::batching::{
     num_batches_for, plan_queue, plan_queue_balanced_from_prefix, plan_strided, BatchPlan,
     ResultEstimate,
 };
-use crate::config::{Balancing, SelfJoinConfig, SortBackend};
+use crate::config::{Balancing, RecoveryPolicy, SelfJoinConfig, SortBackend};
 use crate::device_prepass::{DevicePrepass, PrePassReport};
 use crate::fallback::{cpu_join_queries, CpuFallbackStats};
 use crate::fleet::{
@@ -99,15 +99,12 @@ impl std::error::Error for JoinError {
 }
 
 impl JoinError {
-    /// Whether the join failed while executing — a launch, fleet or
+    /// Whether the join failed while executing — a launch or
     /// differential-check failure — rather than while being configured or
     /// indexed. Execution failures are the outcomes a fault-injection run
     /// may legitimately end in.
     pub fn is_execution(&self) -> bool {
-        matches!(
-            self,
-            JoinError::Launch(_) | JoinError::Fleet(_) | JoinError::Hybrid(_)
-        )
+        matches!(self, JoinError::Launch(_) | JoinError::Hybrid(_))
     }
 }
 
@@ -530,7 +527,8 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     /// [`RetryPolicy::max_overflow_splits`]: crate::RetryPolicy::max_overflow_splits
     pub fn run(&self) -> Result<JoinOutcome, JoinError> {
         let planned = self.plan_join();
-        let (exec, ledger, done) = self.execute_plan(&planned, false)?;
+        let (mut exec, mut ledger, mut done) = self.execute_plan(&planned)?;
+        self.degrade(&mut exec, &mut done, None, &planned.plan, &mut ledger);
         Ok(self.finish(planned, ledger, done, exec.recovery, exec.gather_ns))
     }
 
@@ -547,9 +545,10 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     /// per-shard breakdown and the makespan (maximum shard response time).
     ///
     /// Faults are per-device (attach schedules via
-    /// [`DeviceFleet::with_fault_schedule`]): a device lost mid-shard
-    /// degrades only its own region to the exact CPU fallback, and the
-    /// merged join stays exact. One difference from the single-device
+    /// [`DeviceFleet::with_fault_schedule`]): the unexecuted remainder of a
+    /// device lost mid-shard is re-sharded onto the survivors, or under
+    /// [`RecoveryPolicy::Degrade`] finished on the exact CPU fallback, and
+    /// the merged join stays exact. One difference from the single-device
     /// executor under faults: the overflow-split and retry budgets of
     /// [`crate::RetryPolicy`] apply **per shard**, since each device
     /// recovers independently.
@@ -581,7 +580,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         let per_point = profile.per_point();
         let weights = unit_workloads(plan, per_point);
         let regions = self.partition_for_fleet(&weights, fleet.len(), strategy);
-        let defer = c.recovery.reshard_enabled();
         // Quantified workload of a re-shardable work item: planned units
         // reuse the cut weights, carried-over query sets re-sum per point.
         let item_weight = |it: &WorkItem| -> u64 {
@@ -598,7 +596,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         let mut cpu_done: Vec<DoneItem> = Vec::new();
         let mut gather_ns: u64 = 0;
         let mut round: u32 = 0;
-        let mut saved_error: Option<LaunchError> = None;
 
         // Round 0: the initial per-region assignment.
         let mut region_queries: Vec<usize> = Vec::with_capacity(fleet.len());
@@ -623,9 +620,11 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             assignment.push((d, region.clone().map(WorkItem::planned).collect()));
         }
 
-        // The recovery loop: execute the current assignment, re-shard
-        // whatever interrupted shards left behind onto survivors (bounded
-        // by the round budget), then give stragglers the same treatment.
+        // The recovery loop: execute the current assignment. Under
+        // `Degrade` a failed shard finishes its own remainder on the CPU;
+        // under `Reshard` whatever interrupted shards left behind is re-cut
+        // onto survivors, bounded by the round budget, with the CPU as the
+        // last resort.
         loop {
             let mut leftovers: Vec<WorkItem> = Vec::new();
             // Execute this round's shard assignments concurrently on the
@@ -648,7 +647,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                         gpu: device.gpu(),
                         fault: device.fault_plane(),
                         counter: device.counter(),
-                        defer,
                     };
                     let buffer = EventBuffer::new(telemetry_on);
                     let res = self.execute_units(&items, &ctx, &buffer);
@@ -661,17 +659,21 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 // devices' buffers are dropped unseen.
                 let mut exec = res?;
                 gather_ns += exec.gather_ns;
+                let mut done = ledger.checkpoint(&mut exec, &items);
+                if c.recovery == RecoveryPolicy::Degrade {
+                    let device = Some((d as u64, fleet.device(d).gpu()));
+                    self.degrade(&mut exec, &mut done, device, plan, &mut ledger);
+                }
                 let state = &mut states[d];
-                state.recovery.merge(&exec.recovery);
-                state.done.extend(ledger.checkpoint(&mut exec, &items));
-                if let Some(intr) = exec.interruption {
+                if let Some(intr) = exec.interruption.take() {
+                    let device_lost = exec.recovery.device_lost;
                     state.failed = true;
                     state.reassigned_out += intr.remnants.len();
                     rec.devices_lost += 1;
                     rec.health.push(crate::fleet::HealthEvent {
                         device: d as u64,
                         round,
-                        state: if intr.device_lost {
+                        state: if device_lost {
                             crate::fleet::DeviceHealth::Lost
                         } else {
                             crate::fleet::DeviceHealth::TransientExhausted
@@ -684,214 +686,106 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                                 .u64("device", d as u64)
                                 .u64("round", round as u64)
                                 .u64("remnant_units", intr.remnants.len() as u64)
-                                .bool("device_lost", intr.device_lost),
+                                .bool("device_lost", device_lost),
                         );
                     }
-                    saved_error = Some(intr.error);
                     leftovers.extend(intr.remnants);
                 }
+                state.recovery.merge(&exec.recovery);
+                state.done.extend(done);
+            }
+            if leftovers.is_empty() {
+                break;
             }
 
-            if !leftovers.is_empty() {
-                let survivors: Vec<usize> = states
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| !s.failed)
-                    .map(|(d, _)| d)
-                    .collect();
-                if survivors.is_empty() || rec.reshard_rounds >= c.recovery.max_reshard_rounds {
-                    if !c.recovery.cpu_last_resort {
-                        // Unexecuted work implies an interruption was
-                        // recorded; if that bookkeeping ever slips, surface a
-                        // typed fleet error instead of panicking mid-join.
-                        return Err(match saved_error.take() {
-                            Some(error) => JoinError::Launch(error),
-                            None => JoinError::Fleet(
-                                "work left unexecuted without a recorded interruption".into(),
-                            ),
-                        });
-                    }
-                    // Exact CPU last resort: one pair segment per remnant
-                    // item, so the canonical merge can interleave
-                    // CPU-completed units with GPU-completed units in plan
-                    // order.
-                    let sets: Vec<&[u32]> = leftovers.iter().map(|it| it.queries(plan)).collect();
-                    let mut per_set: Vec<Vec<(u32, u32)>> = Vec::new();
-                    let sw_cpu = Stopwatch::start();
-                    let stats = crate::fallback::cpu_join_query_sets(
-                        &self.grid,
-                        self.points,
-                        &self.resolved,
-                        c.epsilon,
-                        &sets,
-                        &mut per_set,
-                    );
-                    let cpu_model_s = c.cpu_fallback.model_seconds(&stats, N as u32, &c.gpu.cost);
-                    rec.cpu_last_resort_points = stats.queries;
-                    rec.cpu_last_resort_pairs = stats.pairs;
-                    rec.cpu_last_resort_model_s = cpu_model_s;
-                    if telemetry_on {
-                        self.telemetry.record(
-                            Event::new("fleet", "cpu_last_resort")
-                                .u64("points", stats.queries as u64)
-                                .u64("pairs", stats.pairs)
-                                .u64("distance_calcs", stats.distance_calcs)
-                                .f64("cpu_model_s", cpu_model_s)
-                                .str(
-                                    "reason",
-                                    if survivors.is_empty() {
-                                        "no_survivors"
-                                    } else {
-                                        "budget_exhausted"
-                                    },
-                                )
-                                .u64("host_ns", sw_cpu.elapsed_ns()),
-                        );
-                    }
-                    for (it, pairs) in leftovers.iter().zip(per_set) {
-                        cpu_done.push(ledger.segment(it.unit, pairs));
-                    }
-                    break;
-                }
-                round += 1;
-                rec.reshard_rounds += 1;
-                rec.reassigned_units += leftovers.len();
-                // The same workload-aware cut that built the fleet's
-                // regions, applied to the shrunken fleet over the
-                // unexecuted remainder. Survivors take cuts in ascending
-                // order of accumulated response time, so the least-loaded
-                // device absorbs the (possibly heavier) first slice.
-                // Assignment order still follows cut order, which keeps
-                // same-unit fragments in plan order for the merge.
-                let mut survivors = survivors;
-                survivors.sort_by(|&a, &b| {
-                    states[a]
-                        .pipeline_and_response(c.batching.num_streams)
-                        .1
-                        .total_cmp(&states[b].pipeline_and_response(c.batching.num_streams).1)
-                        .then(a.cmp(&b))
-                });
+            let mut survivors: Vec<usize> = states
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| !s.failed)
+                .map(|(d, _)| d)
+                .collect();
+            if survivors.is_empty() || rec.reshard_rounds >= RecoveryPolicy::RESHARD_ROUNDS {
+                // The exact CPU last resort: one pair segment per remnant
+                // item, so the canonical merge can interleave CPU-completed
+                // units with GPU-completed units in plan order.
+                let sw_cpu = Stopwatch::start();
+                let (segments, stats) = total(self.cpu_join_items(
+                    &leftovers,
+                    plan,
+                    c.resolved_host_jobs(),
+                    &mut ledger,
+                ));
+                let cpu_model_s = c.cpu_fallback.model_seconds(&stats, N as u32, &c.gpu.cost);
+                rec.cpu_last_resort_points = stats.queries;
+                rec.cpu_last_resort_pairs = stats.pairs;
+                rec.cpu_last_resort_model_s = cpu_model_s;
                 if telemetry_on {
                     self.telemetry.record(
-                        Event::new("fleet", "reshard")
-                            .u64("round", round as u64)
-                            .u64("units", leftovers.len() as u64)
-                            .u64("survivors", survivors.len() as u64),
+                        Event::new("fleet", "cpu_last_resort")
+                            .u64("points", stats.queries as u64)
+                            .u64("pairs", stats.pairs)
+                            .u64("distance_calcs", stats.distance_calcs)
+                            .f64("cpu_model_s", cpu_model_s)
+                            .str(
+                                "reason",
+                                if survivors.is_empty() {
+                                    "no_survivors"
+                                } else {
+                                    "budget_exhausted"
+                                },
+                            )
+                            .u64("host_ns", sw_cpu.elapsed_ns()),
                     );
                 }
-                reassign(
-                    &leftovers,
-                    &survivors,
-                    &item_weight,
-                    round,
-                    &mut states,
-                    &mut rec,
-                    &mut assignment,
+                cpu_done = segments;
+                break;
+            }
+            round += 1;
+            rec.reshard_rounds += 1;
+            rec.reassigned_units += leftovers.len();
+            // The same workload-aware cut that built the fleet's regions,
+            // applied to the shrunken fleet over the unexecuted remainder.
+            // Survivors take cuts in ascending order of accumulated response
+            // time, so the least-loaded device absorbs the (possibly
+            // heavier) first slice. Assignment order still follows cut
+            // order, which keeps same-unit fragments in plan order for the
+            // merge.
+            survivors.sort_by(|&a, &b| {
+                states[a]
+                    .pipeline_and_response(c.batching.num_streams)
+                    .1
+                    .total_cmp(&states[b].pipeline_and_response(c.batching.num_streams).1)
+                    .then(a.cmp(&b))
+            });
+            if telemetry_on {
+                self.telemetry.record(
+                    Event::new("fleet", "reshard")
+                        .u64("round", round as u64)
+                        .u64("units", leftovers.len() as u64)
+                        .u64("survivors", survivors.len() as u64),
                 );
-                continue;
             }
-
-            // Straggler mitigation: if the slowest shard's response time
-            // (pipeline plus accrued backoff) exceeds the configured
-            // multiple of the fleet median, cancel its not-yet-started tail
-            // items (serial kernel timeline) and re-home them on
-            // under-loaded survivors — a cancel-and-reassign variant of
-            // speculative re-execution, drawing from the same round budget.
-            if defer
-                && c.recovery.straggler_threshold > 0.0
-                && rec.reshard_rounds < c.recovery.max_reshard_rounds
+            let leftover_weights: Vec<u64> = leftovers.iter().map(item_weight).collect();
+            let cuts = partition_units(
+                &leftover_weights,
+                survivors.len(),
+                ShardStrategy::WorkloadAware,
+            );
+            for (&d, cut) in survivors
+                .iter()
+                .zip(cuts)
+                .filter(|(_, cut)| !cut.is_empty())
             {
-                let responses: Vec<f64> = states
-                    .iter()
-                    .map(|s| s.pipeline_and_response(c.batching.num_streams).1)
-                    .collect();
-                let active: Vec<usize> =
-                    (0..states.len()).filter(|&d| responses[d] > 0.0).collect();
-                if active.len() >= 2 {
-                    let mut sorted: Vec<f64> = active.iter().map(|&d| responses[d]).collect();
-                    sorted.sort_by(f64::total_cmp);
-                    let mid = sorted.len() / 2;
-                    let median = if sorted.len() % 2 == 1 {
-                        sorted[mid]
-                    } else {
-                        0.5 * (sorted[mid - 1] + sorted[mid])
-                    };
-                    let worst = active[1..].iter().fold(active[0], |worst, &d| {
-                        if responses[d] > responses[worst] {
-                            d
-                        } else {
-                            worst
-                        }
-                    });
-                    let cutoff = c.recovery.straggler_threshold * median;
-                    if median > 0.0 && !states[worst].failed && responses[worst] > cutoff {
-                        let receivers: Vec<usize> = (0..states.len())
-                            .filter(|&d| d != worst && !states[d].failed && responses[d] < median)
-                            .collect();
-                        if !receivers.is_empty() {
-                            let stripped: Vec<WorkItem> = {
-                                let dev = &mut states[worst];
-                                let mut starts: Vec<f64> = Vec::with_capacity(dev.done.len());
-                                let mut t = 0.0f64;
-                                for item in &dev.done {
-                                    starts.push(t);
-                                    t += item.batches.iter().map(|b| b.kernel_s).sum::<f64>();
-                                }
-                                let mut cut_idx = dev.done.len();
-                                while cut_idx > 1
-                                    && dev.done[cut_idx - 1].work.is_some()
-                                    && starts[cut_idx - 1] >= cutoff
-                                {
-                                    cut_idx -= 1;
-                                }
-                                // Unreachable-by-construction: the cut loop
-                                // above only steps past items whose `work`
-                                // is `Some`, so everything drained here is
-                                // respawnable.
-                                dev.done
-                                    .drain(cut_idx..)
-                                    .map(|di| di.work.expect("only respawnable items are stripped"))
-                                    .collect()
-                            };
-                            if !stripped.is_empty() {
-                                round += 1;
-                                rec.reshard_rounds += 1;
-                                rec.straggler_rebalances += 1;
-                                rec.reassigned_units += stripped.len();
-                                states[worst].reassigned_out += stripped.len();
-                                rec.health.push(crate::fleet::HealthEvent {
-                                    device: worst as u64,
-                                    round,
-                                    state: crate::fleet::DeviceHealth::Straggler,
-                                    units: stripped.len(),
-                                });
-                                if telemetry_on {
-                                    self.telemetry.record(
-                                        Event::new("fleet", "straggler")
-                                            .u64("device", worst as u64)
-                                            .u64("round", round as u64)
-                                            .f64("response_model_s", responses[worst])
-                                            .f64("median_model_s", median)
-                                            .f64("threshold", c.recovery.straggler_threshold)
-                                            .u64("units_moved", stripped.len() as u64),
-                                    );
-                                }
-                                reassign(
-                                    &stripped,
-                                    &receivers,
-                                    &item_weight,
-                                    round,
-                                    &mut states,
-                                    &mut rec,
-                                    &mut assignment,
-                                );
-                                continue;
-                            }
-                        }
-                    }
-                }
+                let slice = leftovers[cut].to_vec();
+                states[d].reassigned_in += slice.len();
+                rec.health.push(crate::fleet::HealthEvent {
+                    device: d as u64,
+                    round,
+                    state: crate::fleet::DeviceHealth::Reassigned,
+                    units: slice.len(),
+                });
+                assignment.push((d, slice));
             }
-            break;
         }
 
         // Final per-device accounting.
@@ -975,34 +869,37 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
 
     /// Executes the join as a hybrid CPU/GPU co-process.
     ///
-    /// The join is planned **once**, exactly as [`SelfJoin::run`] plans it;
-    /// [`crate::hybrid::choose_cut`] (or the policy's forced fraction) then
-    /// cuts the planned unit list: units `[0, cut)` are the GPU's share,
-    /// units `[cut, n)` the CPU pool's. Execution is **differential**: the
-    /// GPU executes the full plan exactly as [`SelfJoin::run`] does — which
-    /// keeps the returned canonical [`JoinReport`] and the executor
-    /// telemetry bit-identical to it — while the CPU pool independently
-    /// recomputes its share with the exact [`crate::fallback`] join on
-    /// [`crate::pool::par_map`] workers. Each CPU segment is checked
-    /// pair-for-pair against the GPU segment it replaces before the
+    /// The join is planned **once**, exactly as [`SelfJoin::run`] plans it,
+    /// and the planned unit list is cut in two: units `[0, cut)` are the
+    /// GPU's share, units `[cut, n)` the CPU pool's. The cut is the policy's
+    /// forced fraction, or else [`crate::hybrid::choose_cut_measured`]'s
+    /// choice from the measured costs of both. Execution is
+    /// **differential**: the GPU executes the full plan exactly as
+    /// [`SelfJoin::run`] does — which keeps the returned canonical
+    /// [`JoinReport`] and the executor telemetry bit-identical to it —
+    /// while the CPU pool independently recomputes its share with the
+    /// exact [`crate::fallback`] join on [`crate::pool::par_map`] workers
+    /// (the CPU step every target finishes work with). Each CPU segment is
+    /// checked pair-for-pair against the GPU segment it replaces before the
     /// plan-order merge; a divergence returns [`JoinError::Hybrid`] instead
-    /// of a silently different result. The split decision and both backends'
-    /// cost accounting (the overlapped makespan in model seconds) land on
-    /// [`HybridOutcome::hybrid`] and in `hybrid.*` telemetry only, so
-    /// result tables stay backend-invariant.
+    /// of a silently different result. The split decision and both
+    /// backends' cost accounting (the overlapped makespan in model seconds)
+    /// land on [`HybridOutcome::hybrid`] and in `hybrid.*` telemetry only,
+    /// so result tables stay backend-invariant.
     ///
-    /// Under [`crate::RecoveryPolicy::reshard`] the CPU backend is also the
+    /// Under [`RecoveryPolicy::Reshard`] the CPU backend is also the
     /// failover peer: a device lost mid-run hands its unexecuted remainder
-    /// to the pool (not to last-resort degradation), the remnants are
-    /// recomputed exactly, and the merged join stays exact under any fault
-    /// schedule. Under [`crate::RecoveryPolicy::degrade`] the in-shard CPU
-    /// fallback of [`SelfJoin::run`] handles the remainder unchanged.
+    /// to the pool (not to degradation), the remnants are recomputed
+    /// exactly, and the merged join stays exact under any fault schedule.
+    /// Under [`RecoveryPolicy::Degrade`] the remainder is finished exactly
+    /// as [`SelfJoin::run`] finishes it.
     pub fn run_hybrid(&self, policy: &HybridPolicy) -> Result<HybridOutcome, JoinError> {
         let telemetry_on = self.telemetry.is_enabled();
         let c = &self.config;
         let planned = self.plan_join();
         let plan = &planned.plan;
         let n = plan.num_batches();
+        let jobs = policy.jobs.max(1);
 
         // Quantified per-unit workload for the cut (host-side only, same
         // reuse rule as the fleet path).
@@ -1021,20 +918,21 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         // context, same counter, same fault plane. This is what keeps the
         // canonical report and event stream split-invariant — and it is the
         // oracle the CPU segments are differentially checked against.
-        let (mut exec, mut ledger, mut done) =
-            self.execute_plan(&planned, c.recovery.reshard_enabled())?;
+        let (mut exec, mut ledger, mut done) = self.execute_plan(&planned)?;
 
         // The first plan unit with no complete GPU result: everything at or
-        // past it is covered by the degrade blob or by the reshard spill,
-        // so planned CPU replacement (and the differential check) applies
-        // only to the fully completed units in `[cut, f_complete)`.
-        let f_complete = if let Some(intr) = exec.interruption.as_ref() {
-            intr.remnants.first().map_or(n, |it| it.unit)
-        } else if exec.recovery.cpu.is_some() {
-            exec.cpu_tail_key.unwrap_or(n)
-        } else {
-            n
-        };
+        // past it is finished on the CPU — by the failed device's own
+        // degradation, or spilled onto the CPU backend — so planned CPU
+        // replacement (and the differential check) applies only to the
+        // fully completed units in `[cut, f_complete)`.
+        let f_complete = exec
+            .interruption
+            .as_ref()
+            .and_then(|intr| intr.remnants.first())
+            .map_or(n, |it| it.unit);
+        if c.recovery == RecoveryPolicy::Degrade {
+            self.degrade(&mut exec, &mut done, None, plan, &mut ledger);
+        }
 
         // Measured inputs to the auto cut: the executed batch timings
         // grouped by plan unit, and the GPU side's fixed recovery charge.
@@ -1047,36 +945,20 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         // The CPU pool recomputes the candidate share: under a forced cut
         // just the forced suffix, under the auto chooser every completed
         // unit — which is both the full differential harness and the exact
-        // per-unit CPU costs the measured cut decision needs. Only plain
-        // data crosses the pool boundary, and results come back in task
-        // order, so everything downstream is invariant under `jobs`.
-        let cpu_join = |tasks: Vec<(usize, &[u32])>| {
-            crate::pool::par_map(policy.jobs.max(1), tasks, |(key, queries)| {
-                let mut pairs: Vec<(u32, u32)> = Vec::new();
-                let stats = cpu_join_queries(
-                    &self.grid,
-                    self.points,
-                    &self.resolved,
-                    c.epsilon,
-                    queries,
-                    &mut pairs,
-                );
-                (key, pairs, stats)
-            })
-        };
+        // per-unit CPU costs the measured cut decision needs.
         let task_lo = forced_choice.as_ref().map_or(0, |ch| ch.cut);
-        let planned_tasks: Vec<(usize, &[u32])> = (task_lo..f_complete)
-            .map(|u| (u, plan.unit_queries(u)))
-            .filter(|(_, queries)| !queries.is_empty())
+        let planned_items: Vec<WorkItem> = (task_lo..f_complete)
+            .filter(|&u| !plan.unit_queries(u).is_empty())
+            .map(WorkItem::planned)
             .collect();
         let sw_cpu = Stopwatch::start();
-        let planned_results = cpu_join(planned_tasks);
+        let planned_segments = self.cpu_join_items(&planned_items, plan, jobs, &mut ledger);
         let choice = match forced_choice {
             Some(ch) => ch,
             None => {
                 let mut cpu_unit_s = vec![0.0f64; n];
-                for (u, _, stats) in &planned_results {
-                    cpu_unit_s[*u] = policy.cpu.model_seconds(stats, N as u32, &c.gpu.cost, 1);
+                for (di, stats) in &planned_segments {
+                    cpu_unit_s[di.key] = policy.cpu.model_seconds(stats, N as u32, &c.gpu.cost, 1);
                 }
                 choose_cut_measured(
                     &unit_timings,
@@ -1103,24 +985,25 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         // Under reshard recovery, a lost device's unexecuted remnants spill
         // onto the CPU backend — the CPU is a peer device, not a last
         // resort, so there is no degradation accounting for them.
-        let interruption = exec.interruption.take();
-        let spill_tasks: Vec<(usize, &[u32])> = interruption
-            .iter()
-            .flat_map(|intr| &intr.remnants)
-            .map(|it| (it.unit, it.queries(plan)))
-            .filter(|(_, queries)| !queries.is_empty())
+        let spill = exec.interruption.take();
+        let spilled = spill.is_some();
+        let spill_items: Vec<WorkItem> = spill
+            .into_iter()
+            .flat_map(|intr| intr.remnants)
+            .filter(|it| !it.queries(plan).is_empty())
             .collect();
-        let spilled_units = spill_tasks.len();
-        if let Some(intr) = interruption.as_ref().filter(|_| telemetry_on) {
-            let spilled_queries: usize = spill_tasks.iter().map(|(_, q)| q.len()).sum();
+        let spilled_units = spill_items.len();
+        if spilled && telemetry_on {
+            let spilled_queries: usize = spill_items.iter().map(|it| it.queries(plan).len()).sum();
             self.telemetry.record(
                 Event::new("hybrid", "spill")
                     .u64("units", spilled_units as u64)
                     .u64("queries", spilled_queries as u64)
-                    .bool("device_lost", intr.device_lost),
+                    .bool("device_lost", exec.recovery.device_lost),
             );
         }
-        let spill_results = cpu_join(spill_tasks);
+        let (spill_segments, spill_stats) =
+            total(self.cpu_join_items(&spill_items, plan, jobs, &mut ledger));
         let cpu_host_ns = sw_cpu.elapsed_ns();
 
         // Collect every checked unit's GPU segment — the oracle for the
@@ -1146,29 +1029,32 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         // Differential check: every recomputed segment must match the GPU
         // segment for its unit pair-for-pair. Segments at or past the cut
         // then replace the GPU's in the merge; checked prefix segments
-        // (auto mode) are discarded; spills are admitted unchecked — the
+        // (auto mode) are released; spills are admitted unchecked — the
         // GPU never completed them, the brute-force suites cover those.
-        let mut cpu_stats = CpuFallbackStats::default();
-        let mut cpu_pairs_total = 0usize;
-        let mut cpu_items = 0usize;
-        for (key, pairs, stats) in planned_results {
-            let mut gpu = gpu_segments.remove(&key).unwrap_or_default();
-            let mut cpu = pairs.clone();
+        let mut cpu_stats = spill_stats;
+        let mut cpu_pairs_total: usize = spill_segments.iter().map(|di| di.pairs.len()).sum();
+        let mut cpu_items = spill_segments.len();
+        for (di, stats) in planned_segments {
+            let mut gpu = gpu_segments.remove(&di.key).unwrap_or_default();
+            let mut cpu = ledger.pairs(&di).to_vec();
             gpu.sort_unstable();
             cpu.sort_unstable();
             if gpu != cpu {
                 return Err(JoinError::Hybrid(format!(
-                    "unit {key}: the CPU segment ({} pairs) disagrees with \
+                    "unit {}: the CPU segment ({} pairs) disagrees with \
                      the GPU segment ({} pairs)",
+                    di.key,
                     cpu.len(),
                     gpu.len()
                 )));
             }
-            if key >= cut {
+            if di.key >= cut {
                 cpu_stats.add(&stats);
-                cpu_pairs_total += pairs.len();
+                cpu_pairs_total += di.pairs.len();
                 cpu_items += 1;
-                done.push(ledger.segment(key, pairs));
+                done.push(di);
+            } else {
+                ledger.release(di);
             }
         }
         if let Some((&key, gpu)) = gpu_segments.range(cut..).find(|(_, gpu)| !gpu.is_empty()) {
@@ -1178,12 +1064,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 gpu.len()
             )));
         }
-        for (key, pairs, stats) in spill_results {
-            cpu_stats.add(&stats);
-            cpu_pairs_total += pairs.len();
-            cpu_items += 1;
-            done.push(ledger.segment(key, pairs));
-        }
+        done.extend(spill_segments);
 
         // Hybrid accounting: the GPU side is charged only for its kept
         // prefix (rescheduled as its own pipeline) plus its recovery time;
@@ -1241,7 +1122,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 cpu_model_s,
                 cpu_stats,
                 makespan_s,
-                jobs: policy.jobs.max(1),
+                jobs,
             },
         })
     }
@@ -1360,13 +1241,12 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     }
 
     /// Executes every unit of the plan on this join's own device (no
-    /// device tag, the join's fault plane, a fresh queue head) — the whole
-    /// of [`SelfJoin::run`] and the GPU shadow of
+    /// device tag, the join's fault plane, a fresh queue head) — the device
+    /// side of [`SelfJoin::run`] and the GPU shadow of
     /// [`SelfJoin::run_hybrid`] — and checkpoints its output.
     fn execute_plan(
         &self,
         planned: &Planned,
-        defer: bool,
     ) -> Result<(ShardExecution, Ledger, Vec<DoneItem>), JoinError> {
         let counter = DeviceCounter::new();
         let items: Vec<WorkItem> = (0..planned.plan.num_batches())
@@ -1378,12 +1258,85 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             gpu: &self.config.gpu,
             fault: self.fault,
             counter: &counter,
-            defer,
         };
         let mut exec = self.execute_units(&items, &ctx, self.telemetry)?;
         let mut ledger = Ledger::default();
         let done = ledger.checkpoint(&mut exec, &items);
         Ok((exec, ledger, done))
+    }
+
+    /// Finishes an interrupted execution on the host, charged to the device
+    /// that failed (`device`: its fleet id and GPU; `None` for the join's
+    /// own device): the unexecuted items go through the CPU step
+    /// ([`SelfJoin::cpu_join_items`]) into `done`, which holds what the
+    /// device completed before it failed; their cost on that device's cost
+    /// model becomes the execution's CPU fallback, and an
+    /// `executor.degradation` event reports it.
+    fn degrade(
+        &self,
+        exec: &mut ShardExecution,
+        done: &mut Vec<DoneItem>,
+        device: Option<(u64, &GpuConfig)>,
+        plan: &BatchPlan,
+        ledger: &mut Ledger,
+    ) {
+        let Some(intr) = exec.interruption.take() else {
+            return;
+        };
+        let c = &self.config;
+        let sw_cpu = Stopwatch::start();
+        let batches_salvaged: usize = done.iter().map(|di| di.batches.len()).sum();
+        let jobs = c.resolved_host_jobs();
+        let (cpu, stats) = total(self.cpu_join_items(&intr.remnants, plan, jobs, ledger));
+        done.extend(cpu);
+        let gpu = device.map_or(&c.gpu, |(_, gpu)| gpu);
+        let cpu_model_s = c.cpu_fallback.model_seconds(&stats, N as u32, &gpu.cost);
+        exec.recovery.cpu = Some((stats.queries, stats.pairs, cpu_model_s));
+        if self.telemetry.is_enabled() {
+            let event = Event::new("executor", "degradation")
+                .u64("batches_salvaged", batches_salvaged as u64)
+                .u64("points_degraded", stats.queries as u64)
+                .u64("cpu_pairs", stats.pairs)
+                .u64("cpu_distance_calcs", stats.distance_calcs)
+                .f64("cpu_model_s", cpu_model_s)
+                .bool("device_lost", exec.recovery.device_lost)
+                .u64("host_ns", sw_cpu.elapsed_ns());
+            self.telemetry.record(match device {
+                Some((d, _)) => event.u64("device", d),
+                None => event,
+            });
+        }
+    }
+
+    /// The one step that finishes work on the host: the exact CPU join of
+    /// each item's queries ([`cpu_join_queries`]) on `jobs` pool workers,
+    /// results in item order. Each item's pairs are checkpointed as one
+    /// ledger segment keyed by its plan unit, so the canonical merge
+    /// interleaves CPU-finished items with device-finished ones in plan
+    /// order; each comes back with its operation counts.
+    fn cpu_join_items(
+        &self,
+        items: &[WorkItem],
+        plan: &BatchPlan,
+        jobs: usize,
+        ledger: &mut Ledger,
+    ) -> Vec<(DoneItem, CpuFallbackStats)> {
+        let joined = crate::pool::par_map(jobs, items.iter().collect(), |item: &WorkItem| {
+            let mut pairs = Vec::new();
+            let stats = cpu_join_queries(
+                &self.grid,
+                self.points,
+                &self.resolved,
+                self.config.epsilon,
+                item.queries(plan),
+                &mut pairs,
+            );
+            (item.unit, pairs, stats)
+        });
+        joined
+            .into_iter()
+            .map(|(unit, pairs, stats)| (ledger.segment(unit, pairs), stats))
+            .collect()
     }
 
     /// The epilogue every driver ends with: the canonical merge of the
@@ -1514,8 +1467,8 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             // later items' buffers are dropped unseen.
             let item = res?;
             debug_assert!(
-                item.interruption.is_none() && item.cpu_tail_key.is_none(),
-                "faultless items cannot interrupt or degrade"
+                item.interruption.is_none(),
+                "faultless items cannot interrupt"
             );
             exec.result.extend(item.result.pairs());
             let batches = exec.batch_items.len() + item.batch_reports.len();
@@ -1576,7 +1529,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             })
             .collect();
         let recovery = &mut exec.recovery;
-        let mut degraded: Option<Vec<u32>> = None;
         while let Some(mut unit) = pending.pop_front() {
             let (assignment, num_groups, chunk_range) = match (&unit.work, plan) {
                 (Work::Planned(i), BatchPlan::Strided { batches }) => (
@@ -1632,7 +1584,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             opts.fault_plane = ctx.fault;
             opts.step_mode = c.step_mode;
             opts.workers = Some(workers);
-            let failure = match launch_with(ctx.gpu, &source, issue_order, &mut buffer, &opts) {
+            match launch_with(ctx.gpu, &source, issue_order, &mut buffer, &opts) {
                 Ok(launch_report) => {
                     // Queue-drain invariant, promoted from a debug assert:
                     // each pop advances the counter by the group's slot
@@ -1711,7 +1663,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                         transfer_s,
                     });
                     exec.batch_items.push(unit.item);
-                    None
                 }
                 Err(LaunchError::ResultOverflow(overflow)) => {
                     buffer.clear();
@@ -1761,9 +1712,8 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     }
                     pending.push_front(Pending::new(unit.item, Work::Split(right), attempt));
                     pending.push_front(Pending::new(unit.item, Work::Split(queries), attempt));
-                    None
                 }
-                Err(err @ LaunchError::Transient(_)) => {
+                Err(LaunchError::Transient(_)) => {
                     // Transient faults fail at admission, before any queue
                     // pop: counter and buffer are untouched, so the same
                     // unit can simply be re-submitted.
@@ -1779,84 +1729,41 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                             .u64("attempt", unit.transient_attempts as u64)
                             .f64("backoff_model_s", backoff)));
                     }
-                    if unit.transient_attempts <= c.retry.max_transient_retries {
-                        pending.push_front(unit);
-                        continue;
+                    let exhausted = unit.transient_attempts > c.retry.max_transient_retries;
+                    pending.push_front(unit);
+                    if exhausted {
+                        break;
                     }
-                    Some((err, unit))
                 }
-                Err(err @ LaunchError::DeviceLost(_)) => {
+                Err(LaunchError::DeviceLost(_)) => {
                     recovery.device_lost = true;
-                    Some((err, unit))
+                    pending.push_front(unit);
+                    break;
                 }
                 Err(err @ LaunchError::CounterFault(_)) => {
                     // Not raised by the device model today; never retryable.
                     return Err(JoinError::Launch(err));
                 }
-            };
-            // Persistently failing launch: the device is unusable for the
-            // rest of the join.
-            if let Some((err, unit)) = failure {
-                pending.push_front(unit);
-                if ctx.defer {
-                    exec.interruption = Some(Interruption {
-                        device_lost: matches!(err, LaunchError::DeviceLost(_)),
-                        error: err,
-                        remnants: pending.into_iter().map(|p| p.remnant(items)).collect(),
-                    });
-                } else if c.retry.cpu_fallback {
-                    exec.cpu_tail_key = pending.front().map(|p| items[p.item].unit);
-                    degraded = Some(
-                        pending
-                            .drain(..)
-                            .flat_map(|p| p.work.queries(plan))
-                            .collect(),
-                    );
-                } else {
-                    return Err(JoinError::Launch(err));
-                }
-                break;
             }
         }
 
-        if let Some(remaining) = &degraded {
-            let sw_cpu = Stopwatch::start();
-            let mut cpu_pairs: Vec<(u32, u32)> = Vec::new();
-            let stats = cpu_join_queries(
-                &self.grid,
-                self.points,
-                &self.resolved,
-                c.epsilon,
-                remaining,
-                &mut cpu_pairs,
-            );
-            exec.result.extend(&cpu_pairs);
-            let cpu_model_s = c
-                .cpu_fallback
-                .model_seconds(&stats, N as u32, &ctx.gpu.cost);
-            exec.recovery.cpu = Some((remaining.len(), stats.pairs, cpu_model_s));
-            if telemetry_on {
-                sink.record(tag(Event::new("executor", "degradation")
-                    .u64("batches_salvaged", exec.batch_reports.len() as u64)
-                    .u64("points_degraded", remaining.len() as u64)
-                    .u64("cpu_pairs", stats.pairs)
-                    .u64("cpu_distance_calcs", stats.distance_calcs)
-                    .f64("cpu_model_s", cpu_model_s)
-                    .bool("device_lost", exec.recovery.device_lost)
-                    .u64("host_ns", sw_cpu.elapsed_ns())));
-            }
-        } else if exec.interruption.is_none() {
+        if !pending.is_empty() {
+            // A persistent launch failure stopped the walk with the failing
+            // unit back in front: the device is unusable for the rest of the
+            // join, and everything not yet executed goes back to the caller.
+            exec.interruption = Some(Interruption {
+                remnants: pending.into_iter().map(|p| p.remnant(items)).collect(),
+            });
+        } else if let Some(expected) = queue_drain_target(plan, items) {
             // Final queue-drain invariant: a fully GPU-completed queue shard
             // must have consumed exactly its slice of the sorted dataset
             // (for the single-device path, the whole of it).
-            if let Some(expected) = queue_drain_target(plan, items) {
-                let observed = counter.load();
-                if observed != expected {
-                    return Err(JoinError::Launch(LaunchError::CounterFault(CounterFault {
-                        expected,
-                        observed,
-                    })));
-                }
+            let observed = counter.load();
+            if observed != expected {
+                return Err(JoinError::Launch(LaunchError::CounterFault(CounterFault {
+                    expected,
+                    observed,
+                })));
             }
         }
         Ok(exec)
@@ -1898,6 +1805,20 @@ fn schedule<'b>(
 ) -> PipelineReport {
     let timings: Vec<BatchTiming> = batches.into_iter().map(BatchReport::timing).collect();
     StreamPipeline::new(num_streams).schedule(&timings)
+}
+
+/// Splits the CPU step's output into its segments and their summed
+/// operation counts.
+fn total(items: Vec<(DoneItem, CpuFallbackStats)>) -> (Vec<DoneItem>, CpuFallbackStats) {
+    let mut stats = CpuFallbackStats::default();
+    let done = items
+        .into_iter()
+        .map(|(di, s)| {
+            stats.add(&s);
+            di
+        })
+        .collect();
+    (done, stats)
 }
 
 /// A planned join: the estimate, the batch plan, its device pre-pass
@@ -1990,11 +1911,6 @@ struct ShardCtx<'s> {
     fault: Option<&'s FaultPlane>,
     /// This device's queue-head atomic.
     counter: &'s DeviceCounter,
-    /// Failover mode: instead of degrading to the CPU (or erroring) on
-    /// persistent device failure, hand the unexecuted work items back to
-    /// the caller as an [`Interruption`] so they can be re-sharded onto
-    /// surviving devices or spilled onto the CPU backend.
-    defer: bool,
 }
 
 /// One top-level item of shard work: a unit of the original batch plan, or
@@ -2032,15 +1948,11 @@ impl WorkItem {
     }
 }
 
-/// Unexecuted remainder of a persistently failed shard (only produced under
-/// [`ShardCtx::defer`]): the launch error that killed it, and its
-/// unexecuted work items in plan order.
+/// Where a batch walk stopped at a persistent launch failure (the device
+/// latched `DeviceLost`, or a launch exhausted its transient budget): the
+/// caller finishes the remnants elsewhere — on the CPU, on surviving
+/// devices, or on the hybrid's CPU backend.
 struct Interruption {
-    /// What killed the shard.
-    error: LaunchError,
-    /// Whether the device latched `DeviceLost` (as opposed to exhausting
-    /// its transient budget).
-    device_lost: bool,
     /// Unstarted work, in execution (plan) order, ready for re-submission
     /// to another device.
     remnants: Vec<WorkItem>,
@@ -2059,12 +1971,8 @@ struct ShardExecution {
     batch_items: Vec<usize>,
     gather_ns: u64,
     recovery: RecoveryCounters,
-    /// Present when the shard failed persistently under `defer` mode.
+    /// Present when the device failed persistently.
     interruption: Option<Interruption>,
-    /// The plan-unit key where the in-shard CPU fallback (non-defer mode)
-    /// took over, if it ran: its pairs sort after that unit's completed
-    /// batches in the canonical merge.
-    cpu_tail_key: Option<usize>,
 }
 
 /// One completed work item's checkpointed output, tagged for the canonical
@@ -2074,11 +1982,6 @@ struct ShardExecution {
 struct DoneItem {
     key: usize,
     seq: usize,
-    /// The completed item itself, when it is whole and could be respawned
-    /// verbatim on another device (straggler cancel-and-reassign). `None`
-    /// for fragments salvaged from an interrupted shard and for CPU
-    /// segments — those are checkpointed output only.
-    work: Option<WorkItem>,
     /// The ledger buffer holding this item's pairs, and their range in it.
     buffer: usize,
     pairs: Range<usize>,
@@ -2104,15 +2007,9 @@ impl Ledger {
     /// Re-keys an execution's output by submitting item, moving its pair
     /// buffer and batch reports into the ledger. Items complete strictly in
     /// order, so each item's batches and pairs are contiguous runs of the
-    /// output. An in-shard CPU fallback's pairs follow as one more item,
-    /// keyed to the unit where it took over, so they sort right after that
-    /// unit's salvaged fragments.
+    /// output.
     fn checkpoint(&mut self, exec: &mut ShardExecution, items: &[WorkItem]) -> Vec<DoneItem> {
         let buffer = self.buffers.len();
-        // An interrupted shard's completed fragments may be partial (a
-        // split half whose sibling never ran); they are checkpointed
-        // output, never respawned.
-        let interrupted = exec.interruption.is_some();
         let mut done: Vec<DoneItem> = Vec::new();
         let mut pair_off = 0usize;
         let mut reports = std::mem::take(&mut exec.batch_reports)
@@ -2128,28 +2025,13 @@ impl Ledger {
             done.push(DoneItem {
                 key: items[item_idx].unit,
                 seq: self.next_seq(),
-                work: (!interrupted).then(|| items[item_idx].clone()),
                 buffer,
                 pairs: pair_off..pair_off + pairs,
                 batches,
             });
             pair_off += pairs;
         }
-        let result = std::mem::take(&mut exec.result);
-        if exec.recovery.cpu.is_some() {
-            let key = exec
-                .cpu_tail_key
-                .unwrap_or_else(|| items.last().map_or(0, |it| it.unit));
-            done.push(DoneItem {
-                key,
-                seq: self.next_seq(),
-                work: None,
-                buffer,
-                pairs: pair_off..result.len(),
-                batches: Vec::new(),
-            });
-        }
-        self.buffers.push(result);
+        self.buffers.push(std::mem::take(&mut exec.result));
         done
     }
 
@@ -2160,7 +2042,6 @@ impl Ledger {
         DoneItem {
             key,
             seq: self.next_seq(),
-            work: None,
             buffer: self.buffers.len() - 1,
             pairs: 0..len,
             batches: Vec::new(),
@@ -2172,22 +2053,25 @@ impl Ledger {
         &self.buffers[item.buffer].pairs()[item.pairs.clone()]
     }
 
+    /// Frees a CPU segment that will not be merged.
+    fn release(&mut self, segment: DoneItem) {
+        self.buffers[segment.buffer] = ResultSet::default();
+    }
+
     /// The canonical merge: items in plan-unit order (completion order
     /// within a unit), their pairs concatenated and their batches listed in
-    /// that same order. A single buffer the items tile in order moves
-    /// through uncopied.
+    /// that same order. When the items tile the first buffer in order, it
+    /// moves through uncopied.
     fn merge(mut self, mut done: Vec<DoneItem>) -> (ResultSet, Vec<BatchReport>) {
         done.sort_by_key(|di| (di.key, di.seq));
         let mut end = 0usize;
-        let tiles = self.buffers.len() == 1
-            && done.iter().all(|di| {
-                let contiguous = di.pairs.start == end;
-                end = di.pairs.end;
-                contiguous
-            })
-            && end == self.buffers[0].len();
+        let tiles = done.iter().all(|di| {
+            let contiguous = di.buffer == 0 && di.pairs.start == end;
+            end = di.pairs.end;
+            contiguous
+        }) && self.buffers.first().is_some_and(|b| b.len() == end);
         let result = if tiles {
-            self.buffers.pop().unwrap_or_default()
+            self.buffers.swap_remove(0)
         } else {
             let total: usize = done.iter().map(|di| di.pairs.len()).sum();
             let mut pairs = Vec::with_capacity(total);
@@ -2198,37 +2082,6 @@ impl Ledger {
         };
         let batches = done.into_iter().flat_map(|di| di.batches).collect();
         (result, batches)
-    }
-}
-
-/// Cuts `moved` work items across `receivers` on their quantified
-/// workload (the fleet's own workload-aware cut) and queues each slice on
-/// its receiver for the next round, recording the health transitions.
-fn reassign(
-    moved: &[WorkItem],
-    receivers: &[usize],
-    weight: &dyn Fn(&WorkItem) -> u64,
-    round: u32,
-    states: &mut [DeviceState],
-    rec: &mut crate::fleet::FleetRecoveryReport,
-    assignment: &mut Vec<(usize, Vec<WorkItem>)>,
-) {
-    let weights: Vec<u64> = moved.iter().map(weight).collect();
-    let cuts = partition_units(&weights, receivers.len(), ShardStrategy::WorkloadAware);
-    for (slot, cut) in cuts.iter().enumerate() {
-        if cut.is_empty() {
-            continue;
-        }
-        let d = receivers[slot];
-        let slice = moved[cut.clone()].to_vec();
-        states[d].reassigned_in += slice.len();
-        rec.health.push(crate::fleet::HealthEvent {
-            device: d as u64,
-            round,
-            state: crate::fleet::DeviceHealth::Reassigned,
-            units: slice.len(),
-        });
-        assignment.push((d, slice));
     }
 }
 
@@ -2247,7 +2100,7 @@ struct DeviceState {
 impl DeviceState {
     /// This device's pipeline schedule over everything it has executed so
     /// far, and its response time: pipeline makespan plus serially accrued
-    /// recovery time (retry backoff, in-shard CPU fallback).
+    /// recovery time (retry backoff, the CPU fallback charged to it).
     fn pipeline_and_response(&self, num_streams: usize) -> (PipelineReport, f64) {
         let pipeline = schedule(self.done.iter().flat_map(|di| &di.batches), num_streams);
         let cpu_s = self.recovery.cpu.map_or(0.0, |(_, _, s)| s);
@@ -2859,23 +2712,6 @@ mod tests {
     }
 
     #[test]
-    fn device_lost_without_cpu_fallback_surfaces_the_error() {
-        let pts = skewed_points(80);
-        let plane = warpsim::FaultPlane::new(warpsim::FaultSchedule::new().device_lost_at(0));
-        let config = SelfJoinConfig::new(0.1).with_retry(crate::RetryPolicy {
-            cpu_fallback: false,
-            ..crate::RetryPolicy::default()
-        });
-        let err = SelfJoin::new(&pts, config)
-            .unwrap()
-            .with_fault_plane(&plane)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, JoinError::Launch(LaunchError::DeviceLost(_))));
-        assert!(std::error::Error::source(&err).is_some());
-    }
-
-    #[test]
     fn counter_bump_is_detected_repaired_and_rerun() {
         let pts = skewed_points(200);
         let eps = 0.1;
@@ -3126,7 +2962,7 @@ mod tests {
 
     #[test]
     fn fleet_device_loss_degrades_only_that_shard_under_degrade_policy() {
-        // RecoveryPolicy::degrade() reproduces the pre-failover behaviour:
+        // RecoveryPolicy::Degrade reproduces the pre-failover behaviour:
         // the lost shard finishes its own remainder on the CPU.
         let pts = skewed_points(240);
         let eps = 0.1;
@@ -3143,7 +2979,7 @@ mod tests {
             let config = SelfJoinConfig::new(eps)
                 .with_balancing(balancing)
                 .with_batching(small_batches)
-                .with_recovery(crate::RecoveryPolicy::degrade());
+                .with_recovery(crate::RecoveryPolicy::Degrade);
             let join = SelfJoin::new(&pts, config.clone()).unwrap();
             let fleet = warpsim::DeviceFleet::homogeneous(3, config.gpu)
                 .with_fault_schedule(1, warpsim::FaultSchedule::new().device_lost_at(0));
@@ -3275,8 +3111,8 @@ mod tests {
                 .run_on_fleet(&fleet, crate::ShardStrategy::WorkloadAware)
                 .unwrap()
         };
-        let resharded = run(crate::RecoveryPolicy::reshard());
-        let degraded = run(crate::RecoveryPolicy::degrade());
+        let resharded = run(crate::RecoveryPolicy::Reshard);
+        let degraded = run(crate::RecoveryPolicy::Degrade);
         assert_eq!(resharded.result.sorted_pairs(), expected);
         assert_eq!(
             resharded.result.sorted_pairs(),
@@ -3315,62 +3151,6 @@ mod tests {
         assert!(outcome.fleet.makespan_s >= rec.cpu_last_resort_model_s);
         let merged = outcome.report.degradation.as_ref().unwrap();
         assert!(merged.cpu_fallback_ran());
-    }
-
-    #[test]
-    fn fleet_without_cpu_last_resort_surfaces_the_launch_error() {
-        let pts = skewed_points(120);
-        let config = SelfJoinConfig::new(0.1)
-            .with_recovery(crate::RecoveryPolicy::reshard().with_cpu_last_resort(false));
-        let join = SelfJoin::new(&pts, config.clone()).unwrap();
-        let mut fleet = warpsim::DeviceFleet::homogeneous(2, config.gpu);
-        for d in 0..2 {
-            fleet = fleet.with_fault_schedule(d, warpsim::FaultSchedule::new().device_lost_at(0));
-        }
-        let err = join
-            .run_on_fleet(&fleet, crate::ShardStrategy::WorkloadAware)
-            .unwrap_err();
-        assert!(
-            matches!(err, JoinError::Launch(warpsim::LaunchError::DeviceLost(_))),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn fleet_straggler_rebalance_moves_tail_units_and_stays_exact() {
-        // Give device 0 heavy transient backoff so its projected response
-        // dwarfs the fleet median; the policy must cancel its unstarted tail
-        // and re-home it without changing the pair set.
-        let pts = skewed_points(240);
-        let eps = 0.1;
-        let expected = reference(&pts, eps);
-        let small_batches = crate::BatchingConfig {
-            batch_result_capacity: expected.len() / 6 + 8,
-            ..crate::BatchingConfig::default()
-        };
-        let config = SelfJoinConfig::new(eps)
-            .with_balancing(Balancing::SortByWorkload)
-            .with_batching(small_batches)
-            .with_recovery(crate::RecoveryPolicy::reshard().with_straggler_threshold(1.05));
-        let join = SelfJoin::new(&pts, config.clone()).unwrap();
-        let mut schedule = warpsim::FaultSchedule::new();
-        for launch in 0..4 {
-            schedule = schedule.transient_at(launch);
-        }
-        let fleet =
-            warpsim::DeviceFleet::homogeneous(3, config.gpu).with_fault_schedule(0, schedule);
-        let outcome = join
-            .run_on_fleet(&fleet, crate::ShardStrategy::EqualCount)
-            .unwrap();
-        assert_eq!(outcome.result.sorted_pairs(), expected);
-        let rec = &outcome.fleet.recovery;
-        if rec.straggler_rebalances > 0 {
-            assert!(rec.reassigned_units >= 1);
-            assert!(rec
-                .health
-                .iter()
-                .any(|h| h.state == crate::DeviceHealth::Straggler));
-        }
     }
 
     #[test]

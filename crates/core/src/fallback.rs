@@ -127,8 +127,9 @@ impl CpuBackendModel {
 
     /// Quantified-workload units (candidate counts, the currency of
     /// [`unit_workloads`](crate::unit_workloads)) this backend retires per
-    /// model second — the CPU-side rate the hybrid cut chooser compares
-    /// against [`gpu_weight_throughput`](crate::hybrid::gpu_weight_throughput).
+    /// model second — the CPU-side rate [`forced_cut`](crate::forced_cut)
+    /// predicts with, next to
+    /// [`gpu_weight_throughput`](crate::hybrid::gpu_weight_throughput).
     pub fn weight_throughput(&self, dims: u32, cost: &CostModel) -> f64 {
         let cycles_per_weight = cost.distance_op(dims).cycles as f64;
         self.base.cores as f64
@@ -188,31 +189,6 @@ pub fn cpu_join_queries<const N: usize>(
                 }
             }
         }
-    }
-    stats
-}
-
-/// Range-queries several query sets on the host, one result vector per set
-/// (in set order), returning the summed operation counts.
-///
-/// The fleet's CPU last resort uses this to finish each unexecuted work
-/// item as its own pair segment, so the merged fleet result can interleave
-/// CPU-completed units with GPU-completed units in original plan order.
-pub fn cpu_join_query_sets<const N: usize>(
-    grid: &GridIndex<N>,
-    points: &[Point<N>],
-    resolved: &ResolvedPatterns,
-    epsilon: f32,
-    sets: &[&[u32]],
-    out_per_set: &mut Vec<Vec<(u32, u32)>>,
-) -> CpuFallbackStats {
-    let mut stats = CpuFallbackStats::default();
-    for &queries in sets {
-        let mut out = Vec::new();
-        stats.add(&cpu_join_queries(
-            grid, points, resolved, epsilon, queries, &mut out,
-        ));
-        out_per_set.push(out);
     }
     stats
 }
@@ -278,25 +254,6 @@ mod tests {
             out.sort_unstable();
             assert_eq!(out, reference(&pts, eps), "split at {split}");
         }
-    }
-
-    #[test]
-    fn query_sets_compose_and_sum_stats() {
-        let pts = clustered_points();
-        let eps = 0.12;
-        let grid = GridIndex::build(&pts, eps).unwrap();
-        let resolved = ResolvedPatterns::compute(&grid, AccessPattern::Unicomp);
-        let all: Vec<u32> = (0..pts.len() as u32).collect();
-        let sets: Vec<&[u32]> = vec![&all[..4], &all[4..4], &all[4..]];
-        let mut per_set = Vec::new();
-        let stats = cpu_join_query_sets(&grid, &pts, &resolved, eps, &sets, &mut per_set);
-        assert_eq!(per_set.len(), 3);
-        assert!(per_set[1].is_empty());
-        let mut combined: Vec<(u32, u32)> = per_set.concat();
-        combined.sort_unstable();
-        assert_eq!(combined, reference(&pts, eps));
-        assert_eq!(stats.queries, pts.len());
-        assert_eq!(stats.pairs as usize, combined.len());
     }
 
     #[test]

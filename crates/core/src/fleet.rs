@@ -97,7 +97,7 @@ pub fn partition_units(
 /// (`prefix[i] = weights[0] + … + weights[i]`, widened to `u128`): the
 /// shared input of every contiguous cut over the unit list — the fleet's
 /// [`partition_units_from_prefix`] regions and the hybrid co-executor's
-/// GPU/CPU cut (see [`crate::hybrid::choose_cut`]).
+/// GPU/CPU cut (see [`crate::hybrid::forced_cut`]).
 pub fn inclusive_weight_prefix(weights: &[u64]) -> Vec<u128> {
     let mut acc: u128 = 0;
     weights
@@ -175,10 +175,9 @@ pub struct ShardReport {
     /// Shard response time: pipeline plus this shard's serial recovery
     /// (backoffs and CPU fallback), model seconds.
     pub response_time_s: f64,
-    /// Work items this device received from failed or straggling shards.
+    /// Work items this device received from failed shards.
     pub reassigned_in: usize,
-    /// Work items this device handed off (lost to failover or rebalanced
-    /// away as a straggler).
+    /// Work items this device handed off when it failed.
     pub reassigned_out: usize,
 }
 
@@ -191,11 +190,7 @@ pub enum DeviceHealth {
     /// The device exhausted the transient retry budget; treated as unusable
     /// for the rest of the join.
     TransientExhausted,
-    /// The device finished but ran past the straggler threshold; its tail
-    /// units were speculatively re-executed elsewhere.
-    Straggler,
-    /// The device received re-sharded work from a failed or straggling
-    /// peer.
+    /// The device received re-sharded work from a failed peer.
     Reassigned,
 }
 
@@ -205,7 +200,6 @@ impl DeviceHealth {
         match self {
             DeviceHealth::Lost => "lost",
             DeviceHealth::TransientExhausted => "transient_exhausted",
-            DeviceHealth::Straggler => "straggler",
             DeviceHealth::Reassigned => "reassigned",
         }
     }
@@ -229,18 +223,14 @@ pub struct HealthEvent {
 /// clean.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetRecoveryReport {
-    /// Re-shard rounds actually spent (failover and straggler rebalancing
-    /// both draw from the same
-    /// [`RecoveryPolicy::max_reshard_rounds`](crate::RecoveryPolicy::max_reshard_rounds)
-    /// budget).
+    /// Re-shard rounds actually spent (at most
+    /// [`RecoveryPolicy::RESHARD_ROUNDS`](crate::RecoveryPolicy::RESHARD_ROUNDS)).
     pub reshard_rounds: u32,
     /// Total work items moved between devices by recovery.
     pub reassigned_units: usize,
     /// Devices that latched `DeviceLost` or exhausted their transient
     /// budget.
     pub devices_lost: usize,
-    /// Straggler rebalancing passes that actually moved work.
-    pub straggler_rebalances: u32,
     /// Query points that ended on the exact CPU last resort.
     pub cpu_last_resort_points: usize,
     /// Result pairs produced by the CPU last resort.
@@ -272,8 +262,7 @@ pub struct FleetReport {
     /// last resort, model seconds — the wall-clock of the join when the
     /// devices run concurrently.
     pub makespan_s: f64,
-    /// Failover / straggler-rebalancing accounting; all-default when the
-    /// join ran clean.
+    /// Failover accounting; all-default when the join ran clean.
     pub recovery: FleetRecoveryReport,
 }
 

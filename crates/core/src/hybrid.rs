@@ -7,11 +7,12 @@
 //! designs of *Hybrid KNN-Join* and HySet's co-process partitioning scheme.
 //!
 //! The split is a single **cut point** in the workload-sorted unit list: units
-//! `[0, cut)` run on the GPU, units `[cut, n)` run on the CPU pool. The cut is
-//! chosen by [`choose_cut`], which minimizes the predicted makespan
-//! `max(gpu_prefix / gpu_rate, cpu_suffix / cpu_rate + dispatch)` under the
-//! two backends' model-seconds cost models ([`warpsim::GpuConfig`] for the
-//! GPU side, [`crate::fallback::CpuBackendModel`] for the CPU side).
+//! `[0, cut)` run on the GPU, units `[cut, n)` run on the CPU pool. The auto
+//! cut is chosen by [`choose_cut_measured`] after execution, from both
+//! backends' measured per-unit model costs; a forced fraction fixes it up
+//! front ([`forced_cut`]), with makespan predictions from the two backends'
+//! throughput models ([`warpsim::GpuConfig`] for the GPU side,
+//! [`crate::fallback::CpuBackendModel`] for the CPU side).
 //!
 //! Execution itself lives in [`crate::executor::SelfJoin::run_hybrid`]. To
 //! preserve the exact-result invariant *and* the canonical-report invariant
@@ -39,8 +40,7 @@ use warpsim::{BatchTiming, GpuConfig, StreamPipeline};
 /// count times the derated clock, divided by the cycles one distance
 /// calculation costs. This is a *peak* (fully occupied, fully converged)
 /// rate: real kernels fall short of it through warp divergence and scheduling
-/// gaps, which makes the cut chooser GPU-optimistic — it under-assigns work
-/// to the CPU side, the conservative direction for the hybrid makespan bound.
+/// gaps, which makes [`forced_cut`]'s GPU-side prediction optimistic.
 pub fn gpu_weight_throughput(gpu: &GpuConfig, dims: u32) -> f64 {
     let lanes = gpu.total_warp_slots() as f64 * gpu.warp_size as f64;
     let cycles_per_weight = gpu.cost.distance_op(dims).cycles as f64;
@@ -87,83 +87,10 @@ fn predicted_sides(
     (gpu_s, cpu_s)
 }
 
-/// Picks the cut that minimizes the predicted hybrid makespan.
-///
-/// Scans every cut `0..=n` over the inclusive workload prefix and returns the
-/// one minimizing `max(gpu_side, cpu_side)`, where the GPU side is the prefix
-/// workload over `gpu_rate` and the CPU side is the suffix workload over
-/// `cpu_rate` plus a per-unit `dispatch_s` overhead. Ties prefer the larger
-/// cut (more GPU work): the GPU rate is a peak estimate, so leaning on the
-/// GPU is the conservative choice.
-///
-/// Never panics. Degenerate inputs pick valid boundary cuts: a non-positive
-/// or non-finite `cpu_rate` keeps everything on the GPU (`cut = n`), a
-/// non-positive or non-finite `gpu_rate` pushes everything to the CPU
-/// (`cut = 0`) unless the CPU rate is also invalid (then `cut = n`), and an
-/// empty unit list yields `cut = 0`.
-pub fn choose_cut(weights: &[u64], gpu_rate: f64, cpu_rate: f64, dispatch_s: f64) -> CutChoice {
-    let n = weights.len();
-    let cpu_ok = cpu_rate.is_finite() && cpu_rate > 0.0;
-    let gpu_ok = gpu_rate.is_finite() && gpu_rate > 0.0;
-    let prefix = inclusive_weight_prefix(weights);
-    let dispatch_s = if dispatch_s.is_finite() && dispatch_s > 0.0 {
-        dispatch_s
-    } else {
-        0.0
-    };
-    if n == 0 || !cpu_ok {
-        // All-GPU (also the both-invalid fallback: the GPU path is the
-        // primary executor and handles its own degradation).
-        let cut = n;
-        let (g, c) = if gpu_ok {
-            predicted_sides(&prefix, cut, gpu_rate, 1.0, 0.0)
-        } else {
-            (0.0, 0.0)
-        };
-        return CutChoice {
-            cut,
-            predicted_gpu_s: g,
-            predicted_cpu_s: c,
-            forced: false,
-        };
-    }
-    if !gpu_ok {
-        let (g, c) = predicted_sides(&prefix, 0, 1.0, cpu_rate, dispatch_s);
-        return CutChoice {
-            cut: 0,
-            predicted_gpu_s: g,
-            predicted_cpu_s: c,
-            forced: false,
-        };
-    }
-    let mut best = CutChoice {
-        cut: n,
-        predicted_gpu_s: 0.0,
-        predicted_cpu_s: 0.0,
-        forced: false,
-    };
-    let mut best_makespan = f64::INFINITY;
-    for cut in 0..=n {
-        let (g, c) = predicted_sides(&prefix, cut, gpu_rate, cpu_rate, dispatch_s);
-        let makespan = g.max(c);
-        // `>=` so ties move toward the larger (more-GPU) cut.
-        if best_makespan >= makespan {
-            best_makespan = makespan;
-            best = CutChoice {
-                cut,
-                predicted_gpu_s: g,
-                predicted_cpu_s: c,
-                forced: false,
-            };
-        }
-    }
-    best
-}
-
 /// Picks the cut that minimizes the **measured** hybrid makespan.
 ///
-/// The throughput-based [`choose_cut`] predicts from peak rates, which is
-/// blind to fixed per-batch costs (launch, transfer) that dominate small
+/// A throughput prediction from peak rates (the one [`forced_cut`] reports)
+/// is blind to fixed per-batch costs (launch, transfer) that dominate small
 /// workloads. The co-executor can do better: the GPU shadow execution has
 /// already produced every unit's actual batch timings in model seconds, and
 /// the CPU backend's cost model is additive per unit — so the exact makespan
@@ -241,7 +168,8 @@ pub fn choose_cut_measured(
 /// counted from the light tail of the workload-sorted list:
 /// `cpu_units = round(fraction · n)`, `cut = n − cpu_units`. The fraction is
 /// clamped to `[0, 1]`; a NaN fraction behaves as `0.0` (all-GPU). The
-/// returned predictions use the same cost model as [`choose_cut`].
+/// returned predictions are the prefix workload over `gpu_rate` and the
+/// suffix workload over `cpu_rate` plus `dispatch_s` per CPU unit.
 pub fn forced_cut(
     weights: &[u64],
     fraction: f64,
@@ -376,85 +304,6 @@ mod tests {
     use super::*;
     use crate::pool::par_map;
 
-    const GPU_RATE: f64 = 1e6;
-    const CPU_RATE: f64 = 1e4;
-
-    #[test]
-    fn empty_units_cut_zero_without_panic() {
-        let c = choose_cut(&[], GPU_RATE, CPU_RATE, 0.0);
-        assert_eq!(c.cut, 0);
-        assert_eq!(c.predicted_gpu_s, 0.0);
-        assert_eq!(c.predicted_cpu_s, 0.0);
-        assert!(!c.forced);
-    }
-
-    #[test]
-    fn single_unit_picks_a_valid_boundary() {
-        let c = choose_cut(&[100], GPU_RATE, CPU_RATE, 0.0);
-        assert!(c.cut <= 1);
-        // The GPU is 100× faster, so the single unit should stay there.
-        assert_eq!(c.cut, 1);
-    }
-
-    #[test]
-    fn zero_cpu_rate_keeps_everything_on_gpu() {
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let c = choose_cut(&[5, 5, 5], GPU_RATE, bad, 0.0);
-            assert_eq!(c.cut, 3, "cpu_rate={bad}");
-            assert_eq!(c.predicted_cpu_s, 0.0);
-        }
-    }
-
-    #[test]
-    fn zero_gpu_rate_pushes_everything_to_cpu() {
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let c = choose_cut(&[5, 5, 5], bad, CPU_RATE, 0.0);
-            assert_eq!(c.cut, 0, "gpu_rate={bad}");
-            assert_eq!(c.predicted_gpu_s, 0.0);
-        }
-    }
-
-    #[test]
-    fn both_rates_invalid_fall_back_to_all_gpu() {
-        let c = choose_cut(&[5, 5, 5], f64::NAN, 0.0, 0.0);
-        assert_eq!(c.cut, 3);
-    }
-
-    #[test]
-    fn equal_rates_on_equal_weights_split_in_half() {
-        let c = choose_cut(&[10, 10, 10, 10], 1.0, 1.0, 0.0);
-        assert_eq!(c.cut, 2);
-        assert_eq!(c.predicted_gpu_s, c.predicted_cpu_s);
-    }
-
-    #[test]
-    fn all_equal_weights_with_skewed_rates_lean_gpu() {
-        let c = choose_cut(&[7; 100], GPU_RATE, CPU_RATE, 0.0);
-        // 100:1 rate ratio → roughly 1 unit in 101 goes to the CPU.
-        assert!(c.cut >= 98, "cut={}", c.cut);
-        assert!(c.cut <= 100);
-    }
-
-    #[test]
-    fn chosen_cut_never_beats_no_cut_or_all_cpu_under_the_model() {
-        let weights = [400u64, 200, 100, 50, 25, 12, 6, 3, 1, 1];
-        let c = choose_cut(&weights, 10.0, 5.0, 0.01);
-        let all_gpu = forced_cut(&weights, 0.0, 10.0, 5.0, 0.01);
-        let all_cpu = forced_cut(&weights, 1.0, 10.0, 5.0, 0.01);
-        let makespan = |x: &CutChoice| x.predicted_gpu_s.max(x.predicted_cpu_s);
-        assert!(makespan(&c) <= makespan(&all_gpu) + 1e-12);
-        assert!(makespan(&c) <= makespan(&all_cpu) + 1e-12);
-    }
-
-    #[test]
-    fn dispatch_overhead_discourages_many_tiny_cpu_units() {
-        let weights = [100u64, 1, 1, 1, 1, 1, 1, 1];
-        let free = choose_cut(&weights, 10.0, 10.0, 0.0);
-        let taxed = choose_cut(&weights, 10.0, 10.0, 100.0);
-        assert!(taxed.cut >= free.cut);
-        assert_eq!(taxed.cut, weights.len());
-    }
-
     #[test]
     fn forced_fraction_endpoints_and_rounding() {
         let weights = [4u64, 3, 2, 1];
@@ -481,6 +330,23 @@ mod tests {
             kernel_s,
             transfer_s: 0.1 * kernel_s,
         }
+    }
+
+    #[test]
+    fn empty_units_cut_zero_without_panic() {
+        let c = choose_cut_measured(&[], 0.0, &[], 4);
+        assert_eq!(c.cut, 0);
+        assert_eq!(c.predicted_gpu_s, 0.0);
+        assert_eq!(c.predicted_cpu_s, 0.0);
+        assert!(!c.forced);
+    }
+
+    #[test]
+    fn single_unit_picks_a_valid_boundary() {
+        let c = choose_cut_measured(&[vec![timing(1.0)]], 0.0, &[100.0], 4);
+        assert!(c.cut <= 1);
+        // The GPU is 100× faster, so the single unit should stay there.
+        assert_eq!(c.cut, 1);
     }
 
     #[test]

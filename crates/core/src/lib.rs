@@ -61,17 +61,15 @@ pub use device_prepass::{
     device_cell_order, device_inclusive_prefix, device_sort_by_workload, PrePassReport,
 };
 pub use executor::{DegradationReport, JoinError, JoinOutcome, JoinReport, SelfJoin};
-pub use fallback::{
-    cpu_join_queries, cpu_join_query_sets, CpuBackendModel, CpuFallbackModel, CpuFallbackStats,
-};
+pub use fallback::{cpu_join_queries, CpuBackendModel, CpuFallbackModel, CpuFallbackStats};
 pub use fleet::{
     inclusive_weight_prefix, partition_units, partition_units_from_prefix, unit_workloads,
     DeviceHealth, FleetOutcome, FleetRecoveryReport, FleetReport, HealthEvent, ShardReport,
     ShardStrategy,
 };
 pub use hybrid::{
-    choose_cut, choose_cut_measured, forced_cut, gpu_weight_throughput, CutChoice, HybridOutcome,
-    HybridPolicy, HybridReport,
+    choose_cut_measured, forced_cut, gpu_weight_throughput, CutChoice, HybridOutcome, HybridPolicy,
+    HybridReport,
 };
 pub use result::ResultSet;
 pub use serve::{

@@ -105,10 +105,19 @@ pub fn read_binary<R: Read>(reader: R) -> io::Result<DynPoints> {
     let total = count
         .checked_mul(dims)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "size overflow"))?;
-    let mut coords = Vec::with_capacity(total);
+    // The buffer grows with the coordinates the stream actually delivers,
+    // never with the header's claim: a header promising more points than
+    // the file holds is a truncated file, not an allocation request.
+    let mut coords = Vec::new();
     let mut buf = [0u8; 4];
-    for _ in 0..total {
-        r.read_exact(&mut buf)?;
+    for read in 0..total {
+        r.read_exact(&mut buf).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("header promises {count} points of {dims} dims but the data ends after {read} coordinates"),
+            ),
+            _ => e,
+        })?;
         coords.push(f32::from_le_bytes(buf));
     }
     Ok(DynPoints::from_interleaved(dims, coords))
@@ -177,6 +186,27 @@ mod tests {
     #[test]
     fn csv_rejects_empty() {
         assert!(read_csv("".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn binary_header_claiming_more_points_than_the_data_is_a_typed_error() {
+        // A bare 20-byte header that promises 2^40 2-D points and then ends.
+        let mut data = BIN_MAGIC.to_vec();
+        data.extend_from_slice(&2u32.to_le_bytes());
+        data.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        assert_eq!(data.len(), 20);
+        let err = read_binary(data.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            err.to_string().contains("ends after 0 coordinates"),
+            "{err}"
+        );
+        // A real file cut short mid-coordinate is the same typed error.
+        let mut buf = Vec::new();
+        write_binary(&mut buf, &sample()).unwrap();
+        buf.truncate(buf.len() - 2);
+        let err = read_binary(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!    between them can be within ε. Small range pairs fall through to a
 //!    short-circuited nested-loop join.
 //! 4. **Parallelism** ([`parallel`]): the recursion is unrolled into a task
-//!    list joined by a pool of worker threads (crossbeam scoped threads).
+//!    list joined by a pool of worker threads (`std::thread::scope`).
 //!
 //! The join returns ordered pairs `(a, b)`, `a ≠ b`, both orientations,
 //! matching the convention of the `simjoin` GPU kernels, plus operation

@@ -164,13 +164,13 @@ pub fn super_ego_join_with<const N: usize>(
     let sw_join = Stopwatch::start();
 
     let next = AtomicUsize::new(0);
-    let results: Vec<(Vec<(u32, u32)>, JoinStats)> = crossbeam::thread::scope(|scope| {
+    let results: Vec<(Vec<(u32, u32)>, JoinStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let sorted = &sorted;
                 let tasks = &tasks;
                 let next = &next;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut local_pairs = Vec::new();
                     let mut local_stats = JoinStats::default();
                     loop {
@@ -188,8 +188,7 @@ pub fn super_ego_join_with<const N: usize>(
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect()
-    })
-    .expect("thread scope failed");
+    });
 
     let mut pairs = Vec::new();
     for (p, s) in results {

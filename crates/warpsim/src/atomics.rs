@@ -74,10 +74,10 @@ mod tests {
     #[test]
     fn concurrent_reservations_never_overlap() {
         let c = DeviceCounter::new();
-        let ranges = crossbeam::thread::scope(|s| {
+        let ranges = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
-                    s.spawn(|_| {
+                    s.spawn(|| {
                         let mut got = Vec::new();
                         for _ in 0..1000 {
                             got.push(c.fetch_add(3));
@@ -90,8 +90,7 @@ mod tests {
                 .into_iter()
                 .flat_map(|h| h.join().unwrap())
                 .collect::<Vec<u64>>()
-        })
-        .unwrap();
+        });
         let mut sorted = ranges.clone();
         sorted.sort_unstable();
         sorted.dedup();

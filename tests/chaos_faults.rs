@@ -9,15 +9,15 @@
 
 use proptest::prelude::*;
 use simjoin::{
-    Balancing, BatchingConfig, HybridPolicy, RecoveryPolicy, SelfJoin, SelfJoinConfig,
-    ShardStrategy, SortBackend,
+    Balancing, BatchingConfig, DynSelfJoin, ExecTarget, HybridPolicy, RecoveryPolicy, SelfJoin,
+    SelfJoinConfig, ShardStrategy, SortBackend,
 };
 use sj_integration_support::{
-    brute_force_dyn, chaos_dataset, join_dyn_chaos, join_dyn_hybrid_chaos, join_fleet_dyn_chaos,
-    small_batches,
+    assert_canonical_reports_identical, brute_force_dyn, chaos_dataset, join_dyn_chaos,
+    join_dyn_hybrid_chaos, join_fleet_dyn_chaos, small_batches,
 };
 use sj_telemetry::{Event, JsonTelemetry, Value, NULL};
-use warpsim::{FaultPlane, FaultProfile, FaultSchedule};
+use warpsim::{DeviceFleet, FaultPlane, FaultProfile, FaultSchedule};
 
 const BALANCINGS: [Balancing; 3] = [
     Balancing::None,
@@ -255,7 +255,7 @@ proptest! {
         let config = SelfJoinConfig::new(eps)
             .with_balancing(BALANCINGS[balancing_idx])
             .with_batching(small_batches(expected.len()))
-            .with_recovery(RecoveryPolicy::reshard());
+            .with_recovery(RecoveryPolicy::Reshard);
         let policy = HybridPolicy::default().with_jobs(jobs);
         match join_dyn_hybrid_chaos(&pts, config, &policy, &plane, &NULL) {
             Ok((pairs, report, hybrid)) => {
@@ -299,7 +299,7 @@ proptest! {
         let plane = FaultPlane::new(schedule);
         let config = SelfJoinConfig::optimized(eps)
             .with_batching(small_batches(expected.len()))
-            .with_recovery(RecoveryPolicy::reshard());
+            .with_recovery(RecoveryPolicy::Reshard);
         let policy = HybridPolicy::default().with_forced_cpu_fraction(fraction);
         match join_dyn_hybrid_chaos(&pts, config, &policy, &plane, &NULL) {
             Ok((pairs, _, hybrid)) => {
@@ -323,7 +323,7 @@ fn hybrid_device_loss_reshards_remainder_onto_cpu_backend() {
     let sink = JsonTelemetry::new("hybrid-device-lost");
     let config = SelfJoinConfig::optimized(eps)
         .with_batching(small_batches(expected.len()))
-        .with_recovery(RecoveryPolicy::reshard());
+        .with_recovery(RecoveryPolicy::Reshard);
     let (pairs, report, hybrid) =
         join_dyn_hybrid_chaos(&pts, config, &HybridPolicy::default(), &plane, &sink).unwrap();
 
@@ -523,4 +523,53 @@ fn device_lost_mid_join_degrades_with_visible_report() {
     let summary = sink.events_named("executor", "join_summary");
     assert_eq!(summary.len(), 1);
     assert_eq!(summary[0].field("degraded"), Some(&Value::Bool(true)));
+}
+
+/// A one-device fleet is `run()` under faults too: for every fault profile,
+/// several seeds and both recovery policies, the single-device join with a
+/// seeded schedule on its fault plane and a one-device fleet carrying the
+/// same schedule return the same pairs in the same production order and
+/// bit-identical canonical reports, or the same typed error. With no
+/// survivor to re-shard onto, `Reshard` finishes the failed device's work
+/// through the fleet's last resort and `Degrade` through the device's own
+/// degradation; both must match `run()`.
+#[test]
+fn faulted_fleet_of_one_matches_run() {
+    let (pts, eps) = chaos_dataset();
+    let expected = brute_force_dyn(&pts, eps);
+    let mut cpu_finished = 0;
+    for name in FaultProfile::names() {
+        let profile = FaultProfile::by_name(name).unwrap();
+        for offset in 0..6u64 {
+            let seed = seed_base().wrapping_add(offset);
+            for recovery in [RecoveryPolicy::Reshard, RecoveryPolicy::Degrade] {
+                let ctx = format!("{name} seed {seed} {}", recovery.label());
+                let config = SelfJoinConfig::new(eps)
+                    .with_balancing(BALANCINGS[offset as usize % BALANCINGS.len()])
+                    .with_batching(small_batches(expected.len()))
+                    .with_recovery(recovery);
+                let schedule = FaultSchedule::seeded(seed, &profile);
+                let plane = FaultPlane::new(schedule.clone());
+                let single = DynSelfJoin::new(&pts, config.clone())
+                    .with_fault_plane(&plane)
+                    .run(&ExecTarget::Gpu);
+                let fleet =
+                    DeviceFleet::homogeneous(1, config.gpu).with_fault_schedule(0, schedule);
+                let sharded = DynSelfJoin::new(&pts, config)
+                    .run(&ExecTarget::Fleet(&fleet, ShardStrategy::WorkloadAware));
+                match (single, sharded) {
+                    (Ok(single), Ok(sharded)) => {
+                        assert_eq!(single.result.pairs(), sharded.result.pairs(), "{ctx}");
+                        assert_canonical_reports_identical(&single.report, &sharded.report, &ctx);
+                        let degradation = single.report.degradation.as_ref();
+                        cpu_finished +=
+                            usize::from(degradation.is_some_and(|d| d.cpu_fallback_ran()));
+                    }
+                    (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{ctx}"),
+                    (a, b) => panic!("{ctx}: outcomes diverged: {:?} vs {:?}", a.err(), b.err()),
+                }
+            }
+        }
+    }
+    assert!(cpu_finished > 0, "no schedule made the CPU finish any work");
 }

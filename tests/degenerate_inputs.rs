@@ -11,8 +11,8 @@ use std::ops::Range;
 
 use epsgrid::GridIndex;
 use simjoin::{
-    choose_cut, inclusive_weight_prefix, partition_units, partition_units_from_prefix, Balancing,
-    SelfJoin, SelfJoinConfig, ShardStrategy,
+    choose_cut_measured, forced_cut, inclusive_weight_prefix, partition_units,
+    partition_units_from_prefix, Balancing, SelfJoin, SelfJoinConfig, ShardStrategy,
 };
 
 fn grid_points() -> (Vec<[f32; 2]>, f32) {
@@ -75,16 +75,28 @@ fn empty_fleet_partitions_are_well_formed() {
 }
 
 /// A hybrid cut over zero units keeps everything on the GPU side and
-/// predicts zero work for both substrates.
+/// predicts zero work for both substrates, whether forced or measured.
 #[test]
 fn hybrid_cut_over_zero_units_is_trivial() {
-    let choice = choose_cut(&[], 1.0e9, 1.0e8, 0.0);
-    assert_eq!(choice.cut, 0);
-    assert_eq!(choice.predicted_gpu_s, 0.0);
-    assert_eq!(choice.predicted_cpu_s, 0.0);
-    // Degenerate rates must not poison the choice with NaN either.
-    let nan_rates = choose_cut(&[3, 2, 1], f64::NAN, f64::NAN, f64::NAN);
-    assert!(nan_rates.cut <= 3);
-    assert!(nan_rates.predicted_gpu_s.is_finite());
-    assert!(nan_rates.predicted_cpu_s.is_finite());
+    for choice in [
+        forced_cut(&[], 0.5, 1.0e9, 1.0e8, 0.0),
+        choose_cut_measured(&[], 0.0, &[], 4),
+    ] {
+        assert_eq!(choice.cut, 0);
+        assert_eq!(choice.predicted_gpu_s, 0.0);
+        assert_eq!(choice.predicted_cpu_s, 0.0);
+    }
+    // Degenerate rates and costs must not poison the choice with NaN either.
+    let nan_rates = forced_cut(&[3, 2, 1], 0.5, f64::NAN, f64::NAN, f64::NAN);
+    let nan_costs = choose_cut_measured(
+        &[Vec::new(), Vec::new(), Vec::new()],
+        f64::NAN,
+        &[f64::NAN; 3],
+        4,
+    );
+    for choice in [nan_rates, nan_costs] {
+        assert!(choice.cut <= 3);
+        assert!(choice.predicted_gpu_s.is_finite());
+        assert!(choice.predicted_cpu_s.is_finite());
+    }
 }
