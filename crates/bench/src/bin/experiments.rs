@@ -3,17 +3,19 @@
 //! ```text
 //! experiments [--quick | --scale <f>] [--eps-stride <n>] [--jobs <n>] \
 //!             [--host-jobs <n>] [--step-mode stepped|runlength] \
-//!             [--devices <n>] [--sort-backend host|device] \
-//!             [all|table1|fig9|table3|fig10|table4|fig11|table5|fig12|table6|fig13|ablations]...
+//!             [--devices <n>] [--lose-device <d>] [--sort-backend host|device] \
+//!             [--exec-mode gpu|cpu|hybrid] [--no-telemetry] \
+//!             [all|table1|fig9|table3|fig10|table4|fig11|table5|fig12|table6|fig13|ablations|
+//!              chaos|scaling|failover|hybrid|serve]...
 //! ```
 //!
-//! With no experiment names, runs everything. Output is markdown on stdout;
-//! tee it into `EXPERIMENTS.md` material. Each experiment also writes a
-//! schema-versioned telemetry document to `results/<name>_telemetry.json`
-//! (disable with `--no-telemetry`; the sink never changes results), and
-//! every invocation records host wall-clock times per experiment — plus a
-//! stepped-vs-run-length micro-benchmark of a fully converged 32-lane warp —
-//! to `results/bench_baseline.json`.
+//! With no experiment names, runs everything in `all`. Output is markdown
+//! on stdout; tee it into `EXPERIMENTS.md` material. Each experiment also
+//! writes a schema-versioned telemetry document to
+//! `results/<name>_telemetry.json`; with `--no-telemetry` the run writes no
+//! file at all (the sink never changes results). Tables report model
+//! seconds; host wall-clock is measured by `perfbench` (see
+//! `perfbench/README.md`), not here.
 //!
 //! Neither `--jobs`, `--host-jobs`, `--step-mode`, `--devices`, nor
 //! `--sort-backend` can change any table: sweep cells are reassembled in
@@ -28,10 +30,7 @@
 //! `--jobs` parallelizes *across* sweep cells; `--host-jobs` parallelizes
 //! *inside* each join (fleet shards, batches, warps). Passing `--host-jobs`
 //! without an explicit `--jobs` pins the sweep pool to one worker so the
-//! two layers don't nest and intra-join scaling is what the wall-clock
-//! measures.
-
-use std::time::Instant;
+//! two layers don't nest.
 
 use simjoin::SortBackend;
 use sj_bench::experiments::{ExperimentScale, Experiments};
@@ -52,234 +51,6 @@ fn usage() -> ! {
           both leave every table and telemetry artifact bit-identical)"
     );
     std::process::exit(2);
-}
-
-/// Wall-clock of one fully converged 32-lane warp scanning `cands`
-/// candidates per lane, per step mode — the headline case for the
-/// run-length fast path.
-fn fastpath_micro(cands: u32) -> (f64, f64) {
-    use warpsim::lane::FixedWorkLane;
-    use warpsim::{execute_warp_with, LaneSink, Op, OpKind};
-    const LANES: u32 = 32;
-    const ITERS: u32 = 200;
-    let op = Op::new(OpKind::Distance, 18);
-    let time = |mode: StepMode| {
-        let start = Instant::now();
-        for _ in 0..ITERS {
-            let mut lanes: Vec<FixedWorkLane> =
-                (0..LANES).map(|_| FixedWorkLane::new(cands, op)).collect();
-            let mut sink = LaneSink::new();
-            std::hint::black_box(execute_warp_with(&mut lanes, LANES, &mut sink, mode));
-        }
-        start.elapsed().as_secs_f64() / ITERS as f64
-    };
-    (time(StepMode::Stepped), time(StepMode::RunLength))
-}
-
-/// Wall-clock of the on-device primitive chains (radix argsort + exclusive
-/// scan over a heavy-tailed workload vector), per step mode — the cost of
-/// choosing `--sort-backend device`, recorded next to the fast-path micro.
-fn primitives_micro(n: usize) -> (f64, f64) {
-    use warpsim::{device_exclusive_scan, device_radix_argsort, DEFAULT_DIGIT_BITS};
-    const ITERS: u32 = 20;
-    let gpu = warpsim::GpuConfig::default();
-    let keys: Vec<u128> = (0..n)
-        .map(|i| {
-            if i % 17 == 0 {
-                500_000 + i as u128
-            } else {
-                (i as u128 * 13) % 64
-            }
-        })
-        .collect();
-    let values: Vec<u64> = keys.iter().map(|&k| k as u64 & 0xFFFF).collect();
-    let time = |mode: StepMode| {
-        let opts = warpsim::LaunchOptions::default().with_step_mode(mode);
-        let start = Instant::now();
-        for _ in 0..ITERS {
-            std::hint::black_box(device_radix_argsort(&gpu, &keys, DEFAULT_DIGIT_BITS, &opts))
-                .expect("argsort");
-            std::hint::black_box(device_exclusive_scan(&gpu, &values, &opts)).expect("scan");
-        }
-        start.elapsed().as_secs_f64() / ITERS as f64
-    };
-    (time(StepMode::Stepped), time(StepMode::RunLength))
-}
-
-/// Multi-device scaling rows recorded into the baseline artifact: the same
-/// sweep as the `scaling` experiment, pinned to quick scale so the recorded
-/// makespans (model seconds, machine-independent) stay comparable no matter
-/// what `--scale` the invocation used.
-fn devices_scaling_rows() -> Vec<sj_bench::experiments::ScalingPoint> {
-    Experiments::new(ExperimentScale::quick()).scaling_points()
-}
-
-/// Failover comparison rows recorded into the baseline artifact, pinned to
-/// quick scale for the same reason: the acceptance row is the `reshard`
-/// makespan landing strictly below `degrade` on the same lost-device run.
-fn failover_rows() -> Vec<sj_bench::experiments::FailoverPoint> {
-    Experiments::new(ExperimentScale::quick()).failover_points()
-}
-
-/// Hybrid co-execution rows recorded into the baseline artifact, pinned to
-/// quick scale as above: the acceptance row is the `auto` makespan landing
-/// strictly below both the `gpu-only` and `cpu-only` rows on the skewed
-/// workload.
-fn hybrid_rows() -> Vec<sj_bench::experiments::HybridPoint> {
-    Experiments::new(ExperimentScale::quick()).hybrid_points()
-}
-
-/// Host-parallel wall-clock rows recorded into the baseline artifact,
-/// pinned to quick scale: the same single-device join at `host_jobs`
-/// 1/2/4/8. These are the only host-wall-clock rows keyed to a
-/// results-invariant knob — the acceptance row is `host_jobs = 4` landing
-/// well below the `host_jobs = 1` wall-clock while model seconds and pairs
-/// stay bit-identical (asserted inside the sweep).
-fn host_parallel_rows() -> Vec<sj_bench::experiments::HostParallelPoint> {
-    Experiments::new(ExperimentScale::quick()).host_parallel_points()
-}
-
-/// Serve-daemon rows recorded into the baseline artifact, pinned to quick
-/// scale: the identical request stream through the coalesced admission
-/// queue and the serial one-launch-per-request baseline. The acceptance
-/// row is the coalesced launch model seconds landing strictly below the
-/// serial row's (asserted inside the sweep, with identical answers).
-fn serve_rows() -> Vec<sj_bench::experiments::ServePoint> {
-    Experiments::new(ExperimentScale::quick()).serve_points()
-}
-
-fn write_baseline(
-    scale: ExperimentScale,
-    jobs: usize,
-    host_jobs: usize,
-    step_mode: StepMode,
-    sort_backend: SortBackend,
-    timings: &[(String, f64)],
-) {
-    const FASTPATH_CANDS: u32 = 2_048;
-    let (stepped_s, runlength_s) = fastpath_micro(FASTPATH_CANDS);
-    let speedup = if runlength_s > 0.0 {
-        stepped_s / runlength_s
-    } else {
-        f64::INFINITY
-    };
-    let mut json = String::from("{\n  \"schema\": \"bench_baseline/1\",\n");
-    json.push_str(&format!(
-        "  \"points_scale\": {},\n  \"eps_stride\": {},\n  \"jobs\": {},\n  \"host_jobs\": {},\n  \"step_mode\": \"{}\",\n  \"sort_backend\": \"{}\",\n",
-        scale.points_scale,
-        scale.eps_stride,
-        jobs,
-        host_jobs,
-        step_mode.name(),
-        sort_backend.label()
-    ));
-    json.push_str("  \"experiments\": [\n");
-    for (i, (name, wall)) in timings.iter().enumerate() {
-        let sep = if i + 1 < timings.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"sim_wall_s\": {wall:.6}}}{sep}\n"
-        ));
-    }
-    json.push_str("  ],\n");
-    let scaling = devices_scaling_rows();
-    json.push_str("  \"devices_scaling\": [\n");
-    for (i, p) in scaling.iter().enumerate() {
-        let sep = if i + 1 < scaling.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"devices\": {}, \"partition\": \"{}\", \"makespan_model_s\": {:.9}, \
-             \"workload_imbalance\": {:.6}, \"jain_fairness\": {:.6}, \"canonical_model_s\": {:.9}}}{sep}\n",
-            p.devices, p.partition, p.makespan_s, p.imbalance, p.jain, p.canonical_s
-        ));
-    }
-    json.push_str("  ],\n");
-    let failover = failover_rows();
-    json.push_str("  \"failover\": [\n");
-    for (i, p) in failover.iter().enumerate() {
-        let sep = if i + 1 < failover.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"makespan_model_s\": {:.9}, \"pairs\": {}, \
-             \"reshard_rounds\": {}, \"reassigned_units\": {}, \"cpu_points\": {}}}{sep}\n",
-            p.mode, p.makespan_s, p.pairs, p.reshard_rounds, p.reassigned_units, p.cpu_points
-        ));
-    }
-    json.push_str("  ],\n");
-    let hybrid = hybrid_rows();
-    json.push_str("  \"hybrid\": [\n");
-    for (i, p) in hybrid.iter().enumerate() {
-        let sep = if i + 1 < hybrid.len() { "," } else { "" };
-        let fraction = p
-            .cpu_fraction
-            .map_or("null".to_string(), |f| format!("{f:.2}"));
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"cpu_fraction\": {fraction}, \"units\": {}, \"cut\": {}, \
-             \"gpu_units\": {}, \"cpu_units\": {}, \"gpu_model_s\": {:.9}, \
-             \"cpu_model_s\": {:.9}, \"makespan_model_s\": {:.9}, \"pairs\": {}}}{sep}\n",
-            p.mode,
-            p.units,
-            p.cut,
-            p.gpu_units,
-            p.cpu_units,
-            p.gpu_s,
-            p.cpu_s,
-            p.makespan_s,
-            p.pairs
-        ));
-    }
-    json.push_str("  ],\n");
-    let host_parallel = host_parallel_rows();
-    json.push_str("  \"host_parallel\": [\n");
-    for (i, p) in host_parallel.iter().enumerate() {
-        let sep = if i + 1 < host_parallel.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"host_jobs\": {}, \"sim_wall_s\": {:.6}, \"speedup\": {:.2}, \
-             \"canonical_model_s\": {:.9}, \"pairs\": {}}}{sep}\n",
-            p.host_jobs, p.wall_s, p.speedup, p.model_s, p.pairs
-        ));
-    }
-    json.push_str("  ],\n");
-    let serve = serve_rows();
-    json.push_str("  \"serve\": [\n");
-    for (i, p) in serve.iter().enumerate() {
-        let sep = if i + 1 < serve.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"requests\": {}, \"admitted\": {}, \"launches\": {}, \
-             \"coalesced_requests\": {}, \"cache_hits\": {}, \"incremental_reindexes\": {}, \
-             \"full_rebuilds\": {}, \"execute_model_s\": {:.9}, \"total_p50_s\": {:.9}, \
-             \"total_p99_s\": {:.9}}}{sep}\n",
-            p.mode,
-            p.requests,
-            p.admitted,
-            p.launches,
-            p.coalesced_requests,
-            p.cache_hits,
-            p.incremental_reindexes,
-            p.full_rebuilds,
-            p.execute_model_s,
-            p.total_p50_s,
-            p.total_p99_s
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"warp_fastpath\": {{\"lanes\": 32, \"candidates\": {FASTPATH_CANDS}, \
-         \"stepped_s\": {stepped_s:.9}, \"runlength_s\": {runlength_s:.9}, \
-         \"speedup\": {speedup:.2}}},\n"
-    ));
-    const PRIMITIVES_N: usize = 4_096;
-    let (prim_stepped_s, prim_runlength_s) = primitives_micro(PRIMITIVES_N);
-    json.push_str(&format!(
-        "  \"primitives\": {{\"n\": {PRIMITIVES_N}, \
-         \"stepped_s\": {prim_stepped_s:.9}, \"runlength_s\": {prim_runlength_s:.9}}}\n}}\n"
-    ));
-    let path = std::path::Path::new("results").join("bench_baseline.json");
-    let write = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, json));
-    match write {
-        Ok(()) => eprintln!(
-            "[baseline] wrote {} (fastpath speedup {speedup:.1}x)",
-            path.display()
-        ),
-        Err(e) => eprintln!("[baseline] failed to write {}: {e}", path.display()),
-    }
 }
 
 fn main() {
@@ -354,9 +125,9 @@ fn main() {
     }
     if let Some(hj) = host_jobs {
         exp.host_jobs = hj;
-        // Intra-join scaling is what --host-jobs measures; unless the
-        // caller also pinned --jobs, drop the sweep-cell pool to a single
-        // worker so the two thread layers don't nest (and oversubscribe).
+        // --host-jobs threads the inside of each join; unless the caller
+        // also pinned --jobs, drop the sweep-cell pool to a single worker
+        // so the two thread layers don't nest (and oversubscribe).
         if jobs.is_none() {
             exp.jobs = 1;
         }
@@ -376,9 +147,7 @@ fn main() {
         "# Experiment suite (points_scale = {}, eps_stride = {})",
         scale.points_scale, scale.eps_stride
     );
-    let mut timings: Vec<(String, f64)> = Vec::new();
     for name in names {
-        let start = Instant::now();
         match name.as_str() {
             "all" => drop(exp.run_all()),
             "table1" => drop(exp.table1()),
@@ -399,14 +168,5 @@ fn main() {
             "serve" => drop(exp.serve()),
             _ => usage(),
         }
-        timings.push((name, start.elapsed().as_secs_f64()));
     }
-    write_baseline(
-        scale,
-        exp.jobs,
-        exp.host_jobs,
-        step_mode,
-        sort_backend,
-        &timings,
-    );
 }

@@ -15,7 +15,11 @@
 //! | [`Experiments::table6`] | Table VI — WEE & time, all variants, real-world datasets |
 //! | [`Experiments::fig13`] | Fig. 13 — speedups of the combined optimization |
 //! | [`Experiments::ablations`] | DESIGN.md §5 — scheduler order, k sweep, estimator, atomic cost |
-//! | [`Experiments::scaling`] | DESIGN.md §7 — multi-device sharding, workload-aware vs equal-count |
+//! | [`Experiments::chaos`] | DESIGN.md §7 — the resilient executor under seeded fault profiles |
+//! | [`Experiments::scaling`] | DESIGN.md §8 — multi-device sharding, workload-aware vs equal-count |
+//! | [`Experiments::failover`] | DESIGN.md §10 — reshard recovery vs CPU degradation after a device loss |
+//! | [`Experiments::hybrid`] | DESIGN.md §11 — CPU/GPU co-execution, forced split fractions vs the measured auto cut |
+//! | [`Experiments::serve`] | DESIGN.md §13 — the serve daemon's churn-and-query stream, coalesced vs serial |
 
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -77,9 +81,9 @@ pub struct Experiments {
     /// either way; the sink is observation-only).
     pub artifact_dir: Option<PathBuf>,
     /// Host worker threads used for the (dataset, ε, variant) sweep cells of
-    /// the figure experiments. Table rows and result ordering are
-    /// deterministic regardless; with `jobs > 1` only the *interleaving* of
-    /// telemetry events across concurrent cells varies between runs.
+    /// the figure experiments. Tables and telemetry artifacts are identical
+    /// for any value: each cell records into a sink of its own, and the
+    /// cells' events join the experiment's document in cell order.
     pub jobs: usize,
     /// Host worker threads used *inside* each join (fleet shards,
     /// within-device batches, warp micro-execution) — the
@@ -119,6 +123,7 @@ pub struct Experiments {
 /// The `Sync` subset of the driver that executes one sweep cell, so cells
 /// can run on [`par_map`] worker threads (`Experiments` itself holds a
 /// `RefCell` and cannot cross threads).
+#[derive(Clone)]
 struct CellRunner {
     sink: Option<Arc<JsonTelemetry>>,
     cpu: CpuModel,
@@ -133,6 +138,18 @@ impl CellRunner {
         match self.sink.as_ref() {
             Some(sink) => sink.as_ref(),
             None => &sj_telemetry::NULL,
+        }
+    }
+
+    /// This runner with a fresh sink of its own in place of the open
+    /// experiment's (none when no document is open).
+    fn with_own_sink(&self) -> CellRunner {
+        CellRunner {
+            sink: self
+                .sink
+                .as_ref()
+                .map(|_| Arc::new(JsonTelemetry::new("cell"))),
+            ..self.clone()
         }
     }
 
@@ -371,13 +388,27 @@ impl Experiments {
     }
 
     /// Executes a flat list of sweep [`Cell`]s on `self.jobs` workers and
-    /// returns their outcomes in input order.
+    /// returns their outcomes in input order. Each cell records into its
+    /// own sink, and the cells' events are appended to the experiment's
+    /// document in cell order, so the artifact is the same for any `jobs`.
     fn sweep(&self, data: &[(DatasetSpec, DynPoints)], cells: Vec<Cell>) -> Vec<CellOut> {
         let runner = self.runner();
-        par_map(self.jobs, cells, |cell| match cell {
-            Cell::Gpu(di, config) => CellOut::Gpu(runner.run(&data[di].1, config)),
-            Cell::Cpu(di, eps) => CellOut::Cpu(runner.sego(&data[di].1, eps)),
-        })
+        let outs = par_map(self.jobs, cells, |cell| {
+            let cell_runner = runner.with_own_sink();
+            let out = match cell {
+                Cell::Gpu(di, config) => CellOut::Gpu(cell_runner.run(&data[di].1, config)),
+                Cell::Cpu(di, eps) => CellOut::Cpu(cell_runner.sego(&data[di].1, eps)),
+            };
+            (out, cell_runner.sink)
+        });
+        outs.into_iter()
+            .map(|(out, cell_sink)| {
+                if let (Some(sink), Some(cell_sink)) = (&runner.sink, cell_sink) {
+                    cell_sink.events().into_iter().for_each(|e| sink.record(e));
+                }
+                out
+            })
+            .collect()
     }
 
     /// Table I: the dataset inventory (paper size vs scaled size).
@@ -1011,7 +1042,6 @@ impl Experiments {
         out
     }
 
-    /// Runs everything, in paper order.
     /// Resilience table (not part of the paper; not in `run_all`): the
     /// optimized variant under each named fault profile at a fixed seed,
     /// reporting what recovery cost and whether the result stayed exact.
@@ -1112,7 +1142,7 @@ impl Experiments {
 
     /// One measured point of [`Self::scaling`]: the fleet sweep over
     /// `devices × partition strategy`, all from the same global plan.
-    pub fn scaling_points(&self) -> Vec<ScalingPoint> {
+    pub(crate) fn scaling_points(&self) -> Vec<ScalingPoint> {
         let (spec, pts) = self.dataset("Expo2D2M");
         let eps = selected_eps(&spec);
         // Probe the result size, then tighten the batch capacity so the
@@ -1192,60 +1222,10 @@ impl Experiments {
         out
     }
 
-    /// One measured point of the host-parallel wall-clock sweep: the same
-    /// single-device join with `host_jobs` forced to 1, 2, 4, and 8. Model
-    /// seconds and the pair count are asserted bit-identical across the
-    /// rows — host threads are allowed to change wall-clock only.
-    pub fn host_parallel_points(&self) -> Vec<HostParallelPoint> {
-        let (spec, pts) = self.dataset("Expo2D2M");
-        let eps = selected_eps(&spec);
-        // Same probe-and-tighten as the scaling sweep: shrink the batch
-        // capacity so the plan holds enough independent units for the
-        // batch-level layer to have work to spread across threads.
-        let batching = self.unit_batching(&pts, eps);
-        let runner = self.runner();
-        let mut points: Vec<HostParallelPoint> = Vec::new();
-        let mut single = 0.0f64;
-        let mut canonical: Option<(usize, f64)> = None;
-        for host_jobs in [1usize, 2, 4, 8] {
-            let config = SelfJoinConfig::optimized(eps)
-                .with_batching(batching)
-                .with_host_jobs(host_jobs);
-            let r = runner.run(&pts, config);
-            let wall = r.sim_wall.as_secs_f64();
-            match canonical {
-                None => canonical = Some((r.pairs, r.response_s)),
-                Some((pairs, model_s)) => {
-                    assert_eq!(pairs, r.pairs, "host_jobs must not change the pair count");
-                    assert_eq!(
-                        model_s.to_bits(),
-                        r.response_s.to_bits(),
-                        "host_jobs must not change model seconds"
-                    );
-                }
-            }
-            if host_jobs == 1 {
-                single = wall;
-            }
-            points.push(HostParallelPoint {
-                host_jobs,
-                wall_s: wall,
-                speedup: if wall > 0.0 {
-                    single / wall
-                } else {
-                    f64::INFINITY
-                },
-                model_s: r.response_s,
-                pairs: r.pairs,
-            });
-        }
-        points
-    }
-
     /// One measured point of [`Self::failover`]: the same 4-device join
     /// under a clean fleet, a mid-join device loss with reshard recovery,
     /// and the same loss with CPU degradation.
-    pub fn failover_points(&self) -> Vec<FailoverPoint> {
+    pub(crate) fn failover_points(&self) -> Vec<FailoverPoint> {
         const DEVICES: usize = 4;
         const LOST_DEVICE: usize = 1;
         let (spec, pts) = self.dataset("Unif2D2M");
@@ -1346,7 +1326,7 @@ impl Experiments {
     /// One measured point of [`Self::hybrid`]: the co-executor on the
     /// skewed Expo2D workload at one forced split fraction (or the measured
     /// auto cut), against the same plan.
-    pub fn hybrid_points(&self) -> Vec<HybridPoint> {
+    pub(crate) fn hybrid_points(&self) -> Vec<HybridPoint> {
         let (spec, pts) = self.dataset("Expo2D2M");
         let eps = selected_eps(&spec);
         // WORKQUEUE sorting without balanced chunking leaves a light tail of
@@ -1391,7 +1371,6 @@ impl Experiments {
             }
             points.push(HybridPoint {
                 mode,
-                cpu_fraction: fraction,
                 units: h.units,
                 cut: h.cut,
                 gpu_units: h.gpu_units,
@@ -1455,7 +1434,7 @@ impl Experiments {
     /// Answers are asserted identical across the two modes — coalescing is
     /// a scheduling optimization, never a semantic one — and the coalesced
     /// mode must beat the serial baseline on total launch model seconds.
-    pub fn serve_points(&self) -> Vec<ServePoint> {
+    pub(crate) fn serve_points(&self) -> Vec<ServePoint> {
         const ROUNDS: usize = 5;
         const BURST: usize = 6;
         let (spec, pts) = self.dataset("Expo2D2M");
@@ -1547,8 +1526,8 @@ impl Experiments {
 
     /// Serve daemon table (not part of the paper; not in `run_all`): the
     /// coalesced admission queue vs the serial one-launch-per-request
-    /// baseline on an identical churn-and-query stream. See
-    /// [`Experiments::serve_points`].
+    /// baseline on an identical churn-and-query stream (rows from
+    /// `serve_points`).
     pub fn serve(&self) -> String {
         self.begin_experiment("serve");
         let mut t = Table::new(vec![
@@ -1597,6 +1576,7 @@ impl Experiments {
         out
     }
 
+    /// Runs everything, in paper order.
     pub fn run_all(&self) -> String {
         let mut out = String::new();
         out.push_str(&self.table1());
@@ -1617,7 +1597,7 @@ impl Experiments {
 /// One measured point of the multi-device scaling sweep
 /// ([`Experiments::scaling_points`]).
 #[derive(Debug, Clone, Copy)]
-pub struct ScalingPoint {
+pub(crate) struct ScalingPoint {
     /// Simulated devices in the fleet.
     pub devices: usize,
     /// Partition strategy label (`"workload"` or `"count"`).
@@ -1636,28 +1616,10 @@ pub struct ScalingPoint {
     pub batches: usize,
 }
 
-/// One measured point of the host-parallel wall-clock sweep
-/// ([`Experiments::host_parallel_points`]). Wall-clock only: the canonical
-/// report and model seconds are bit-identical across rows by the
-/// host-parallelism invariant (asserted when the sweep runs).
-#[derive(Debug, Clone, Copy)]
-pub struct HostParallelPoint {
-    /// Forced [`SelfJoinConfig::host_jobs`] for this row.
-    pub host_jobs: usize,
-    /// Host wall-clock of the join in seconds (machine-dependent).
-    pub wall_s: f64,
-    /// `wall_s(host_jobs = 1) / wall_s` — intra-join thread scaling.
-    pub speedup: f64,
-    /// Canonical response time in model seconds (identical across rows).
-    pub model_s: f64,
-    /// Result pairs (identical across rows).
-    pub pairs: usize,
-}
-
 /// One measured point of the failover comparison
 /// ([`Experiments::failover_points`]).
 #[derive(Debug, Clone, Copy)]
-pub struct FailoverPoint {
+pub(crate) struct FailoverPoint {
     /// Row label: `"clean"`, `"reshard"`, or `"degrade"`.
     pub mode: &'static str,
     /// Fleet makespan (slowest shard plus any CPU last resort) in model
@@ -1677,12 +1639,10 @@ pub struct FailoverPoint {
 /// One measured point of the hybrid co-execution sweep
 /// ([`Experiments::hybrid_points`]).
 #[derive(Debug, Clone, Copy)]
-pub struct HybridPoint {
+pub(crate) struct HybridPoint {
     /// Row label: `"gpu-only"`, `"f=<fraction>"`, `"cpu-only"`, or
     /// `"auto"`.
     pub mode: &'static str,
-    /// Forced CPU fraction, `None` for the measured auto cut.
-    pub cpu_fraction: Option<f64>,
     /// Plan units in the workload-sorted list.
     pub units: usize,
     /// Chosen cut: units `[0, cut)` count for the GPU, `[cut, units)` for
@@ -1705,7 +1665,7 @@ pub struct HybridPoint {
 
 /// One measured serve-daemon mode ([`Experiments::serve_points`]).
 #[derive(Debug, Clone, Copy)]
-pub struct ServePoint {
+pub(crate) struct ServePoint {
     /// Row label: `"coalesced"` or `"serial"`.
     pub mode: &'static str,
     /// Requests admitted or answered, including mutations and control ops.
@@ -1767,6 +1727,44 @@ mod tests {
         assert!(out.contains("Expo2D2M"));
         assert!(out.contains("Unif6D2M"));
         assert!(out.contains("LID-UNICOMP"));
+    }
+
+    #[test]
+    fn fig9_artifact_is_the_same_for_any_sweep_worker_count() {
+        use sj_telemetry::json::{self, JsonValue};
+        // Host-time observations vary run to run; everything else must not.
+        fn masked(v: JsonValue) -> JsonValue {
+            match v {
+                JsonValue::Object(fields) => JsonValue::Object(
+                    fields
+                        .into_iter()
+                        .map(|(k, v)| match k.starts_with("host_") || k == "sim_wall_s" {
+                            true => (k, JsonValue::Num(0.0)),
+                            false => (k, masked(v)),
+                        })
+                        .collect(),
+                ),
+                JsonValue::Array(items) => {
+                    JsonValue::Array(items.into_iter().map(masked).collect())
+                }
+                v => v,
+            }
+        }
+        let doc = |jobs: usize| {
+            let dir = std::env::temp_dir()
+                .join(format!("sj-bench-fig9-jobs{jobs}-{}", std::process::id()));
+            let mut exp = tiny();
+            exp.jobs = jobs;
+            exp.artifact_dir = Some(dir.clone());
+            exp.fig9();
+            let text = std::fs::read_to_string(dir.join("fig9_telemetry.json")).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            masked(json::parse(&text).unwrap())
+        };
+        let serial = doc(1);
+        let events = serial.get("events").and_then(JsonValue::as_array).unwrap();
+        assert!(events.len() > 1, "fig9 records its cells' events");
+        assert_eq!(doc(3), serial);
     }
 
     #[test]

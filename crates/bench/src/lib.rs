@@ -7,13 +7,13 @@
 //!   common model-time scale;
 //! - the [`experiments`] module regenerates **every table and figure** of
 //!   the paper's §IV (Tables I and III–VI, Figures 9–13) as printed series,
-//!   via the `experiments` binary;
-//! - the Criterion benches (`benches/fig*.rs`) track the wall-clock cost of
-//!   representative harness configurations for regression purposes.
+//!   via the `experiments` binary.
 //!
 //! Model times are *not* expected to match the paper's absolute seconds
 //! (the substrate is a simulator, see `DESIGN.md` §2); the comparisons that
-//! must hold are the relative ones, recorded in `EXPERIMENTS.md`.
+//! must hold are the relative ones, recorded in `EXPERIMENTS.md`. Host
+//! wall-clock is not measured here: `perfbench` (its own workspace, see
+//! `perfbench/README.md`) is the one wall-clock ledger.
 
 pub mod cpu_model;
 pub mod experiments;

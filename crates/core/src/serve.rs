@@ -124,6 +124,7 @@ impl ServeError {
             Self::Churn(ChurnError::NonFinitePoint) => "bad_point",
             Self::Churn(ChurnError::UnknownPoint(_)) => "unknown_point",
             Self::Churn(ChurnError::WouldEmptyDataset) => "would_empty",
+            Self::Churn(ChurnError::OutOfRange(_)) => "out_of_range",
             Self::BadRequest(_) => "bad_request",
             Self::Join(_) => "join_failed",
         }

@@ -42,6 +42,10 @@ pub enum ChurnError {
     UnknownPoint(u32),
     /// Removing the last remaining point would leave nothing to index.
     WouldEmptyDataset,
+    /// The inserted point lies so far outside the current bounding box
+    /// that the grown grid cannot be indexed (its cell count overflows the
+    /// linear-id space); the grid is left unchanged.
+    OutOfRange(GridBuildError),
 }
 
 impl std::fmt::Display for ChurnError {
@@ -53,6 +57,9 @@ impl std::fmt::Display for ChurnError {
             ChurnError::UnknownPoint(id) => write!(f, "point id {id} is not in the dataset"),
             ChurnError::WouldEmptyDataset => {
                 write!(f, "removing the last point would empty the dataset")
+            }
+            ChurnError::OutOfRange(e) => {
+                write!(f, "inserted point is too far out to index: {e}")
             }
         }
     }
@@ -198,8 +205,15 @@ impl<const N: usize> DynamicGrid<N> {
     /// Discards the incremental state and rebuilds index, bounds and
     /// workload from the current point set.
     pub fn force_rebuild(&mut self) {
-        self.index = GridIndex::build(&self.points, self.epsilon)
-            .expect("maintained point set is non-empty and finite");
+        let index = GridIndex::build(&self.points, self.epsilon)
+            .expect("maintained point set is indexable: insert refuses any point that is not");
+        self.install(index);
+    }
+
+    /// Replaces the index with `index`, built over the current point set,
+    /// and re-derives bounds and workload from it.
+    fn install(&mut self, index: GridIndex<N>) {
+        self.index = index;
         self.bounds = Aabb::of_points(&self.points).expect("bounds exist for a maintained dataset");
         self.workload = (0..self.index.num_cells())
             .map(|ci| self.index.window_candidate_count(ci))
@@ -212,7 +226,10 @@ impl<const N: usize> DynamicGrid<N> {
     ///
     /// Points inside the current bounding box are patched into the index in
     /// place; a point that would grow the box changes the grid geometry and
-    /// takes the full-rebuild path.
+    /// takes the full-rebuild path. The grown index is built before it
+    /// replaces the current one, so a point too far out to index is
+    /// refused with [`ChurnError::OutOfRange`] and leaves the grid as it
+    /// was.
     pub fn insert(&mut self, p: Point<N>) -> Result<u32, ChurnError> {
         if p.iter().any(|c| !c.is_finite()) {
             return Err(ChurnError::NonFinitePoint);
@@ -220,8 +237,16 @@ impl<const N: usize> DynamicGrid<N> {
         let pid = self.points.len() as u32;
         self.points.push(p);
         if !self.bounds.contains(&p) {
-            self.force_rebuild();
-            return Ok(pid);
+            return match GridIndex::build(&self.points, self.epsilon) {
+                Ok(index) => {
+                    self.install(index);
+                    Ok(pid)
+                }
+                Err(e) => {
+                    self.points.pop();
+                    Err(ChurnError::OutOfRange(e))
+                }
+            };
         }
 
         let shape = *self.index.shape();
@@ -454,6 +479,28 @@ mod tests {
         let mut dg = DynamicGrid::new(seed_points(), 0.1).unwrap();
         dg.insert([2.0, 2.0]).unwrap();
         assert_eq!(dg.stats().full_rebuilds, 1);
+        assert_matches_fresh(&mut dg);
+    }
+
+    #[test]
+    fn insert_too_far_out_to_index_is_refused_and_changes_nothing() {
+        let mut dg = DynamicGrid::new(seed_points(), 0.05).unwrap();
+        dg.insert([0.5, 0.5]).unwrap();
+        let before = dg.clone();
+        assert_eq!(
+            dg.insert([1e30, 1e30]),
+            Err(ChurnError::OutOfRange(GridBuildError::Shape(
+                crate::cell::ShapeError::TooManyCells
+            )))
+        );
+        assert_eq!(dg.points(), before.points());
+        assert_eq!(dg.index(), before.index());
+        assert_eq!(dg.stats(), before.stats());
+        assert_eq!(dg.pending_dirty(), before.pending_dirty());
+        assert_matches_fresh(&mut dg);
+        assert_exact_pairs(&dg);
+        // The grid keeps serving mutations afterwards.
+        assert_eq!(dg.insert([2.0, 2.0]), Ok(8));
         assert_matches_fresh(&mut dg);
     }
 

@@ -5,7 +5,8 @@
 //! commas, no unquoted keys. This module is the consuming side of that
 //! promise: a dependency-free recursive-descent parser that either yields a
 //! [`JsonValue`] tree or a positioned error. It accepts exactly the grammar
-//! the integration suite's validator accepts.
+//! the integration suite's validator accepts, nested at most [`MAX_DEPTH`]
+//! levels deep.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,15 +78,21 @@ impl JsonValue {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so a bound keeps a hostile line from
+/// overflowing the stack; the serve protocol nests 2 levels deep and the
+/// telemetry artifacts 4.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one strict-JSON document (a full line/file; trailing non-space
-/// content is an error).
+/// content is an error, and so is nesting deeper than [`MAX_DEPTH`]).
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.fail("trailing content"));
@@ -129,10 +136,14 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    /// Parses one value nested inside `depth` arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+                Err(self.fail(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal(b"true", JsonValue::Bool(true)),
             Some(b'f') => self.literal(b"false", JsonValue::Bool(false)),
@@ -151,7 +162,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, String> {
         self.expect(b'{')?;
         self.skip_ws();
         let mut fields: Vec<(String, JsonValue)> = Vec::new();
@@ -168,7 +179,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             fields.push((key, val));
             self.skip_ws();
             match self.bump() {
@@ -179,7 +190,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, String> {
         self.expect(b'[')?;
         self.skip_ws();
         let mut items = Vec::new();
@@ -189,7 +200,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -356,6 +367,30 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "parser accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_positioned_error() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&arrays(MAX_DEPTH)).unwrap().as_array().is_some());
+        let objects = format!(
+            "{}{{}}{}",
+            "{\"a\": ".repeat(MAX_DEPTH - 1),
+            "}".repeat(MAX_DEPTH - 1)
+        );
+        parse(&objects).unwrap();
+        assert_eq!(
+            parse(&arrays(MAX_DEPTH + 1)),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"
+            ))
+        );
+        // Far past the bound, the parser stops at the bound instead of
+        // recursing until the stack overflows.
+        let err = parse(&arrays(100_000)).unwrap_err();
+        assert!(err.ends_with(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let err = parse(&"{\"a\": ".repeat(100_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper"), "{err}");
     }
 
     #[test]

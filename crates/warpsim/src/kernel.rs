@@ -17,6 +17,7 @@ use crate::lane::{LaneProgram, LaneSink};
 use crate::machine::{MachineModel, MakespanReport};
 use crate::memory::{BufferOverflow, DeviceBuffer};
 use crate::metrics::WarpStatsSummary;
+use crate::pool::{self, par_map};
 use crate::scheduler::IssueOrder;
 use crate::warp::{execute_warp_with, StepMode, WarpExecution};
 
@@ -196,14 +197,6 @@ impl<'t> LaunchOptions<'t> {
     }
 }
 
-/// A Phase-2 work slot: one constructed warp, claimed exactly once by a
-/// stealing worker.
-type WarpWork<L> = std::sync::Mutex<Option<(u32, Vec<L>)>>;
-
-/// A Phase-2 result slot, indexed like its work slot so Phase 3 aggregates
-/// in an order independent of worker scheduling.
-type WarpOut = std::sync::Mutex<Option<(u32, WarpExecution, LaneSink)>>;
-
 /// Launches a kernel: constructs warps in issue order, micro-executes them,
 /// appends their result pairs to `out` (in warp-id order, so output is
 /// deterministic across issue policies), and schedules their durations onto
@@ -271,61 +264,23 @@ pub fn launch_with<S: WarpSource>(
     }
     let construct_ns = sw_construct.elapsed_ns();
 
-    // Phase 2: micro-execute warp bodies, in parallel on the host. Workers
-    // steal fixed-size chunks of the warp list from an atomic cursor, so a
-    // long warp only delays its own chunk while idle workers drain the
-    // rest; each warp advances on exactly one thread (the run-length fast
-    // path stays lock-free per warp) and its result lands in a per-index
-    // slot, which keeps Phase 3 aggregation order independent of workers.
+    // Phase 2: micro-execute warp bodies, in parallel on the host pool
+    // ([`par_map`]). Each warp advances on exactly one thread (the
+    // run-length fast path stays lock-free per warp) and its result comes
+    // back at its issue position, so Phase 3 aggregates in an order
+    // independent of workers.
     let sw_exec = Stopwatch::start();
     let warp_size = gpu.warp_size;
     let workers = opts
         .workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(1)
+        .map_or_else(|| pool::resolve(0), |w| w.max(1))
         .min(num_warps.max(1));
     let step_mode = opts.step_mode;
-    let mut slots: Vec<Option<(u32, WarpExecution, LaneSink)>>;
-    if workers > 1 {
-        let work: Vec<WarpWork<S::Lane>> = warps
-            .into_iter()
-            .map(|w| std::sync::Mutex::new(Some(w)))
-            .collect();
-        let out: Vec<WarpOut> = (0..num_warps)
-            .map(|_| std::sync::Mutex::new(None))
-            .collect();
-        let chunk = num_warps.div_ceil(workers * 4).max(1);
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let start = cursor.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                    if start >= work.len() {
-                        break;
-                    }
-                    for idx in start..(start + chunk).min(work.len()) {
-                        let (warp_id, mut lanes) =
-                            work[idx].lock().unwrap().take().expect("warp claimed once");
-                        let mut sink = LaneSink::new();
-                        let exec = execute_warp_with(&mut lanes, warp_size, &mut sink, step_mode);
-                        *out[idx].lock().unwrap() = Some((warp_id, exec, sink));
-                    }
-                });
-            }
-        });
-        slots = out.into_iter().map(|m| m.into_inner().unwrap()).collect();
-    } else {
-        slots = Vec::with_capacity(num_warps);
-        for (warp_id, mut lanes) in warps {
-            let mut sink = LaneSink::new();
-            let exec = execute_warp_with(&mut lanes, warp_size, &mut sink, step_mode);
-            slots.push(Some((warp_id, exec, sink)));
-        }
-    }
+    let slots = par_map(workers, warps, |(warp_id, mut lanes)| {
+        let mut sink = LaneSink::new();
+        let exec = execute_warp_with(&mut lanes, warp_size, &mut sink, step_mode);
+        (warp_id, exec, sink)
+    });
     let exec_ns = sw_exec.elapsed_ns();
 
     // Phase 3: aggregate. Durations stay in issue order for the machine
@@ -342,8 +297,7 @@ pub fn launch_with<S: WarpSource>(
     let mut occupancy_hist = vec![0u64; warp_size as usize + 1];
     let mut by_warp_id: Vec<Option<LaneSink>> = Vec::with_capacity(num_warps);
     by_warp_id.resize_with(num_warps, || None);
-    for slot in slots {
-        let (warp_id, exec, sink) = slot.expect("every warp slot is filled");
+    for (warp_id, exec, sink) in slots {
         totals.accumulate(&exec);
         totals.lanes += exec.lanes;
         durations_issue_order.push(exec.cycles);

@@ -49,6 +49,7 @@ pub mod memory;
 pub mod metrics;
 pub mod occupancy;
 pub mod op;
+pub mod pool;
 pub mod primitives;
 pub mod scheduler;
 pub mod stream;

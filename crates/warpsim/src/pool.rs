@@ -1,12 +1,14 @@
 //! Deterministic scoped host worker pool.
 //!
 //! Every host-parallel layer in the workspace — bench sweep cells, the
-//! hybrid CPU backend, fleet shards, within-device batches — runs on this
-//! one primitive: [`par_map`] applies a function to indexed items on up to
-//! `jobs` OS threads and returns the results **in input order**, no matter
-//! how the items were scheduled. Workers steal fixed-size chunks of the
-//! index space from a shared atomic cursor, so a straggler item only delays
-//! its own chunk while idle workers drain the rest.
+//! hybrid CPU backend, fleet shards, within-device batches, and the warps
+//! of one launch ([`crate::kernel::launch_with`]) — runs on this one
+//! primitive, which `simjoin` re-exports as `simjoin::pool`. [`par_map`]
+//! applies a function to indexed items on up to `jobs` OS threads and
+//! returns the results **in input order**, no matter how the items were
+//! scheduled. Workers steal fixed-size chunks of the index space from a
+//! shared atomic cursor, so a straggler item only delays its own chunk
+//! while idle workers drain the rest.
 //!
 //! The pool is purely host-side machinery: it changes wall-clock time, never
 //! simulated results. Callers that need bit-identical artifacts across

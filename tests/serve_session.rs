@@ -274,3 +274,77 @@ fn foreign_epsilon_queries_stay_exact_after_churn() {
         .expect("the flush answers the queued query");
     assert_eq!(neighbors, oracle_neighbors(&mirror, 5, foreign));
 }
+
+/// Hostile lines get one typed error line each and leave the session
+/// serving: a request nested 100,000 arrays deep is a `bad_request` (the
+/// parser stops at its depth bound instead of overflowing the stack), and
+/// an insert far outside the grid is an `out_of_range` that leaves the
+/// maintained index unchanged. A query queued before the first hostile
+/// line, and queries sent after each one, are answered exactly.
+#[test]
+fn hostile_lines_are_typed_errors_and_the_session_stays_exact() {
+    let spec = DatasetSpec::by_name("Expo2D2M").unwrap();
+    let pts = spec.generate(500).as_fixed::<2>().unwrap();
+    // Wide enough that every probed point has neighbors to get right.
+    let eps = 0.5f32;
+    let mirror = pts.clone();
+    let mut session =
+        ServeSession::new(pts, SelfJoinConfig::new(eps), ServeConfig::default()).unwrap();
+    let query = |pid: u32| format!("{{\"op\": \"query\", \"point_id\": {pid}, \"eps\": {eps}}}");
+    let error_kind = |lines: &[String]| {
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        let doc = json::parse(&lines[0]).unwrap();
+        assert_eq!(doc.get("ok").and_then(JsonValue::as_bool), Some(false));
+        doc.get("kind")
+            .and_then(JsonValue::as_str)
+            .unwrap()
+            .to_string()
+    };
+    let answers = |lines: Vec<String>| -> Vec<(u32, Vec<u32>)> {
+        lines
+            .iter()
+            .map(|line| json::parse(line).unwrap())
+            .filter(|doc| doc.get("op").and_then(JsonValue::as_str) == Some("query"))
+            .map(|doc| {
+                let pid = doc.get("point_id").and_then(JsonValue::as_u64).unwrap() as u32;
+                let neighbors = doc
+                    .get("neighbors")
+                    .and_then(JsonValue::as_array)
+                    .unwrap()
+                    .iter()
+                    .map(|v| v.as_u64().unwrap() as u32)
+                    .collect();
+                (pid, neighbors)
+            })
+            .collect()
+    };
+
+    assert!(session.handle_line(&query(7)).is_empty());
+    let deep = format!(
+        "{{\"op\": \"query\", \"point_id\": {}1{}, \"eps\": {eps}}}",
+        "[".repeat(100_000),
+        "]".repeat(100_000)
+    );
+    assert_eq!(error_kind(&session.handle_line(&deep)), "bad_request");
+    assert!(session.handle_line(&query(19)).is_empty());
+    let flushed = answers(session.handle_line("{\"op\": \"flush\"}"));
+    assert_eq!(
+        flushed,
+        [7, 19]
+            .map(|pid| (pid, oracle_neighbors(&mirror, pid, eps)))
+            .to_vec()
+    );
+    assert!(flushed.iter().all(|(_, neighbors)| !neighbors.is_empty()));
+
+    let far = session.handle_line("{\"op\": \"insert\", \"point\": [1e30, 1e30]}");
+    assert_eq!(error_kind(&far), "out_of_range");
+    assert!(session.handle_line(&query(42)).is_empty());
+    let flushed = answers(session.handle_line("{\"op\": \"flush\"}"));
+    assert_eq!(flushed, vec![(42, oracle_neighbors(&mirror, 42, eps))]);
+    assert!(!flushed[0].1.is_empty());
+
+    let report = session.report();
+    assert_eq!(report.errors, 2);
+    assert_eq!(report.inserts, 0);
+    assert_eq!(report.queries, 3);
+}

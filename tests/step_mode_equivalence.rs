@@ -326,8 +326,8 @@ fn sort_backends_agree_across_pattern_balancing_and_mode() {
 }
 
 /// With telemetry attached, a `SortBackend::Device` run emits `sort`/`scan`
-/// phase events carrying nonzero model seconds — the costed-pre-pass
-/// acceptance criterion — while the recorded response time stays
+/// phase events carrying nonzero model seconds — what a costed pre-pass
+/// must show — while the recorded response time stays
 /// bit-identical to the host backend's.
 #[test]
 fn device_backend_reports_sort_and_scan_phases_in_telemetry() {
