@@ -1581,6 +1581,7 @@ mod tests {
         assert!(doc.contains("\"scope\": \"serve\""));
         assert!(doc.contains("\"name\": \"reindex\""));
         assert!(doc.contains("\"name\": \"coalesce\""));
+        sj_telemetry::json::parse(&doc).expect("the serve telemetry document is strict JSON");
         // The serial baseline accepts the same script.
         dispatch(&argv(&[
             "serve",

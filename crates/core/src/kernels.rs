@@ -16,9 +16,16 @@
 //! Which cells are probed comes from the configured
 //! [`crate::patterns`] access pattern, resolved once per join into a
 //! [`ResolvedPatterns`] table shared by all batches.
+//!
+//! [`RangeQueryLane`] runs this stream two ways: `step`, one op per call,
+//! for the stepped oracle; and a native `trace` that scans each candidate
+//! slice in one loop and records the distance ops in runs that end at an
+//! in-ε candidate. Both emit every pair at the round of its distance op.
 
 use epsgrid::{euclidean_dist_sq, GridIndex, Point};
-use warpsim::{CostModel, DeviceCounter, LaneProgram, LaneSink, Op, RunClaim, WarpSource};
+use warpsim::{
+    CostModel, DeviceCounter, LaneProgram, LaneSink, LaneTrace, Op, OpHandle, WarpSource,
+};
 
 use crate::config::AccessPattern;
 use crate::patterns::{probes_for, ProbeRelation};
@@ -80,19 +87,6 @@ enum LanePhase {
     Done,
 }
 
-/// Memoized lookahead over the current `Scan` slice, built lazily by
-/// [`RangeQueryLane::peek_run`] and consumed step by step (or in one
-/// `commit_run`) so candidate distances are never computed twice.
-#[derive(Debug, Clone, Copy)]
-struct RunMemo {
-    /// Distance steps remaining in the claimed run.
-    len: u32,
-    /// Whether the run's final step finds an in-ε candidate: the emission
-    /// (and the switch to the `Emit` phase) is deferred to that step,
-    /// matching the unmemoized `Scan` arm exactly.
-    emit_at_end: bool,
-}
-
 /// The per-lane state machine of the range-query kernel.
 #[derive(Debug, Clone)]
 pub struct RangeQueryLane<'a, const N: usize> {
@@ -111,11 +105,9 @@ pub struct RangeQueryLane<'a, const N: usize> {
     prologue: [Option<Op>; 2],
     phase: LanePhase,
     probe_i: u32,
-    cur_cell: u32,
+    /// The current probe's candidates not yet refined.
+    cands: &'a [u32],
     cur_rel: ProbeRelation,
-    pos: u32,
-    hi: u32,
-    memo: Option<RunMemo>,
 }
 
 impl<'a, const N: usize> RangeQueryLane<'a, N> {
@@ -149,11 +141,8 @@ impl<'a, const N: usize> RangeQueryLane<'a, N> {
             prologue,
             phase: LanePhase::Prologue(0),
             probe_i: 0,
-            cur_cell: 0,
+            cands: &[],
             cur_rel: ProbeRelation::AllBidirectional,
-            pos: 0,
-            hi: 0,
-            memo: None,
         }
     }
 
@@ -161,36 +150,62 @@ impl<'a, const N: usize> RangeQueryLane<'a, N> {
     /// found cell (Figure 4's per-thread split).
     fn rank_slice(&self, base_lo: u32, base_hi: u32) -> (u32, u32) {
         let n = (base_hi - base_lo) as u64;
-        let lo = base_lo + (n * self.rank as u64 / self.k as u64) as u32;
-        let hi = base_lo + (n * (self.rank as u64 + 1) / self.k as u64) as u32;
-        (lo, hi)
+        // `k` divides the warp size, so it is nearly always a power of two:
+        // shift rather than divide on this per-probe path.
+        let split = |r: u64| {
+            let x = n * r;
+            let part = if self.k.is_power_of_two() {
+                x >> self.k.trailing_zeros()
+            } else {
+                x / self.k as u64
+            };
+            base_lo + part as u32
+        };
+        (split(self.rank as u64), split(self.rank as u64 + 1))
     }
 
-    /// Advances `n` memoized `Scan` steps. The deferred emission — if the
-    /// memo ends on an in-ε candidate — fires on the run's final step, so
-    /// this is bit-identical to `n` unmemoized `step` calls.
-    fn memo_advance(&mut self, n: u32, sink: &mut LaneSink) {
-        let memo = self.memo.as_mut().expect("advance without a claimed run");
-        debug_assert!(n <= memo.len, "commit past the claimed run");
-        if n == 0 {
-            return;
-        }
-        self.pos += n;
-        memo.len -= n;
-        if memo.len == 0 {
-            let emit = memo.emit_at_end;
-            self.memo = None;
-            if emit {
-                let cand = self.grid.cell_points(self.cur_cell as usize)[self.pos as usize - 1];
-                match self.cur_rel {
-                    ProbeRelation::AllBidirectional => sink.emit(self.query, cand),
-                    ProbeRelation::AllSymmetric | ProbeRelation::OwnCellForward => {
-                        sink.emit_symmetric(self.query, cand)
-                    }
+    /// Traces the refinement of `cands`: one distance op per candidate,
+    /// recorded in runs that end at an in-ε candidate, whose distance op
+    /// emits and is followed by an emit op.
+    fn scan(
+        &self,
+        t: &mut LaneTrace,
+        cands: &[u32],
+        rel: ProbeRelation,
+        dist: OpHandle,
+        emit: OpHandle,
+    ) {
+        let query = &self.points[self.query as usize];
+        let mut run_start = 0;
+        for (i, &cand) in cands.iter().enumerate() {
+            let d2 = euclidean_dist_sq(query, &self.points[cand as usize]);
+            if d2 <= self.eps_sq && cand != self.query {
+                let round = t.run(dist, (i + 1 - run_start) as u32);
+                t.emit(round, self.query, cand);
+                if rel != ProbeRelation::AllBidirectional {
+                    t.emit(round, cand, self.query);
                 }
-                self.phase = LanePhase::Emit;
+                t.run(emit, 1);
+                run_start = i + 1;
             }
         }
+        t.run(dist, (cands.len() - run_start) as u32);
+    }
+
+    /// The candidates of `probe` this lane refines: its rank's slice of
+    /// the probed cell, empty when the probe misses.
+    fn probe_slice(&self, probe: &ResolvedProbe) -> &'a [u32] {
+        let Some(cell) = probe.found else {
+            return &[];
+        };
+        let cands = self.grid.cell_points(cell as usize);
+        let len = cands.len() as u32;
+        let base_lo = match probe.relation {
+            ProbeRelation::OwnCellForward => self.resolved.pos_in_cell[self.query as usize] + 1,
+            _ => 0,
+        };
+        let (lo, hi) = self.rank_slice(base_lo.min(len), len);
+        &cands[lo as usize..hi as usize]
     }
 }
 
@@ -219,47 +234,27 @@ impl<const N: usize> LaneProgram for RangeQueryLane<'_, N> {
                         return None;
                     };
                     self.probe_i += 1;
-                    if let Some(cell) = probe.found {
-                        let len = self.grid.cell_points(cell as usize).len() as u32;
-                        let base_lo = match probe.relation {
-                            ProbeRelation::OwnCellForward => {
-                                self.resolved.pos_in_cell[self.query as usize] + 1
-                            }
-                            _ => 0,
-                        };
-                        let (lo, hi) = self.rank_slice(base_lo.min(len), len);
-                        self.cur_cell = cell;
-                        self.cur_rel = probe.relation;
-                        self.pos = lo;
-                        self.hi = hi;
-                        self.phase = LanePhase::Scan;
-                    }
+                    self.cands = self.probe_slice(probe);
+                    self.cur_rel = probe.relation;
+                    self.phase = LanePhase::Scan;
                     // A missing cell still costs its binary search.
                     return Some(self.lookup_op);
                 }
                 LanePhase::Scan => {
-                    if self.pos >= self.hi {
+                    let Some((&cand, rest)) = self.cands.split_first() else {
                         self.phase = LanePhase::NextProbe;
                         continue;
-                    }
-                    if self.memo.is_some() {
-                        // A peeked-but-divergent round: consume one step of
-                        // the memo instead of recomputing the distance.
-                        self.memo_advance(1, sink);
-                        return Some(self.dist_op);
-                    }
-                    let cand = self.grid.cell_points(self.cur_cell as usize)[self.pos as usize];
-                    self.pos += 1;
+                    };
+                    self.cands = rest;
                     let d2 = euclidean_dist_sq(
                         &self.points[self.query as usize],
                         &self.points[cand as usize],
                     );
                     if d2 <= self.eps_sq && cand != self.query {
-                        match self.cur_rel {
-                            ProbeRelation::AllBidirectional => sink.emit(self.query, cand),
-                            ProbeRelation::AllSymmetric | ProbeRelation::OwnCellForward => {
-                                sink.emit_symmetric(self.query, cand)
-                            }
+                        if self.cur_rel == ProbeRelation::AllBidirectional {
+                            sink.emit(self.query, cand);
+                        } else {
+                            sink.emit_symmetric(self.query, cand);
                         }
                         self.phase = LanePhase::Emit;
                     }
@@ -274,53 +269,24 @@ impl<const N: usize> LaneProgram for RangeQueryLane<'_, N> {
         }
     }
 
-    fn peek_run(&mut self) -> Option<RunClaim> {
-        if self.phase != LanePhase::Scan || self.pos >= self.hi {
-            // Prologue/setup/lookup/emit steps are all single ops followed
-            // by a phase change; only the candidate scan has runs to claim.
-            return None;
+    /// The native trace: the prologue and setup ops, then a lookup op and
+    /// a scan of its candidate slice per probe.
+    fn trace(&mut self, t: &mut LaneTrace) {
+        debug_assert_eq!(self.phase, LanePhase::Prologue(0), "traced after stepping");
+        for &op in self.prologue.iter().flatten().chain([&self.setup_op]) {
+            let op = t.handle(op);
+            t.run(op, 1);
         }
-        let memo = match self.memo {
-            Some(m) => m,
-            None => {
-                // One pass over the remaining slice: either the first in-ε
-                // candidate ends the run (its distance step also emits), or
-                // the run covers the whole slice. The distances computed
-                // here are exactly the ones the claimed steps would have
-                // computed, so nothing is evaluated twice.
-                let cands = self.grid.cell_points(self.cur_cell as usize);
-                let q = &self.points[self.query as usize];
-                let mut memo = RunMemo {
-                    len: self.hi - self.pos,
-                    emit_at_end: false,
-                };
-                let slice = &cands[self.pos as usize..self.hi as usize];
-                for (off, &cand) in slice.iter().enumerate() {
-                    let d2 = euclidean_dist_sq(q, &self.points[cand as usize]);
-                    if d2 <= self.eps_sq && cand != self.query {
-                        memo = RunMemo {
-                            len: off as u32 + 1,
-                            emit_at_end: true,
-                        };
-                        break;
-                    }
-                }
-                self.memo = Some(memo);
-                memo
-            }
-        };
-        Some(RunClaim {
-            op: self.dist_op,
-            len: memo.len,
-        })
-    }
-
-    fn commit_run(&mut self, n: u32, sink: &mut LaneSink) {
-        debug_assert!(
-            self.phase == LanePhase::Scan,
-            "commit outside a claimed Scan run"
+        let (lookup, dist, emit) = (
+            t.handle(self.lookup_op),
+            t.handle(self.dist_op),
+            t.handle(self.emit_op),
         );
-        self.memo_advance(n, sink);
+        for probe in &self.resolved.per_cell[self.home_cell as usize] {
+            t.run(lookup, 1);
+            self.scan(t, self.probe_slice(probe), probe.relation, dist, emit);
+        }
+        self.phase = LanePhase::Done;
     }
 }
 
@@ -736,6 +702,84 @@ mod tests {
                 assert_eq!(rep_s.totals, rep_f.totals, "pattern {pattern:?}, k={k}");
                 assert_eq!(rep_s.warp_cycles, rep_f.warp_cycles);
                 assert_eq!(rep_s.makespan.makespan, rep_f.makespan.makespan);
+            }
+        }
+    }
+
+    #[test]
+    fn native_trace_matches_stepping_a_clone() {
+        let pts = clustered_points();
+        let eps = 0.12;
+        let grid = GridIndex::build(&pts, eps).unwrap();
+        let queries: Vec<u32> = (0..pts.len() as u32).collect();
+        let gpu = GpuConfig {
+            warp_size: 8,
+            ..GpuConfig::small_test()
+        };
+        for pattern in [
+            AccessPattern::FullWindow,
+            AccessPattern::Unicomp,
+            AccessPattern::LidUnicomp,
+        ] {
+            let resolved = ResolvedPatterns::compute(&grid, pattern);
+            for k in [1u32, 2, 8] {
+                for queue in [false, true] {
+                    let counter = DeviceCounter::new();
+                    let assignment = if queue {
+                        Assignment::Queue {
+                            order: &queries,
+                            counter: &counter,
+                            limit: queries.len() as u64,
+                        }
+                    } else {
+                        Assignment::Static { queries: &queries }
+                    };
+                    let src = JoinKernelSource {
+                        grid: &grid,
+                        points: &pts,
+                        resolved: &resolved,
+                        epsilon: eps,
+                        k,
+                        warp_size: gpu.warp_size,
+                        cost: gpu.cost,
+                        assignment,
+                        num_groups: pts.len(),
+                    };
+                    let case = format!("pattern {pattern:?}, k={k}, queue={queue}");
+                    for w in 0..src.num_warps() as u32 {
+                        for mut lane in src.make_warp(w) {
+                            // The oracle: step a clone, noting each op and
+                            // the round of every pair it emits.
+                            let mut stepped = lane.clone();
+                            let (mut ops, mut emitted) = (Vec::new(), Vec::new());
+                            let mut sink = LaneSink::new();
+                            loop {
+                                let before = sink.len();
+                                let op = stepped.step(&mut sink);
+                                let round = ops.len() as u32;
+                                emitted.extend(sink.pairs()[before..].iter().map(|&p| (round, p)));
+                                let Some(op) = op else { break };
+                                ops.push(op);
+                            }
+                            let mut t = LaneTrace::default();
+                            lane.trace(&mut t);
+                            let traced: Vec<Op> = (0..t.round())
+                                .map(|r| {
+                                    let mut at = t.ops_in(r);
+                                    let op = at.next().expect("one op per round");
+                                    assert!(at.next().is_none(), "{case}: one lane, one op");
+                                    op
+                                })
+                                .collect();
+                            assert_eq!(traced, ops, "{case}");
+                            assert_eq!(t.pairs(), emitted.as_slice(), "{case}");
+                            assert!(
+                                lane.step(&mut sink).is_none(),
+                                "{case}: traced lane retires"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

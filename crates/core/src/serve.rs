@@ -91,6 +91,9 @@ pub enum ServeError {
     Churn(ChurnError),
     /// The request line/document was not a valid protocol message.
     BadRequest(String),
+    /// The grid cannot index the dataset at the request's ε: a valid ε so
+    /// small that the cell count overflows the linear cell id space.
+    Unindexable(GridBuildError),
     /// The coalesced launch itself failed.
     Join(String),
 }
@@ -107,6 +110,7 @@ impl std::fmt::Display for ServeError {
             }
             Self::Churn(e) => write!(f, "{e}"),
             Self::BadRequest(msg) => write!(f, "bad request: {msg}"),
+            Self::Unindexable(e) => write!(f, "cannot index the dataset at this ε: {e}"),
             Self::Join(msg) => write!(f, "join failed: {msg}"),
         }
     }
@@ -124,7 +128,7 @@ impl ServeError {
             Self::Churn(ChurnError::NonFinitePoint) => "bad_point",
             Self::Churn(ChurnError::UnknownPoint(_)) => "unknown_point",
             Self::Churn(ChurnError::WouldEmptyDataset) => "would_empty",
-            Self::Churn(ChurnError::OutOfRange(_)) => "out_of_range",
+            Self::Churn(ChurnError::OutOfRange(_)) | Self::Unindexable(_) => "out_of_range",
             Self::BadRequest(_) => "bad_request",
             Self::Join(_) => "join_failed",
         }
@@ -547,10 +551,13 @@ impl<'a, const N: usize> ServeSession<'a, N> {
             match self.launch(epsilon) {
                 Ok(s) => s,
                 Err(e) => {
-                    let msg = e.to_string();
+                    let err = match e {
+                        JoinError::Grid(e) => ServeError::Unindexable(e),
+                        e => ServeError::Join(e.to_string()),
+                    };
                     return members
                         .iter()
-                        .flat_map(|p| self.reject(p.id, ServeError::Join(msg.clone())).into_iter())
+                        .flat_map(|p| self.reject(p.id, err.clone()).into_iter())
                         .collect();
                 }
             }

@@ -150,7 +150,7 @@ pub struct LaunchOptions<'t> {
     /// behaviour unchanged.
     pub fault_plane: Option<&'t FaultPlane>,
     /// How warps are advanced through their lockstep rounds: the default
-    /// [`StepMode::RunLength`] fast path, or the [`StepMode::Stepped`]
+    /// [`StepMode::RunLength`] per-lane traces, or the [`StepMode::Stepped`]
     /// oracle. Bit-identical simulated results either way.
     pub step_mode: StepMode,
 }
@@ -265,8 +265,8 @@ pub fn launch_with<S: WarpSource>(
     let construct_ns = sw_construct.elapsed_ns();
 
     // Phase 2: micro-execute warp bodies, in parallel on the host pool
-    // ([`par_map`]). Each warp advances on exactly one thread (the
-    // run-length fast path stays lock-free per warp) and its result comes
+    // ([`par_map`]). Each warp advances on exactly one thread (traced warps
+    // use that thread's reusable trace scratch) and its result comes
     // back at its issue position, so Phase 3 aggregates in an order
     // independent of workers.
     let sw_exec = Stopwatch::start();

@@ -11,7 +11,7 @@
 //! - **Warp execution efficiency (WEE)**: the average fraction of active
 //!   lanes per issued warp instruction — the exact quantity `nvprof` reports
 //!   as `warp_execution_efficiency` and the paper's headline metric. Because
-//!   the simulator executes lockstep explicitly, WEE here is exact rather
+//!   the simulator accounts every lockstep round, WEE here is exact rather
 //!   than sampled.
 //! - **Machine occupancy**: the GPU executes a bounded number of warps
 //!   concurrently (`num_sms × warp_slots_per_sm`). Warps are issued to free
@@ -65,7 +65,7 @@ pub use fault::{
 };
 pub use fleet::{DeviceFleet, SimDevice};
 pub use kernel::{launch, launch_with, LaunchError, LaunchOptions, LaunchReport, WarpSource};
-pub use lane::{LaneProgram, LaneSink, RunClaim};
+pub use lane::{LaneProgram, LaneSink, LaneTrace, OpHandle};
 pub use machine::{MachineModel, MakespanReport};
 pub use memory::{BufferOverflow, DeviceBuffer};
 pub use metrics::WarpStatsSummary;
@@ -76,5 +76,5 @@ pub use primitives::{
 };
 pub use scheduler::IssueOrder;
 pub use stream::{BatchTiming, PipelineReport, StreamPipeline};
-pub use trace::{trace_warp, trace_warp_with, WarpTrace};
+pub use trace::{trace_warp, WarpTrace};
 pub use warp::{execute_warp, execute_warp_with, StepMode, WarpExecution};

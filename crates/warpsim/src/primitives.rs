@@ -28,16 +28,16 @@
 //!   of device shape (`num_sms`, `warp_size`) or step mode — the property
 //!   the differential suite in `tests/` pins.
 //!
-//! Converged passes hit the run-length fast path: the pure-compute segments
-//! of every lane (tile reductions, digit extractions, histogram stores)
-//! claim their full remaining run via [`RunClaim`], so a warp whose lanes
-//! carry equal tiles advances each segment in O(1).
+//! The pure-compute lanes (tile reductions, digit extractions, histogram
+//! stores) are lists of `(op, count)` segments, which is already their
+//! [`LaneProgram::trace`]: under the run-length step mode each segment is
+//! one range fill, whatever the tile length.
 
 use std::ops::Range;
 
 use crate::config::GpuConfig;
 use crate::kernel::{launch_with, LaunchError, LaunchOptions, WarpSource};
-use crate::lane::{LaneProgram, LaneSink, RunClaim};
+use crate::lane::{LaneProgram, LaneSink, LaneTrace};
 use crate::memory::DeviceBuffer;
 use crate::op::Op;
 use crate::scheduler::IssueOrder;
@@ -131,9 +131,7 @@ fn log2_ceil(n: usize) -> u32 {
 }
 
 /// A pure-compute lane: a sequence of segments, each `count` repeats of one
-/// op, with no sink effects. Every segment claims its full remaining run
-/// (the run-length contract is trivially upheld — there are no side effects
-/// to defer), so converged dispatches ride the fast path.
+/// op, with no sink effects. The segments are the lane's trace.
 #[derive(Debug, Clone)]
 struct SegmentedLane {
     segments: Vec<(Op, u32)>,
@@ -168,30 +166,22 @@ impl LaneProgram for SegmentedLane {
         Some(op)
     }
 
-    fn peek_run(&mut self) -> Option<RunClaim> {
-        let &(op, count) = self.segments.get(self.seg)?;
-        Some(RunClaim {
-            op,
-            len: count - self.done,
-        })
-    }
-
-    fn commit_run(&mut self, n: u32, _sink: &mut LaneSink) {
-        self.done += n;
-        debug_assert!(
-            self.seg < self.segments.len() && self.done <= self.segments[self.seg].1,
-            "commit past the claimed run"
-        );
-        self.skip_empty();
+    fn trace(&mut self, t: &mut LaneTrace) {
+        for &(op, count) in &self.segments {
+            let op = t.handle(op);
+            t.run(op, count);
+        }
+        self.seg = self.segments.len();
     }
 }
 
 /// The scatter lane of a radix pass: for each owned element, one
 /// rank-computation op (digit extraction + offset lookup) followed by one
 /// emitting store of `(destination, element)` through the sink — the real
-/// data path of the sort. Emitting steps are not run-claimed (the contract
-/// allows sink effects only at a claimed run's final step), so scatter
-/// dispatches execute stepped; they are a small fraction of a pass's ops.
+/// data path of the sort. It keeps the default, step-driven
+/// [`LaneProgram::trace`]: its ops alternate every round, so there are no
+/// runs to record in bulk, and scatter dispatches are a small fraction of
+/// a pass's ops.
 #[derive(Debug, Clone)]
 struct ScatterLane {
     writes: Vec<(u32, u32)>,
@@ -629,24 +619,19 @@ mod tests {
     fn segmented_lane_upholds_the_run_contract() {
         let op_a = Op::new(crate::op::OpKind::Other, 6);
         let op_b = Op::new(crate::op::OpKind::Emit, 8);
-        let mut stepped = SegmentedLane::new(vec![(op_a, 3), (op_b, 0), (op_a, 2)]);
-        let mut claimed = stepped.clone();
+        let mut stepped = SegmentedLane::new(vec![(op_b, 0), (op_a, 3), (op_b, 0), (op_a, 2)]);
+        let mut traced = stepped.clone();
         let mut sink = LaneSink::new();
-        // Claims never span segments and match the stepped op stream.
-        let mut step_ops = Vec::new();
+        let mut ops = Vec::new();
         while let Some(op) = stepped.step(&mut sink) {
-            step_ops.push(op);
+            ops.push(op);
         }
-        assert_eq!(step_ops.len(), 5);
-        let claim = claimed.peek_run().unwrap();
-        assert_eq!(claim, RunClaim { op: op_a, len: 3 });
-        claimed.commit_run(2, &mut sink);
-        assert_eq!(claimed.peek_run(), Some(RunClaim { op: op_a, len: 1 }));
-        claimed.commit_run(1, &mut sink);
-        assert_eq!(claimed.peek_run(), Some(RunClaim { op: op_a, len: 2 }));
-        claimed.commit_run(2, &mut sink);
-        assert_eq!(claimed.peek_run(), None);
-        assert!(claimed.step(&mut sink).is_none());
+        let mut t = LaneTrace::default();
+        traced.trace(&mut t);
+        let traced_ops: Vec<Op> = (0..t.round()).flat_map(|r| t.ops_in(r)).collect();
+        assert_eq!(traced_ops, ops);
+        assert_eq!(ops.len(), 5);
+        assert!(traced.step(&mut sink).is_none(), "a traced lane retires");
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Warp execution traces: the per-round lane-occupancy view behind the
 //! paper's Figures 3 and 7 (idle periods of threads within a warp).
 //!
-//! [`trace_warp`] runs a warp through the same lockstep semantics as
+//! [`trace_warp`] steps a warp through the same lockstep semantics as
 //! [`crate::warp::execute_warp`] while recording, for every lockstep round,
-//! how many lanes were active and how many divergence groups were
+//! which lanes were active and how many divergence groups were
 //! serialized. [`WarpTrace::render_ascii`] draws the classic
 //! one-row-per-lane timeline where `#` is an executing lane and `.` an idle
 //! one.
 
 use crate::lane::{LaneProgram, LaneSink};
 use crate::op::Op;
-use crate::warp::StepMode;
 
 /// One lockstep round of a traced warp.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,27 +73,16 @@ impl WarpTrace {
     }
 }
 
-/// Executes a warp in lockstep (same semantics as
-/// [`crate::warp::execute_warp`]) while recording the occupancy timeline.
-/// Uses the default [`StepMode`]; the recorded rounds are bit-identical
-/// across modes (a claimed run expands into its individual rounds).
+/// Executes a warp round by round, as the [`StepMode::Stepped`] oracle of
+/// [`crate::warp::execute_warp_with`] does, while recording the occupancy
+/// timeline. A diagnostic: it steps every lane once per round, so it is
+/// off every measured path.
+///
+/// [`StepMode::Stepped`]: crate::warp::StepMode::Stepped
 pub fn trace_warp<L: LaneProgram>(
     lanes: &mut [L],
     warp_size: u32,
     sink: &mut LaneSink,
-) -> WarpTrace {
-    trace_warp_with(lanes, warp_size, sink, StepMode::default())
-}
-
-/// [`trace_warp`] with an explicit [`StepMode`]. In
-/// [`StepMode::RunLength`], a fully-converged claimed run is committed in
-/// one go and expanded into `run` identical [`TraceRound`]s, so the trace
-/// matches stepped execution round for round.
-pub fn trace_warp_with<L: LaneProgram>(
-    lanes: &mut [L],
-    warp_size: u32,
-    sink: &mut LaneSink,
-    mode: StepMode,
 ) -> WarpTrace {
     assert!(
         lanes.len() <= warp_size as usize,
@@ -107,45 +95,6 @@ pub fn trace_warp_with<L: LaneProgram>(
     let mut retired = vec![false; lanes.len()];
     let mut live = lanes.len();
     while live > 0 {
-        if mode == StepMode::RunLength {
-            // Fast path mirror of `execute_warp`'s converged-run skip.
-            let mut converged: Option<(Op, u32)> = None;
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                if retired[i] {
-                    continue;
-                }
-                match lane.peek_run() {
-                    Some(claim) if claim.len > 0 => match &mut converged {
-                        None => converged = Some((claim.op, claim.len)),
-                        Some((op, len)) if *op == claim.op => *len = (*len).min(claim.len),
-                        Some(_) => {
-                            converged = None;
-                            break;
-                        }
-                    },
-                    _ => {
-                        converged = None;
-                        break;
-                    }
-                }
-            }
-            if let Some((op, run)) = converged {
-                for (i, lane) in lanes.iter_mut().enumerate() {
-                    if !retired[i] {
-                        lane.commit_run(run, sink);
-                    }
-                }
-                let active: Vec<bool> = retired.iter().map(|&r| !r).collect();
-                for _ in 0..run {
-                    trace.rounds.push(TraceRound {
-                        active: active.clone(),
-                        groups: 1,
-                        cycles: op.cycles as u64,
-                    });
-                }
-                continue;
-            }
-        }
         let mut active = vec![false; lanes.len()];
         let mut groups: std::collections::BTreeMap<Op, u32> = std::collections::BTreeMap::new();
         for (i, lane) in lanes.iter_mut().enumerate() {

@@ -1,8 +1,17 @@
 //! Lockstep warp execution with divergence serialization.
+//!
+//! Two host-side paths compute the same [`WarpExecution`]. The stepped
+//! oracle steps every live lane once per lockstep round and groups the
+//! round's ops. The traced path lets each lane run to retirement on its own
+//! ([`LaneProgram::trace`]) and accounts the lockstep afterwards from one
+//! round bitset per distinct op: only `issued`, `cycles` and
+//! `divergent_rounds` depend on which ops share a round, and all three are
+//! popcounts over those bitsets.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use crate::lane::{LaneProgram, LaneSink};
+use crate::lane::{LaneProgram, LaneSink, LaneTrace};
 use crate::op::{Op, NUM_OP_KINDS};
 
 /// How the executor advances a warp through its lockstep rounds.
@@ -16,10 +25,9 @@ pub enum StepMode {
     /// The original round-by-round interpreter: every lockstep round steps
     /// every live lane once. Kept as the oracle for differential testing.
     Stepped,
-    /// The converged-execution fast path: when every live lane claims a run
-    /// of identical ops (see [`LaneProgram::peek_run`]), the executor
-    /// advances `min(len)` rounds with one O(1) accounting update, falling
-    /// back to allocation-free stepped rounds whenever lanes diverge.
+    /// The bulk path: each lane is traced natively to retirement (see
+    /// [`LaneProgram::trace`]) as run-length op segments, and the warp's
+    /// lockstep rounds are accounted from one round bitset per distinct op.
     #[default]
     RunLength,
 }
@@ -92,42 +100,6 @@ impl WarpExecution {
     }
 }
 
-/// Divergence groups of one lockstep round, bucketed into a fixed array
-/// indexed by [`crate::op::OpKind`] — no per-round allocation once the tiny
-/// per-kind vectors have warmed up. Within a kind the groups are kept sorted
-/// by cycle cost, so iterating kinds in index order and costs ascending
-/// reproduces `BTreeMap<Op, u32>`'s `(kind, cycles)` iteration order exactly
-/// (`OpKind::index` order matches `OpKind`'s derived `Ord`).
-#[derive(Default)]
-struct GroupTable {
-    /// Per kind: `(op cycles, lane count)`, sorted ascending by cycles.
-    by_kind: [Vec<(u32, u32)>; NUM_OP_KINDS],
-    /// Number of distinct `(kind, cycles)` groups this round.
-    groups: u32,
-}
-
-impl GroupTable {
-    fn clear(&mut self) {
-        if self.groups > 0 {
-            for slot in &mut self.by_kind {
-                slot.clear();
-            }
-            self.groups = 0;
-        }
-    }
-
-    fn insert(&mut self, op: Op) {
-        let slot = &mut self.by_kind[op.kind.index()];
-        match slot.binary_search_by_key(&op.cycles, |&(c, _)| c) {
-            Ok(i) => slot[i].1 += 1,
-            Err(i) => {
-                slot.insert(i, (op.cycles, 1));
-                self.groups += 1;
-            }
-        }
-    }
-}
-
 /// Micro-executes one warp's lanes in lockstep.
 ///
 /// Each round, every unfinished lane produces its next [`Op`]. Lanes whose
@@ -137,7 +109,7 @@ impl GroupTable {
 /// retired stays masked for the remainder of the warp's execution, which is
 /// precisely how intra-warp load imbalance wastes execution slots.
 ///
-/// Uses the default [`StepMode::RunLength`] fast path; see
+/// Uses the default [`StepMode::RunLength`] bulk path; see
 /// [`execute_warp_with`] for the explicit-mode variant.
 pub fn execute_warp<L: LaneProgram>(
     lanes: &mut [L],
@@ -164,7 +136,7 @@ pub fn execute_warp_with<L: LaneProgram>(
     );
     match mode {
         StepMode::Stepped => execute_stepped(lanes, warp_size, sink),
-        StepMode::RunLength => execute_run_length(lanes, warp_size, sink),
+        StepMode::RunLength => execute_traced(lanes, warp_size, sink),
     }
 }
 
@@ -215,95 +187,54 @@ fn execute_stepped<L: LaneProgram>(
     exec
 }
 
-/// The run-length fast path: skips fully-converged stretches in O(1) and
-/// handles divergent rounds with the allocation-free [`GroupTable`].
-fn execute_run_length<L: LaneProgram>(
+thread_local! {
+    /// One trace scratch per host thread, reused warp after warp.
+    static SCRATCH: RefCell<LaneTrace> = RefCell::default();
+}
+
+/// The bulk accounting path: traces each lane natively to retirement, in
+/// lane order, into one round bitset per distinct op, then derives the
+/// counters the stepped rounds would have accumulated.
+fn execute_traced<L: LaneProgram>(
     lanes: &mut [L],
     warp_size: u32,
     sink: &mut LaneSink,
 ) -> WarpExecution {
-    let mut exec = WarpExecution {
-        lanes: lanes.len() as u32,
-        warp_size,
-        ..WarpExecution::default()
-    };
-    let mut retired: Vec<bool> = vec![false; lanes.len()];
-    let mut live = lanes.len();
-    let mut table = GroupTable::default();
-
-    while live > 0 {
-        // Fast path: every live lane claims a run of the same op — advance
-        // min(len) converged rounds with one accounting update. Zero-length
-        // claims carry no information and force the slow path.
-        let mut converged: Option<(Op, u32)> = None;
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            if retired[i] {
-                continue;
-            }
-            match lane.peek_run() {
-                Some(claim) if claim.len > 0 => match &mut converged {
-                    None => converged = Some((claim.op, claim.len)),
-                    Some((op, len)) if *op == claim.op => *len = (*len).min(claim.len),
-                    Some(_) => {
-                        converged = None;
-                        break;
-                    }
-                },
-                _ => {
-                    converged = None;
-                    break;
-                }
-            }
+    SCRATCH.with_borrow_mut(|t| {
+        t.reset();
+        for lane in lanes.iter_mut() {
+            t.begin_lane();
+            lane.trace(t);
         }
-        if let Some((op, run)) = converged {
-            // Commit in lane order: the run-length contract confines sink
-            // effects to a claimed run's final step, so this reproduces the
-            // stepped round-by-round emission order exactly.
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                if !retired[i] {
-                    lane.commit_run(run, sink);
-                }
+        let mut exec = WarpExecution {
+            lanes: lanes.len() as u32,
+            warp_size,
+            ..WarpExecution::default()
+        };
+        // A round issues each distinct op once, so an op's issues are the
+        // popcount of its bitset; lane-ops are plain per-lane sums.
+        let mut words = 0;
+        for row in t.rows() {
+            let issued: u64 = row.rounds.iter().map(|w| w.count_ones() as u64).sum();
+            exec.issued += issued;
+            exec.cycles += row.op.cycles as u64 * issued;
+            exec.active_lane_slots += row.lane_ops;
+            exec.lane_ops_by_kind[row.op.kind.index()] += row.lane_ops;
+            words = words.max(row.rounds.len());
+        }
+        // A round diverges when two or more ops issue in it.
+        for w in 0..words {
+            let (mut once, mut twice) = (0u64, 0u64);
+            for row in t.rows() {
+                let bits = row.rounds.get(w).copied().unwrap_or(0);
+                twice |= once & bits;
+                once |= bits;
             }
-            // `run` fully-converged rounds: one issue of `op` per round with
-            // every live lane active, and no divergence.
-            let run = run as u64;
-            exec.issued += run;
-            exec.cycles += op.cycles as u64 * run;
-            exec.active_lane_slots += live as u64 * run;
-            exec.lane_ops_by_kind[op.kind.index()] += live as u64 * run;
-            continue;
+            exec.divergent_rounds += twice.count_ones() as u64;
         }
-
-        // Slow path: one stepped round, grouped without allocating.
-        table.clear();
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            if retired[i] {
-                continue;
-            }
-            match lane.step(sink) {
-                Some(op) => table.insert(op),
-                None => {
-                    retired[i] = true;
-                    live -= 1;
-                }
-            }
-        }
-        if table.groups == 0 {
-            break;
-        }
-        if table.groups > 1 {
-            exec.divergent_rounds += 1;
-        }
-        for (kind_index, slot) in table.by_kind.iter().enumerate() {
-            for &(cycles, lane_count) in slot {
-                exec.issued += 1;
-                exec.cycles += cycles as u64;
-                exec.active_lane_slots += lane_count as u64;
-                exec.lane_ops_by_kind[kind_index] += lane_count as u64;
-            }
-        }
-    }
-    exec
+        t.drain_pairs_into(sink);
+        exec
+    })
 }
 
 #[cfg(test)]
@@ -403,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn modes_agree_on_skewed_work_with_claims() {
+    fn modes_agree_on_skewed_work() {
         let work = [10u32, 1, 7, 3];
         let make = || -> Vec<FixedWorkLane> {
             work.iter()
@@ -419,36 +350,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_length_claims_fall_back_to_stepped_rounds() {
-        // A lane that claims R = 0 every round: the executor must treat it
-        // as no-claim (degenerate run) and still execute correctly.
-        struct ZeroClaim(u32);
-        impl LaneProgram for ZeroClaim {
-            fn step(&mut self, _s: &mut LaneSink) -> Option<Op> {
-                (self.0 > 0).then(|| {
-                    self.0 -= 1;
-                    Op::new(OpKind::Distance, 10)
-                })
-            }
-            fn peek_run(&mut self) -> Option<crate::lane::RunClaim> {
-                Some(crate::lane::RunClaim {
-                    op: Op::new(OpKind::Distance, 10),
-                    len: 0,
-                })
-            }
-        }
-        let mut lanes = vec![ZeroClaim(5), ZeroClaim(5)];
-        let exec = execute_warp_with(&mut lanes, 4, &mut LaneSink::new(), StepMode::RunLength);
-        assert_eq!(exec.issued, 5);
-        assert_eq!(exec.cycles, 50);
-        assert_eq!(exec.divergent_rounds, 0);
-    }
-
-    #[test]
     fn same_kind_different_cost_ops_diverge_identically_in_both_modes() {
         // Two Distance groups with different cycle costs plus an Emit group:
-        // three divergence groups per round, grouped by the fixed-array
-        // table in RunLength mode and the BTreeMap in Stepped mode.
+        // three divergence groups per round, one bitset each in RunLength
+        // mode and three BTreeMap entries in Stepped mode.
         #[derive(Clone)]
         struct Fixed(u32, Op);
         impl LaneProgram for Fixed {

@@ -1,63 +1,70 @@
 //! Differential property tests: [`StepMode::RunLength`] must be
 //! bit-identical to the [`StepMode::Stepped`] oracle — same
-//! [`warpsim::WarpExecution`], same trace rounds, same pairs in the same
-//! emission order — over adversarial lane programs that exercise every
-//! corner of the run-length contract: zero-length claims, lanes that never
-//! claim, claims shorter than the true run, tail warps, and lanes retiring
-//! while neighbours are mid-run.
+//! [`warpsim::WarpExecution`], same pairs in the same emission order — over
+//! scripted lane programs that exercise every corner of the trace contract:
+//! runs crossing the 64-round words of the round bitsets, pairs from one
+//! step, pairs emitted by the retiring step, tail and empty warps, and warps
+//! mixing native and step-driven traces.
 
 use proptest::prelude::*;
 use warpsim::lane::FixedWorkLane;
 use warpsim::{
-    execute_warp_with, launch_with, trace_warp_with, DeviceBuffer, GpuConfig, IssueOrder, LaneSink,
-    LaunchOptions, Op, OpKind, RunClaim, StepMode, WarpSource,
+    execute_warp_with, launch_with, DeviceBuffer, GpuConfig, IssueOrder, LaneProgram, LaneSink,
+    LaneTrace, LaunchOptions, Op, OpKind, StepMode, WarpExecution, WarpSource,
 };
 
-/// One homogeneous stretch of a scripted lane: `len` copies of `op`, with an
-/// emission on the stretch's final step when `emit_at_end` is set.
-/// `claim_cap` throttles what the lane claims: `0` claims nothing at all
-/// (the executor must fall back to stepped rounds), otherwise the claim is
-/// `min(claim_cap, steps left in the stretch)` — so claims routinely end
-/// short of the true run.
+/// One homogeneous stretch of a scripted lane: `len` copies of `op`, whose
+/// final step emits `emits` pairs.
 #[derive(Debug, Clone)]
 struct Segment {
     op: Op,
     len: u32,
-    claim_cap: u32,
-    emit_at_end: bool,
+    emits: u32,
 }
 
-/// A lane program driven by a generated script of [`Segment`]s. Honors the
-/// run-length contract: claims never span a segment boundary, so the only
-/// sink effect (the end-of-segment emission) can only land on a claimed
-/// run's final step.
+/// A lane program driven by a script of [`Segment`]s, with a native
+/// [`LaneProgram::trace`] that records each segment as one run.
+/// `emit_on_retire` makes the step that returns `None` emit a pair.
 #[derive(Debug, Clone)]
 struct ScriptLane {
     id: u32,
     segments: Vec<Segment>,
     seg: usize,
     done_in_seg: u32,
+    emit_on_retire: bool,
 }
 
 impl ScriptLane {
-    fn new(id: u32, segments: Vec<Segment>) -> Self {
+    fn new(id: u32, segments: Vec<Segment>, emit_on_retire: bool) -> Self {
         Self {
             id,
             segments,
             seg: 0,
             done_in_seg: 0,
+            emit_on_retire,
         }
+    }
+
+    /// The `e`-th pair emitted at the end of segment `seg`.
+    fn pair(&self, seg: usize, e: u32) -> (u32, u32) {
+        (self.id, seg as u32 * 8 + e)
     }
 }
 
-impl warpsim::LaneProgram for ScriptLane {
+impl LaneProgram for ScriptLane {
     fn step(&mut self, sink: &mut LaneSink) -> Option<Op> {
-        let segment = self.segments.get(self.seg)?;
-        let op = segment.op;
+        let Some(segment) = self.segments.get(self.seg) else {
+            if std::mem::take(&mut self.emit_on_retire) {
+                sink.emit(self.id, u32::MAX);
+            }
+            return None;
+        };
+        let (op, emits) = (segment.op, segment.emits);
         self.done_in_seg += 1;
         if self.done_in_seg == segment.len {
-            if segment.emit_at_end {
-                sink.emit(self.id, self.seg as u32);
+            for e in 0..emits {
+                let (a, b) = self.pair(self.seg, e);
+                sink.emit(a, b);
             }
             self.seg += 1;
             self.done_in_seg = 0;
@@ -65,20 +72,54 @@ impl warpsim::LaneProgram for ScriptLane {
         Some(op)
     }
 
-    fn peek_run(&mut self) -> Option<RunClaim> {
-        let segment = self.segments.get(self.seg)?;
-        if segment.claim_cap == 0 {
-            return None;
+    fn trace(&mut self, t: &mut LaneTrace) {
+        while let Some(segment) = self.segments.get(self.seg) {
+            let op = t.handle(segment.op);
+            let round = t.run(op, segment.len - self.done_in_seg);
+            for e in 0..segment.emits {
+                let (a, b) = self.pair(self.seg, e);
+                t.emit(round, a, b);
+            }
+            self.seg += 1;
+            self.done_in_seg = 0;
         }
-        let remaining = segment.len - self.done_in_seg;
-        Some(RunClaim {
-            op: segment.op,
-            len: remaining.min(segment.claim_cap),
-        })
+        if std::mem::take(&mut self.emit_on_retire) {
+            t.emit(t.round(), self.id, u32::MAX);
+        }
     }
-    // Deliberately relies on the trait's default `commit_run` (step replay):
-    // the O(1) overrides are covered by `FixedWorkLane` and the range-query
-    // kernel lanes.
+}
+
+/// The same script through the trait's default, step-driven trace.
+#[derive(Debug, Clone)]
+struct StepDriven(ScriptLane);
+
+impl LaneProgram for StepDriven {
+    fn step(&mut self, sink: &mut LaneSink) -> Option<Op> {
+        self.0.step(sink)
+    }
+}
+
+/// A lane of a warp that mixes native and step-driven traces.
+#[derive(Debug, Clone)]
+enum MixedLane {
+    Native(ScriptLane),
+    Stepped(StepDriven),
+}
+
+impl LaneProgram for MixedLane {
+    fn step(&mut self, sink: &mut LaneSink) -> Option<Op> {
+        match self {
+            MixedLane::Native(l) => l.step(sink),
+            MixedLane::Stepped(l) => l.step(sink),
+        }
+    }
+
+    fn trace(&mut self, t: &mut LaneTrace) {
+        match self {
+            MixedLane::Native(l) => l.trace(t),
+            MixedLane::Stepped(l) => l.trace(t),
+        }
+    }
 }
 
 const OP_KINDS: [OpKind; 4] = [
@@ -88,62 +129,92 @@ const OP_KINDS: [OpKind; 4] = [
     OpKind::Atomic,
 ];
 
-type RawSegment = ((usize, u32), (u32, u32), bool);
+const WARP: u32 = 8;
 
-fn segments_from(raw: &[RawSegment]) -> Vec<Segment> {
+/// Runs `lanes` in both modes and returns the oracle's outcome after
+/// asserting the run-length mode matches it.
+fn assert_modes_agree<L: LaneProgram + Clone>(lanes: &[L]) -> (WarpExecution, Vec<(u32, u32)>) {
+    let run = |mode| {
+        let mut lanes = lanes.to_vec();
+        let mut sink = LaneSink::new();
+        let exec = execute_warp_with(&mut lanes, WARP, &mut sink, mode);
+        (exec, sink.into_pairs())
+    };
+    let stepped = run(StepMode::Stepped);
+    let fast = run(StepMode::RunLength);
+    assert_eq!(stepped.0, fast.0, "warp execution differs");
+    assert_eq!(stepped.1, fast.1, "pair emission order differs");
+    stepped
+}
+
+fn seg(kind: usize, cycles: u32, len: u32, emits: u32) -> Segment {
+    Segment {
+        op: Op::new(OP_KINDS[kind], cycles),
+        len,
+        emits,
+    }
+}
+
+/// A raw lane: its segments, whether it traces natively, whether its
+/// retiring step emits.
+type RawLane = (Vec<((usize, u32), u32, u32)>, bool, bool);
+
+fn mixed_from(raw: &[RawLane]) -> Vec<MixedLane> {
     raw.iter()
-        .map(|&((kind, cycles), (len, claim_cap), emit_at_end)| Segment {
-            op: Op::new(OP_KINDS[kind % OP_KINDS.len()], cycles),
-            len,
-            claim_cap,
-            emit_at_end,
+        .enumerate()
+        .map(|(i, (segs, native, emit_on_retire))| {
+            let segments = segs
+                .iter()
+                .map(|&((kind, cycles), len, emits)| seg(kind % 4, cycles, len, emits))
+                .collect();
+            let lane = ScriptLane::new(i as u32, segments, *emit_on_retire);
+            if *native {
+                MixedLane::Native(lane)
+            } else {
+                MixedLane::Stepped(StepDriven(lane))
+            }
         })
         .collect()
 }
 
-fn raw_warp() -> impl Strategy<Value = Vec<Vec<RawSegment>>> {
+fn raw_warp() -> impl Strategy<Value = Vec<RawLane>> {
     // Up to 8 lanes against warp_size 8: tail warps (fewer lanes than the
-    // warp width) and the empty warp are both generated. claim_cap spans 0
-    // (never claims) through caps far above any segment length.
+    // warp width) and the empty warp are both generated. Segment lengths mix
+    // short runs with runs of about a bitset word, so lanes and runs start
+    // and end on both sides of the 64- and 128-round word boundaries.
+    let len = prop_oneof![1u32..10, 60u32..70];
     prop::collection::vec(
-        prop::collection::vec(
-            ((0usize..4, 1u32..12), (1u32..10, 0u32..14), any::<bool>()),
-            0..6,
+        (
+            prop::collection::vec(((0usize..4, 1u32..12), len, 0u32..3), 0..6),
+            any::<bool>(),
+            any::<bool>(),
         ),
         0..9,
     )
 }
 
 proptest! {
-    /// The fast path reproduces the oracle bit for bit on scripted warps:
-    /// execution counters, trace rounds, and pair emission order.
+    /// The bulk path reproduces the oracle bit for bit on scripted warps
+    /// that mix native and step-driven lanes: execution counters and pair
+    /// emission order.
     #[test]
     fn step_modes_agree_on_adversarial_scripts(raw in raw_warp()) {
-        let make = || -> Vec<ScriptLane> {
-            raw.iter()
-                .enumerate()
-                .map(|(i, segs)| ScriptLane::new(i as u32, segments_from(segs)))
-                .collect()
+        let lanes = mixed_from(&raw);
+        let run = |mode| {
+            let mut lanes = lanes.clone();
+            let mut sink = LaneSink::new();
+            let exec = execute_warp_with(&mut lanes, WARP, &mut sink, mode);
+            (exec, sink.into_pairs())
         };
-
-        let (mut a, mut b) = (make(), make());
-        let (mut sink_a, mut sink_b) = (LaneSink::new(), LaneSink::new());
-        let stepped = execute_warp_with(&mut a, 8, &mut sink_a, StepMode::Stepped);
-        let fast = execute_warp_with(&mut b, 8, &mut sink_b, StepMode::RunLength);
-        prop_assert_eq!(stepped, fast);
-        prop_assert_eq!(sink_a.pairs(), sink_b.pairs(), "pair emission order differs");
-
-        let (mut c, mut d) = (make(), make());
-        let tr_stepped = trace_warp_with(&mut c, 8, &mut LaneSink::new(), StepMode::Stepped);
-        let tr_fast = trace_warp_with(&mut d, 8, &mut LaneSink::new(), StepMode::RunLength);
-        prop_assert_eq!(tr_stepped.rounds, tr_fast.rounds, "trace rounds differ");
+        let (stepped, fast) = (run(StepMode::Stepped), run(StepMode::RunLength));
+        prop_assert_eq!(stepped.0, fast.0);
+        prop_assert_eq!(stepped.1, fast.1, "pair emission order differs");
     }
 
-    /// Whole launches agree across modes for O(1)-committing lanes with
-    /// skewed per-warp work (mid-run retirement of short lanes while long
-    /// lanes keep claiming).
+    /// Whole launches agree across modes for step-driven lanes with skewed
+    /// per-warp work (short lanes retire while long lanes run on).
     #[test]
-    fn step_modes_agree_on_launches(work in prop::collection::vec(0u32..40, 1..30)) {
+    fn step_modes_agree_on_launches(work in prop::collection::vec(0u32..200, 1..30)) {
         struct Skewed {
             work: Vec<u32>,
         }
@@ -175,4 +246,109 @@ proptest! {
         prop_assert_eq!(stepped.makespan.makespan, fast.makespan.makespan);
         prop_assert!((stepped.wee() - fast.wee()).abs() == 0.0);
     }
+}
+
+#[test]
+fn runs_crossing_bitset_words_agree() {
+    // Lane b starts a new op at each of rounds 63, 64, 65, 127 and 128
+    // while lane a runs one op throughout; lane c switches ops at the same
+    // rounds from the other side.
+    let a = ScriptLane::new(0, vec![seg(1, 10, 140, 1)], false);
+    let b = ScriptLane::new(
+        1,
+        vec![
+            seg(1, 10, 63, 0),
+            seg(2, 8, 1, 1),
+            seg(1, 10, 1, 0),
+            seg(2, 8, 62, 2),
+            seg(1, 10, 1, 1),
+            seg(2, 8, 12, 0),
+        ],
+        false,
+    );
+    let c = ScriptLane::new(
+        2,
+        vec![seg(2, 8, 64, 1), seg(1, 10, 64, 0), seg(3, 5, 1, 1)],
+        true,
+    );
+    let (exec, pairs) = assert_modes_agree(&[a.clone(), b.clone(), c.clone()]);
+    assert_eq!(exec.active_lane_slots, 140 + 140 + 129);
+    assert!(exec.divergent_rounds > 0);
+    assert!(pairs.contains(&(2, u32::MAX)), "the retiring step's pair");
+    // Lanes ending exactly at those rounds.
+    for len in [63u32, 64, 65, 127, 128] {
+        let short = ScriptLane::new(3, vec![seg(1, 10, len, 1)], true);
+        assert_modes_agree(&[a.clone(), short, b.clone()]);
+    }
+}
+
+#[test]
+fn lanes_of_exactly_one_word_agree() {
+    let lanes: Vec<ScriptLane> = (0..WARP)
+        .map(|i| ScriptLane::new(i, vec![seg(1, 10, 64, 1)], false))
+        .collect();
+    let (exec, pairs) = assert_modes_agree(&lanes);
+    assert_eq!(exec.issued, 64);
+    assert_eq!(exec.divergent_rounds, 0);
+    assert_eq!(pairs.len(), WARP as usize);
+    let split: Vec<ScriptLane> = (0..WARP)
+        .map(|i| ScriptLane::new(i, vec![seg(i as usize % 4, 10, 64, 0)], false))
+        .collect();
+    let (exec, _) = assert_modes_agree(&split);
+    assert_eq!(exec.issued, 4 * 64);
+    assert_eq!(exec.divergent_rounds, 64);
+}
+
+#[test]
+fn two_pairs_from_one_step_keep_their_order() {
+    let lanes = [
+        ScriptLane::new(0, vec![seg(1, 10, 3, 2), seg(2, 8, 1, 2)], false),
+        ScriptLane::new(1, vec![seg(1, 10, 3, 2)], false),
+    ];
+    let (_, pairs) = assert_modes_agree(&lanes);
+    assert_eq!(pairs, [(0, 0), (0, 1), (1, 0), (1, 1), (0, 8), (0, 9)]);
+}
+
+#[test]
+fn empty_and_single_lane_warps_agree() {
+    let (exec, pairs) = assert_modes_agree::<ScriptLane>(&[]);
+    assert_eq!(
+        exec,
+        WarpExecution {
+            warp_size: WARP,
+            ..WarpExecution::default()
+        }
+    );
+    assert!(pairs.is_empty());
+    // A lane with no ops, whose retiring step still emits.
+    let (exec, pairs) = assert_modes_agree(&[ScriptLane::new(5, vec![], true)]);
+    assert_eq!((exec.issued, exec.lanes), (0, 1));
+    assert_eq!(pairs, [(5, u32::MAX)]);
+    let one = ScriptLane::new(0, vec![seg(0, 4, 2, 1), seg(1, 10, 70, 1)], true);
+    let (exec, _) = assert_modes_agree(&[one]);
+    assert_eq!(exec.issued, 72);
+}
+
+#[test]
+fn native_and_step_driven_lanes_mix_in_one_warp() {
+    let script = |i: u32| {
+        ScriptLane::new(
+            i,
+            vec![seg(0, 4, 1, 0), seg(1, 10, 5 + 20 * i, 1), seg(2, 8, 1, 2)],
+            i.is_multiple_of(3),
+        )
+    };
+    let lanes: Vec<MixedLane> = (0..WARP)
+        .map(|i| {
+            if i % 2 == 0 {
+                MixedLane::Native(script(i))
+            } else {
+                MixedLane::Stepped(StepDriven(script(i)))
+            }
+        })
+        .collect();
+    let (_, mixed_pairs) = assert_modes_agree(&lanes);
+    let native: Vec<ScriptLane> = (0..WARP).map(script).collect();
+    let (_, native_pairs) = assert_modes_agree(&native);
+    assert_eq!(mixed_pairs, native_pairs);
 }

@@ -227,7 +227,7 @@ fn cell_order_matches_host_oracle_across_shapes() {
     }
 }
 
-/// Cost accounting is step-mode invariant (the fast path may not change
+/// Cost accounting is step-mode invariant (the run-length mode may not change
 /// model cycles) but *device-shape dependent* — the property that makes the
 /// pre-pass a meaningful costed phase rather than bookkeeping. The direction
 /// is checked on the scan: a narrower device folds bigger per-lane tiles, so

@@ -348,3 +348,65 @@ fn hostile_lines_are_typed_errors_and_the_session_stays_exact() {
     assert_eq!(report.inserts, 0);
     assert_eq!(report.queries, 3);
 }
+
+/// A query at a valid but tiny foreign ε, at which the throwaway grid's
+/// cell count overflows the linear cell id space, is the client error
+/// `out_of_range` — the grid cannot index that input — not the
+/// `join_failed` of a failed launch. Queries flushed with it, and after
+/// it, are answered exactly.
+#[test]
+fn unindexable_foreign_epsilon_is_a_client_error() {
+    let spec = DatasetSpec::by_name("Expo2D2M").unwrap();
+    let pts = spec.generate(500).as_fixed::<2>().unwrap();
+    let eps = 0.05f32;
+    let mirror = pts.clone();
+    let mut session =
+        ServeSession::new(pts, SelfJoinConfig::new(eps), ServeConfig::default()).unwrap();
+    let query = |pid: u32, eps: f32| {
+        format!("{{\"op\": \"query\", \"point_id\": {pid}, \"eps\": {eps:e}}}")
+    };
+    // (point id, neighbors) per answered query, (point id, kind) per error.
+    let flush = |session: &mut ServeSession<2>| {
+        let (mut answered, mut failed) = (Vec::new(), Vec::new());
+        for line in session.handle_line("{\"op\": \"flush\"}") {
+            let doc = json::parse(&line).unwrap();
+            let id = doc.get("id").and_then(JsonValue::as_u64).unwrap();
+            match doc.get("neighbors").and_then(JsonValue::as_array) {
+                Some(neighbors) => answered.push((
+                    doc.get("point_id").and_then(JsonValue::as_u64).unwrap() as u32,
+                    neighbors
+                        .iter()
+                        .map(|v| v.as_u64().unwrap() as u32)
+                        .collect::<Vec<_>>(),
+                )),
+                None if doc.get("ok").and_then(JsonValue::as_bool) == Some(false) => failed.push((
+                    id,
+                    doc.get("kind")
+                        .and_then(JsonValue::as_str)
+                        .unwrap()
+                        .to_string(),
+                )),
+                None => {}
+            }
+        }
+        (answered, failed)
+    };
+
+    assert!(session.handle_line(&query(3, eps)).is_empty());
+    assert!(session.handle_line(&query(7, 1e-20)).is_empty());
+    assert!(session.handle_line(&query(11, eps)).is_empty());
+    let (answered, failed) = flush(&mut session);
+    assert_eq!(failed, vec![(1, "out_of_range".to_string())]);
+    assert_eq!(
+        answered,
+        [3, 11]
+            .map(|pid| (pid, oracle_neighbors(&mirror, pid, eps)))
+            .to_vec()
+    );
+
+    assert!(session.handle_line(&query(19, eps)).is_empty());
+    let (answered, failed) = flush(&mut session);
+    assert!(failed.is_empty());
+    assert_eq!(answered, vec![(19, oracle_neighbors(&mirror, 19, eps))]);
+    assert_eq!(session.report().errors, 1);
+}

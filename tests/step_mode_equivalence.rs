@@ -1,10 +1,10 @@
-//! End-to-end differential suite for the run-length fast path: a join run
+//! End-to-end differential suite for the run-length step mode: a join run
 //! under [`StepMode::RunLength`] must be bit-identical to the
 //! [`StepMode::Stepped`] oracle — same pair set, same warp counters, same
 //! per-batch cycles and model-time — across every access pattern, workload
 //! quantification k, scheduler (balancing and issue-order override), and
 //! fault profile. The step mode is a host-side knob only; any observable
-//! difference is a bug in the fast path.
+//! difference is a bug in a lane's trace or the bulk accounting.
 
 use proptest::prelude::*;
 use simjoin::{
@@ -149,7 +149,7 @@ fn step_modes_agree_under_issue_overrides() {
 }
 
 /// Multi-batch plans (tight result buffers) agree bit-for-bit too: batching
-/// interacts with per-batch warp sourcing, the main place a fast-path bug
+/// interacts with per-batch warp sourcing, the main place a run-length bug
 /// could hide from single-batch tests.
 #[test]
 fn step_modes_agree_across_batch_plans() {
