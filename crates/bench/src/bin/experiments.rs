@@ -4,9 +4,9 @@
 //! experiments [--quick | --scale <f>] [--eps-stride <n>] [--jobs <n>] \
 //!             [--host-jobs <n>] [--step-mode stepped|runlength] \
 //!             [--devices <n>] [--lose-device <d>] [--sort-backend host|device] \
-//!             [--exec-mode gpu|cpu|hybrid] [--no-telemetry] \
+//!             [--exec-mode gpu|cpu|hybrid] [--seed <u64>] [--no-telemetry] \
 //!             [all|table1|fig9|table3|fig10|table4|fig11|table5|fig12|table6|fig13|ablations|
-//!              chaos|scaling|failover|hybrid|serve]...
+//!              chaos|scaling|failover|hybrid|serve|soak]...
 //! ```
 //!
 //! With no experiment names, runs everything in `all`. Output is markdown
@@ -31,6 +31,10 @@
 //! *inside* each join (fleet shards, batches, warps). Passing `--host-jobs`
 //! without an explicit `--jobs` pins the sweep pool to one worker so the
 //! two layers don't nest.
+//!
+//! `soak` replays eight seeded fault schedules from seed base `--seed`
+//! (default 0) over fleets, or over the co-executor under `--exec-mode
+//! hybrid`; `--exec-mode cpu` has no device to fault and is refused.
 
 use simjoin::SortBackend;
 use sj_bench::experiments::{ExperimentScale, Experiments};
@@ -38,13 +42,15 @@ use warpsim::StepMode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--quick] [--scale <factor>] [--eps-stride <n>] [--jobs <n>] [--host-jobs <n>] [--step-mode stepped|runlength] [--devices <n>] [--lose-device <d>] [--sort-backend host|device] [--exec-mode gpu|cpu|hybrid] [--no-telemetry] [EXPERIMENT]...\n\
-         experiments: all, table1, fig9, table3, fig10, table4, fig11, table5, fig12, table6, fig13, ablations, chaos, scaling, failover, hybrid, serve\n\
-         (chaos, scaling, failover, hybrid, and serve are not part of `all`: chaos exercises the fault-injection plane,\n\
+        "usage: experiments [--quick] [--scale <factor>] [--eps-stride <n>] [--jobs <n>] [--host-jobs <n>] [--step-mode stepped|runlength] [--devices <n>] [--lose-device <d>] [--sort-backend host|device] [--exec-mode gpu|cpu|hybrid] [--seed <u64>] [--no-telemetry] [EXPERIMENT]...\n\
+         experiments: all, table1, fig9, table3, fig10, table4, fig11, table5, fig12, table6, fig13, ablations, chaos, scaling, failover, hybrid, serve, soak\n\
+         (chaos, scaling, failover, hybrid, serve, and soak are not part of `all`: chaos exercises the fault-injection plane,\n\
           scaling shards the join across a simulated multi-device fleet, failover compares reshard\n\
           recovery against CPU degradation after a mid-join device loss, hybrid sweeps the CPU/GPU\n\
           co-executor's split fraction against the measured auto cut, serve replays a churn-and-query\n\
-          request stream through the always-on daemon with and without ε-coalescing; --lose-device <d> injects a\n\
+          request stream through the always-on daemon with and without ε-coalescing, soak replays eight seeded fault\n\
+          schedules from seed base --seed and checks each stays exact or ends in a typed error (--exec-mode hybrid soaks\n\
+          the co-executor, cpu is refused); --lose-device <d> injects a\n\
           device-lost fault into every fleet run — requires --devices > d; --exec-mode hybrid routes\n\
           every single-device cell through the co-executor — tables still diff clean;\n\
           --jobs spreads sweep cells across workers, --host-jobs threads the inside of each join —\n\
@@ -64,6 +70,7 @@ fn main() {
     let mut lose_device: Option<usize> = None;
     let mut sort_backend = SortBackend::default();
     let mut exec_mode = simjoin::ExecMode::default();
+    let mut seed = 0u64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -108,6 +115,10 @@ fn main() {
                 let v = args.next().unwrap_or_else(|| usage());
                 exec_mode = simjoin::ExecMode::by_name(&v).unwrap_or_else(|| usage());
             }
+            "--seed" => {
+                let v = args.next().unwrap_or_else(|| usage());
+                seed = v.parse().unwrap_or_else(|_| usage());
+            }
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => usage(),
             other => names.push(other.to_string()),
@@ -137,6 +148,11 @@ fn main() {
     exp.lose_device = lose_device;
     exp.sort_backend = sort_backend;
     exp.exec_mode = exec_mode;
+    exp.seed = seed;
+    if exec_mode == simjoin::ExecMode::Cpu && names.iter().any(|n| n == "soak") {
+        eprintln!("soak faults a simulated device: use --exec-mode gpu or hybrid");
+        std::process::exit(2);
+    }
     if let Some(lost) = lose_device {
         if lost >= devices || devices < 2 {
             eprintln!("--lose-device {lost} needs --devices > {}", lost.max(1));
@@ -166,6 +182,7 @@ fn main() {
             "failover" => drop(exp.failover()),
             "hybrid" => drop(exp.hybrid()),
             "serve" => drop(exp.serve()),
+            "soak" => drop(exp.soak()),
             _ => usage(),
         }
     }

@@ -20,6 +20,7 @@
 //! | [`Experiments::failover`] | DESIGN.md §10 — reshard recovery vs CPU degradation after a device loss |
 //! | [`Experiments::hybrid`] | DESIGN.md §11 — CPU/GPU co-execution, forced split fractions vs the measured auto cut |
 //! | [`Experiments::serve`] | DESIGN.md §13 — the serve daemon's churn-and-query stream, coalesced vs serial |
+//! | [`Experiments::soak`] | DESIGN.md §10 — seeded fault schedules over fleets (or the hybrid), exact or a typed error |
 
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -33,7 +34,7 @@ use simjoin::{
 };
 use sj_telemetry::{Event, JsonTelemetry, Telemetry};
 use sjdata::DatasetSpec;
-use warpsim::{CostModel, FaultSchedule, IssueOrder, StepMode};
+use warpsim::{CostModel, FaultPlane, FaultProfile, FaultSchedule, IssueOrder, StepMode};
 
 use crate::cpu_model::CpuModel;
 use crate::harness::{run_gpu, run_superego, CpuRunResult, GpuRunResult};
@@ -117,6 +118,9 @@ pub struct Experiments {
     /// split-invariant, so tables are bit-identical across modes — CI diffs
     /// `--exec-mode hybrid` vs `--exec-mode gpu` on fig9.
     pub exec_mode: ExecMode,
+    /// Seed base of [`Self::soak`]: iteration `i` replays the schedule
+    /// seeded `seed + i`.
+    pub seed: u64,
     sink: RefCell<Option<Arc<JsonTelemetry>>>,
 }
 
@@ -272,6 +276,7 @@ impl Experiments {
             sort_backend: SortBackend::default(),
             lose_device: None,
             exec_mode: ExecMode::default(),
+            seed: 0,
             sink: RefCell::new(None),
             cpu: CpuModel::default(),
             batching: BatchingConfig {
@@ -1084,9 +1089,9 @@ impl Experiments {
             fmt_time(clean.response_s),
             fmt_speedup(1.0),
         ]);
-        for profile_name in warpsim::FaultProfile::names() {
-            let profile = warpsim::FaultProfile::by_name(profile_name).expect("named profile");
-            let plane = warpsim::FaultPlane::seeded(0xC4A05, &profile);
+        for profile_name in FaultProfile::names() {
+            let profile = FaultProfile::by_name(profile_name).expect("named profile");
+            let plane = FaultPlane::seeded(0xC4A05, &profile);
             let runner = self.runner();
             let join = DynSelfJoin::new(&pts, config.clone())
                 .with_telemetry(runner.telemetry())
@@ -1576,6 +1581,184 @@ impl Experiments {
         out
     }
 
+    /// Chaos soak (not part of the paper; not in `run_all`): eight seeded
+    /// iterations on a small Expo2D set, from seed base [`Self::seed`],
+    /// cycling fault profile × device count (1–4) × access pattern. Each
+    /// iteration runs the same join clean and under its fault schedule on
+    /// the same target. The faulted run must find exactly the clean pair
+    /// set or end in a typed error, and a fleet's makespan must stay within
+    /// the serial response bound of the same recovered run; a broken
+    /// invariant panics, naming the iteration. Under [`ExecMode::Hybrid`]
+    /// every iteration soaks the co-executor on one device instead.
+    ///
+    /// # Panics
+    /// Under [`ExecMode::Cpu`], which has no device to fault.
+    pub fn soak(&self) -> String {
+        const EPS: f32 = 0.5;
+        assert!(
+            self.exec_mode != ExecMode::Cpu,
+            "the soak faults a simulated device: exec mode gpu or hybrid"
+        );
+        let n = ((800.0 * self.scale.points_scale) as usize).max(400);
+        let pts = DatasetSpec::by_name("Expo2D2M")
+            .expect("a Table I dataset")
+            .generate(n);
+        // Probe the clean pair count once, then tighten the batch capacity
+        // so the plan holds enough units that seeded fault schedules land
+        // inside each device's launch window — a soak over one-launch plans
+        // would exercise nothing.
+        let probe = DynSelfJoin::new(&pts, self.config(EPS))
+            .run(&ExecTarget::Gpu)
+            .expect("the clean soak probe must succeed");
+        let base = self.config(EPS).with_batching(BatchingConfig {
+            batch_result_capacity: probe.result.len() / 16 + 8,
+            max_batches: 64,
+            ..BatchingConfig::default()
+        });
+        let hybrid = (self.exec_mode == ExecMode::Hybrid).then(|| {
+            ExecTarget::Hybrid(HybridPolicy::default().with_jobs(base.resolved_host_jobs()))
+        });
+        let patterns = [
+            AccessPattern::LidUnicomp,
+            AccessPattern::Unicomp,
+            AccessPattern::FullWindow,
+        ];
+        let profiles = FaultProfile::names();
+        self.begin_experiment("soak");
+        let runner = self.runner();
+        let mut t = Table::new(vec![
+            "#", "profile", "devices", "pattern", "seed", "outcome", "pairs", "makespan",
+            "vs clean",
+        ]);
+        let (mut typed_errors, mut recovered, mut worst) = (0, 0, 1.0f64);
+        for i in 0..8u64 {
+            let (seed, at) = (self.seed.wrapping_add(i), i as usize);
+            let profile = profiles[at % profiles.len()];
+            let devices = if hybrid.is_some() { 1 } else { 1 + at % 4 };
+            let pattern = patterns[at % patterns.len()];
+            let what =
+                format!("soak iteration {i} (profile={profile} devices={devices} seed={seed})");
+            let schedule = FaultSchedule::seeded(
+                seed,
+                &FaultProfile::by_name(profile).expect("a named profile"),
+            );
+            // A fleet soak lands the schedule on one device of the fleet, a
+            // hybrid soak replays it on the join's own fault plane.
+            let clean_fleet = warpsim::DeviceFleet::homogeneous(devices, base.gpu);
+            let faulted_fleet = warpsim::DeviceFleet::homogeneous(devices, base.gpu)
+                .with_fault_schedule(at % devices, schedule.clone());
+            let plane = FaultPlane::new(schedule);
+            let on =
+                |fleet| hybrid.unwrap_or(ExecTarget::Fleet(fleet, ShardStrategy::WorkloadAware));
+            let config = base.clone().with_pattern(pattern);
+            let clean = DynSelfJoin::new(&pts, config.clone())
+                .run(&on(&clean_fleet))
+                .unwrap_or_else(|e| panic!("{what}: clean run failed: {e}"));
+            let mut join = DynSelfJoin::new(&pts, config).with_telemetry(runner.telemetry());
+            if hybrid.is_some() {
+                join = join.with_fault_plane(&plane);
+            }
+            let (outcome, intervened) = match join.run(&on(&faulted_fleet)) {
+                Err(e) if e.is_execution() => (Err(e.to_string()), false),
+                Err(e) => panic!("{what}: {e}"),
+                Ok(o) => {
+                    let (found, expected) = (o.result.sorted_pairs(), clean.result.sorted_pairs());
+                    assert!(
+                        found == expected,
+                        "{what}: exact-result invariant VIOLATED: faulted run found {} pairs, \
+                         clean run found {}",
+                        found.len(),
+                        expected.len()
+                    );
+                    let intervened = match (&o.fleet, &o.hybrid) {
+                        (Some(fleet), _) => {
+                            // Structural bound: the parallel makespan can never
+                            // exceed the serialized response time of the same
+                            // recovered run (plus the host last-resort tail).
+                            let serial_bound =
+                                o.report.response_time_s() + fleet.recovery.cpu_last_resort_model_s;
+                            assert!(
+                                fleet.makespan_s <= serial_bound * 1.05 + 1e-12,
+                                "{what}: makespan bound VIOLATED: {:.6e} model s exceeds the \
+                                 serial response bound {serial_bound:.6e}",
+                                fleet.makespan_s
+                            );
+                            fleet.recovery.intervened()
+                        }
+                        (_, Some(h)) => h.spilled_units > 0,
+                        _ => false,
+                    };
+                    (Ok(o), intervened)
+                }
+            };
+            recovered += u32::from(intervened);
+            let mut event = Event::new("soak", "iteration")
+                .u64("iteration", i)
+                .str("profile", profile)
+                .u64("devices", devices as u64)
+                .str("pattern", format!("{pattern:?}"))
+                .u64("seed", seed)
+                .bool("intervened", intervened);
+            let mut row = vec![
+                i.to_string(),
+                profile.to_string(),
+                devices.to_string(),
+                format!("{pattern:?}"),
+                seed.to_string(),
+            ];
+            match outcome {
+                Err(e) => {
+                    typed_errors += 1;
+                    row.extend([
+                        format!("typed error: {e}"),
+                        "-".into(),
+                        "-".into(),
+                        "-".into(),
+                    ]);
+                    event = event.bool("typed_error", true).str("error", e);
+                }
+                Ok(o) => {
+                    let (makespan_s, clean_s) = (o.model_s(), clean.model_s());
+                    let inflation = if clean_s > 0.0 {
+                        makespan_s / clean_s
+                    } else {
+                        1.0
+                    };
+                    worst = worst.max(inflation);
+                    row.extend([
+                        if intervened {
+                            "recovered, exact"
+                        } else {
+                            "exact"
+                        }
+                        .into(),
+                        o.result.len().to_string(),
+                        fmt_time(makespan_s),
+                        fmt_speedup(inflation),
+                    ]);
+                    event = event
+                        .bool("typed_error", false)
+                        .u64("pairs", o.result.len() as u64)
+                        .f64("makespan_model_s", makespan_s)
+                        .f64("clean_makespan_model_s", clean_s)
+                        .f64("inflation", inflation);
+                }
+            }
+            runner.telemetry().record(event);
+            t.row(row);
+        }
+        let out = emit(
+            &format!(
+                "Soak — seeded fault schedules, each exact or a typed error \
+                 ({typed_errors} typed error(s), {recovered} recovered, worst makespan \
+                 {worst:.2}x clean)"
+            ),
+            t.render(),
+        );
+        self.end_experiment("soak");
+        out
+    }
+
     /// Runs everything, in paper order.
     pub fn run_all(&self) -> String {
         let mut out = String::new();
@@ -1774,6 +1957,58 @@ mod tests {
             assert!(out.contains(profile), "missing profile {profile}");
         }
         assert!(out.contains("clean"));
+    }
+
+    /// Runs the quick soak under `exec_mode` into a temp artifact directory
+    /// (it panics on a wrong pair set or a broken makespan bound) and
+    /// returns the `soak/iteration` events of its strictly parsed document.
+    fn soak_iterations(exec_mode: ExecMode) -> Vec<sj_telemetry::json::JsonValue> {
+        use sj_telemetry::json::{self, JsonValue};
+        let dir = std::env::temp_dir().join(format!(
+            "sj-bench-soak-{}-{}",
+            exec_mode.label(),
+            std::process::id()
+        ));
+        let mut exp = Experiments::new(ExperimentScale::quick());
+        exp.exec_mode = exec_mode;
+        exp.artifact_dir = Some(dir.clone());
+        exp.soak();
+        let text = std::fs::read_to_string(dir.join("soak_telemetry.json")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let doc = json::parse(&text).expect("the soak document is strict JSON");
+        assert_eq!(
+            doc.get("schema").and_then(JsonValue::as_str),
+            Some(sj_telemetry::SCHEMA_VERSION)
+        );
+        let events = doc.get("events").and_then(JsonValue::as_array).unwrap();
+        let is = |e: &JsonValue, key: &str, value: &str| {
+            e.get(key).and_then(JsonValue::as_str) == Some(value)
+        };
+        events
+            .iter()
+            .filter(|e| is(e, "scope", "soak") && is(e, "name", "iteration"))
+            .cloned()
+            .collect()
+    }
+
+    fn devices(iteration: &sj_telemetry::json::JsonValue) -> u64 {
+        let fields = iteration.get("fields").unwrap();
+        fields.get("devices").and_then(|d| d.as_u64()).unwrap()
+    }
+
+    #[test]
+    fn soak_runs_green_and_writes_strict_telemetry() {
+        let iterations = soak_iterations(ExecMode::Gpu);
+        assert_eq!(iterations.len(), 8);
+        let fleet_sizes: Vec<u64> = iterations.iter().map(devices).collect();
+        assert_eq!(fleet_sizes, [1, 2, 3, 4, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn soak_hybrid_iteration_holds_the_exactness_invariant() {
+        let iterations = soak_iterations(ExecMode::Hybrid);
+        assert_eq!(iterations.len(), 8);
+        assert!(iterations.iter().all(|i| devices(i) == 1));
     }
 
     #[test]

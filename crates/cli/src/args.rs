@@ -12,7 +12,7 @@ pub struct Parsed {
 }
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &["verify", "balanced-queue", "quick", "help", "no-coalesce"];
+const SWITCHES: &[&str] = &["verify", "balanced-queue", "help", "no-coalesce"];
 
 impl Parsed {
     /// Parses an argument list.
@@ -111,15 +111,15 @@ mod tests {
         assert_eq!(p.required_parse::<u32>("k").unwrap(), 8);
         assert!(p.switch("verify"));
         assert!(!p.switch("balanced-queue"));
-        assert!(!p.switch("quick"));
+        assert!(!p.switch("no-coalesce"));
     }
 
     #[test]
-    fn quick_is_a_switch_not_a_value_flag() {
-        // Regression guard: `--quick` must not swallow the next argument.
-        let p = Parsed::parse(&argv(&["soak", "--quick", "--iterations", "4"])).unwrap();
-        assert!(p.switch("quick"));
-        assert_eq!(p.parse_or("iterations", 0u32).unwrap(), 4);
+    fn switches_do_not_swallow_the_next_argument() {
+        // Regression guard: a switch must not take the next flag as its value.
+        let p = Parsed::parse(&argv(&["serve", "--no-coalesce", "--queue-capacity", "4"])).unwrap();
+        assert!(p.switch("no-coalesce"));
+        assert_eq!(p.parse_or("queue-capacity", 0u32).unwrap(), 4);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! CLI subcommands.
 
+use std::io::Write;
 use std::path::Path;
 
 use epsgrid::{DynPoints, Point};
 use simjoin::{
-    AccessPattern, Balancing, DynSelfJoin, ExecMode, ExecTarget, HybridPolicy, SelfJoinConfig,
-    ShardStrategy, SortBackend, WithPoints,
+    AccessPattern, Balancing, DynSelfJoin, ExecMode, ExecOutcome, ExecTarget, HybridPolicy,
+    SelfJoinConfig, ShardStrategy, SortBackend, WithPoints,
 };
-use sj_telemetry::{JsonTelemetry, Telemetry, Value};
+use sj_telemetry::{JsonTelemetry, Telemetry, Value, SCHEMA_VERSION};
 use sjdata::{io as dataio, DatasetSpec};
-use warpsim::DeviceFleet;
+use warpsim::{DeviceFleet, FaultPlane, FaultProfile};
 
 use crate::args::Parsed;
 
@@ -25,50 +26,30 @@ USAGE:
                [--pattern full|unicomp|lid] [--balancing none|sort|queue]
                [--balanced-queue] [--devices <n>] [--shard-strategy workload|count]
                [--recovery reshard|degrade] [--sort-backend host|device]
-               [--exec-mode gpu|cpu|hybrid] [--cpu-fraction <f>]
-               [--host-jobs <n>] [--output <pairs.csv>] [--verify]
+               [--exec-mode gpu|cpu|hybrid] [--cpu-fraction <f>] [--host-jobs <n>]
+               [--output <pairs.csv>] [--verify] [--telemetry <telemetry.json>]
+               [--fault-profile transient|device-lost|overflow|counter|stall|mixed]
+               [--seed <u64>]
       Run the self-join and print the execution report. --verify checks the
-      result against the SUPER-EGO CPU join. With --devices N > 1 the batch
-      plan is sharded across N simulated GPUs (workload-aware by default)
-      and the per-device breakdown plus the fleet makespan are printed; the
-      merged result and the canonical report are identical to a
-      single-device run. --recovery picks what happens when a device fails
-      persistently mid-join: re-shard its unexecuted work onto the
-      survivors (default) or degrade that shard to the exact CPU fallback.
-      --exec-mode hybrid co-executes the plan across the simulated GPU and
-      host CPU workers, cutting the workload-sorted unit list by measured
-      per-backend cost (or at a forced --cpu-fraction) and differentially
-      checking every unit both backends computed; the pair set and
-      canonical report stay identical to --exec-mode gpu. --exec-mode cpu
-      routes every unit through the checked CPU backend.
-      --host-jobs N threads the inside of the join itself (fleet shards,
-      batches, warp stepping, hybrid CPU workers; 0 = one per core, default
-      from the HOST_JOBS env var): the pair set, report, and telemetry are
-      bit-identical for any value — only wall-clock changes. Also accepted
-      by profile, chaos, soak, and serve.
+      result against the SUPER-EGO CPU join. --devices N > 1 shards the plan
+      across N simulated GPUs (workload-aware by default) and prints each
+      device and the fleet makespan; the merged result and canonical report
+      equal a single-device run. --recovery: a device failing mid-join has
+      its unexecuted work re-sharded onto the survivors (default) or
+      degraded to the exact CPU fallback. --exec-mode hybrid co-executes the
+      plan on the GPU and host CPU workers, cut by measured per-backend cost
+      (or at a forced --cpu-fraction), checking every unit both computed;
+      --exec-mode cpu runs every unit on the checked CPU backend. Either way
+      the pair set and canonical report equal --exec-mode gpu. --host-jobs N
+      threads the join itself (0 = one per core, default from the HOST_JOBS
+      env var); results and telemetry are bit-identical for any value.
+      --telemetry attaches the observation-only JSON sink, prints the
+      host-side phases and writes the sj-telemetry/v1 document.
+      --fault-profile and/or --seed (default mixed, 0) replay a seeded fault
+      schedule against the join (seed + d on fleet device d) and report the
+      recovery. They imply --verify; a typed error is an acceptable outcome.
   simjoin stats --input <path> --eps <f>
       Print workload statistics (mean neighbors, cells, imbalance).
-  simjoin profile --input <path> --eps <f> [--k <n>|--k auto]
-                  [--pattern full|unicomp|lid] [--balancing none|sort|queue]
-                  [--balanced-queue] [--sort-backend host|device]
-                  [--host-jobs <n>] [--output <telemetry.json>]
-      Run the self-join with the JSON telemetry sink attached, print a
-      per-phase breakdown, and write the sj-telemetry/v1 document
-      (default: telemetry.json). The sink is observation-only: pair sets,
-      cycle counts and model seconds are identical with or without it.
-  simjoin chaos --input <path> --eps <f> [--k <n>]
-                [--pattern full|unicomp|lid] [--balancing none|sort|queue]
-                [--balanced-queue] [--sort-backend host|device] [--host-jobs <n>]
-                [--fault-profile transient|device-lost|overflow|counter|stall|mixed]
-                [--seed <u64>] [--devices <n>] [--shard-strategy workload|count]
-                [--recovery reshard|degrade] [--exec-mode gpu|cpu|hybrid]
-                [--cpu-fraction <f>] [--output <telemetry.json>]
-      Replay a seeded fault schedule against the join and report how the
-      resilient executor recovered (retries, splits, re-sharding, CPU
-      degradation). With --devices N > 1 every device gets its own seeded
-      schedule and the fleet failover path is exercised. The result is
-      verified against the SUPER-EGO CPU join; a typed error is also an
-      acceptable outcome under injected faults.
   simjoin serve --input <path> --eps <f> [--script <path>|--listen <addr>]
                 [--pattern full|unicomp|lid] [--balancing none|sort|queue]
                 [--k <n>] [--exec-mode gpu|cpu|hybrid] [--host-jobs <n>]
@@ -89,20 +70,8 @@ USAGE:
       seconds; the sj-telemetry/v1 document (serve.request /
       serve.coalesce / serve.reindex events) lands at --output (default
       serve_telemetry.json).
-  simjoin soak [--iterations <n>] [--seed <base>] [--dataset <name>]
-               [--n <count>] [--eps <f>] [--recovery reshard|degrade]
-               [--exec-mode gpu|hybrid] [--cpu-fraction <f>] [--host-jobs <n>]
-               [--quick] [--output <telemetry.json>]
-      Chaos soak harness: run N seeded chaos iterations cycling fault
-      profile x device count x access pattern, asserting on every round
-      that the fleet result is exactly the clean run's pair set and that
-      the recovered makespan stays within the serial response-time bound.
-      --exec-mode hybrid soaks the CPU/GPU co-executor instead: each
-      iteration replays its fault schedule through the hybrid path and
-      asserts the co-processed pair set is exactly the clean run's.
-      --quick shrinks the dataset for CI.
 
-Every command rejects flags it does not accept.
+Every command rejects flags it does not accept. The chaos soak is `experiments soak`.
 ";
 
 /// The flags shaping one join's configuration (see [`join_config`]).
@@ -124,18 +93,11 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let (accepted, run): (String, Command) = match command {
         "datasets" => (String::new(), |_| datasets()),
         "generate" => ("dataset n output".into(), generate),
-        "join" => (format!("{CONFIG_FLAGS} {TARGET_FLAGS} output verify"), join),
+        "join" => (
+            format!("{CONFIG_FLAGS} {TARGET_FLAGS} output verify telemetry fault-profile seed"),
+            |parsed| join(parsed, &mut std::io::stdout()),
+        ),
         "stats" => ("input eps".into(), stats),
-        "profile" => (format!("{CONFIG_FLAGS} output"), profile),
-        "chaos" => (
-            format!("{CONFIG_FLAGS} {TARGET_FLAGS} fault-profile seed output"),
-            chaos,
-        ),
-        "soak" => (
-            "iterations seed dataset n quick eps recovery exec-mode cpu-fraction host-jobs output"
-                .into(),
-            soak,
-        ),
         "serve" => (
             "input eps k pattern balancing exec-mode host-jobs script listen queue-capacity \
              no-coalesce rebuild-limit output"
@@ -183,16 +145,12 @@ fn load(parsed: &Parsed) -> Result<DynPoints, String> {
     dataio::read_path(Path::new(input)).map_err(|e| format!("reading {input}: {e}"))
 }
 
-/// Unified ε validation for every CLI entry point: the same typed check
-/// (and the same message) the serve protocol and the library constructors
-/// apply, surfaced before any dataset is loaded into a grid.
-fn check_eps(eps: f32) -> Result<f32, String> {
-    simjoin::validate_epsilon(eps).map_err(|e| format!("flag --eps is invalid: {e}"))
-}
-
-/// `--eps`, required and validated.
+/// `--eps`, required and validated by the same typed check (and with the
+/// same message) the serve protocol and the library constructors apply,
+/// before any dataset is loaded into a grid.
 fn eps_flag(parsed: &Parsed) -> Result<f32, String> {
-    check_eps(parsed.required_parse("eps")?)
+    simjoin::validate_epsilon(parsed.required_parse("eps")?)
+        .map_err(|e| format!("flag --eps is invalid: {e}"))
 }
 
 fn pattern_flag(parsed: &Parsed) -> Result<AccessPattern, String> {
@@ -229,20 +187,6 @@ fn recovery_flag(parsed: &Parsed) -> Result<simjoin::RecoveryPolicy, String> {
     }
 }
 
-/// `--host-jobs <n>`: worker threads inside each join (fleet shards,
-/// batches, warps, hybrid CPU workers); `0` = one per core. When absent
-/// the config keeps its default (the `HOST_JOBS` env var, else auto).
-/// Results are bit-identical for any value — the knob changes wall-clock
-/// only.
-fn host_jobs_flag(parsed: &Parsed, config: &mut SelfJoinConfig) -> Result<(), String> {
-    if let Some(v) = parsed.optional("host-jobs") {
-        config.host_jobs = v
-            .parse()
-            .map_err(|_| "flag --host-jobs has an invalid value")?;
-    }
-    Ok(())
-}
-
 /// `--k <n>`, or `--k auto` (reported as `None`: the caller asks the
 /// dataset for [`DynSelfJoin::recommended_k`]).
 fn k_flag(parsed: &Parsed) -> Result<Option<u32>, String> {
@@ -253,6 +197,9 @@ fn k_flag(parsed: &Parsed) -> Result<Option<u32>, String> {
 }
 
 /// The join configuration of [`CONFIG_FLAGS`] at thread granularity `k`.
+/// `--host-jobs <n>` sets the worker threads inside the join (`0` = one
+/// per core); when absent the config keeps its default (the `HOST_JOBS`
+/// env var, else auto). Results are bit-identical for any value.
 fn join_config(parsed: &Parsed, eps: f32, k: u32) -> Result<SelfJoinConfig, String> {
     let mut config = SelfJoinConfig::new(eps)
         .with_pattern(pattern_flag(parsed)?)
@@ -260,7 +207,7 @@ fn join_config(parsed: &Parsed, eps: f32, k: u32) -> Result<SelfJoinConfig, Stri
         .with_k(k);
     config.batching.balanced_queue = parsed.switch("balanced-queue");
     config.sort_backend = sort_backend_flag(parsed)?;
-    host_jobs_flag(parsed, &mut config)?;
+    config.host_jobs = parsed.parse_or("host-jobs", config.host_jobs)?;
     Ok(config)
 }
 
@@ -312,8 +259,26 @@ fn hybrid_policy(
     Ok(policy.with_forced_cpu_fraction(f))
 }
 
-/// SUPER-EGO's sorted pair set: the exact reference `--verify` and
-/// `chaos` check against.
+/// `--fault-profile` and `--seed`: the profile and seed a faulted join
+/// replays (`mixed` and 0 when only the other flag is given) and a label
+/// naming both, or `None` when neither flag is.
+fn fault_flags(parsed: &Parsed) -> Result<Option<(String, FaultProfile, u64)>, String> {
+    if parsed.optional("fault-profile").is_none() && parsed.optional("seed").is_none() {
+        return Ok(None);
+    }
+    let name = parsed.optional("fault-profile").unwrap_or("mixed");
+    let profile = FaultProfile::by_name(name).ok_or_else(|| {
+        format!(
+            "unknown fault profile `{name}` (one of: {})",
+            FaultProfile::names().join("|")
+        )
+    })?;
+    let seed = parsed.parse_or("seed", 0)?;
+    Ok(Some((format!("{name} (seed {seed})"), profile, seed)))
+}
+
+/// SUPER-EGO's sorted pair set: the exact reference `--verify` checks
+/// against.
 fn superego_pairs(points: &DynPoints, eps: f32) -> Result<Vec<(u32, u32)>, String> {
     struct SuperEgo(f32);
     impl WithPoints for SuperEgo {
@@ -328,64 +293,14 @@ fn superego_pairs(points: &DynPoints, eps: f32) -> Result<Vec<(u32, u32)>, Strin
     simjoin::with_points(points, SuperEgo(eps)).map_err(|e| e.to_string())
 }
 
-/// The hybrid accounting line(s) shared by `join` and `chaos` output.
-fn print_hybrid(h: &simjoin::HybridReport) {
-    println!(
-        "hybrid cut            : unit {} of {} ({} chosen) — {} gpu / {} cpu / {} spilled unit(s)",
-        h.cut,
-        h.units,
-        if h.forced { "forced" } else { "measured" },
-        h.gpu_units,
-        h.cpu_units,
-        h.spilled_units
-    );
-    println!(
-        "hybrid gpu side       : {:.6} model s ({} unit(s))",
-        h.gpu_response_s, h.gpu_units
-    );
-    println!(
-        "hybrid cpu side       : {:.6} model s ({} unit(s), {} jobs, {} distance calcs)",
-        h.cpu_model_s, h.cpu_units, h.jobs, h.cpu_stats.distance_calcs
-    );
-    println!("hybrid makespan       : {:.6} model s", h.makespan_s);
-}
-
-/// The fleet recovery accounting line(s) shared by `join`, `chaos` and
-/// `soak` output.
-fn print_recovery(rec: &simjoin::FleetRecoveryReport) {
-    if !rec.intervened() {
-        println!("fleet recovery        : none (no intervention)");
-        return;
-    }
-    println!(
-        "fleet recovery        : {} reshard round(s), {} unit(s) reassigned, \
-         {} device(s) lost",
-        rec.reshard_rounds, rec.reassigned_units, rec.devices_lost
-    );
-    if rec.cpu_last_resort_points > 0 {
-        println!(
-            "cpu last resort       : {} point(s), {} pair(s), {:.6} model s",
-            rec.cpu_last_resort_points, rec.cpu_last_resort_pairs, rec.cpu_last_resort_model_s
-        );
-    }
-    for h in &rec.health {
-        println!(
-            "  round {}: device {} -> {} ({} unit(s))",
-            h.round,
-            h.device,
-            h.state.label(),
-            h.units
-        );
-    }
-}
-
-fn join(parsed: &Parsed) -> Result<(), String> {
+fn join(parsed: &Parsed, out: &mut dyn Write) -> Result<(), String> {
     let eps = eps_flag(parsed)?;
     let k = k_flag(parsed)?;
     let mut config =
         join_config(parsed, eps, k.unwrap_or(1))?.with_recovery(recovery_flag(parsed)?);
     let (devices, strategy, exec_mode) = target_flags(parsed)?;
     let policy = hybrid_policy(parsed, exec_mode, &config)?;
+    let faults = fault_flags(parsed)?;
     let points = load(parsed)?;
     if k.is_none() {
         config.k = DynSelfJoin::new(&points, config.clone())
@@ -393,43 +308,137 @@ fn join(parsed: &Parsed) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
     }
 
-    let sim_fleet = (devices > 1).then(|| DeviceFleet::homogeneous(devices, config.gpu));
-    let target = match &sim_fleet {
+    // On a fleet every device draws its own schedule from the profile,
+    // seeded `seed + device` so the fault timings decorrelate; a single
+    // device replays one seeded plane.
+    let mut fleet = (devices > 1).then(|| DeviceFleet::homogeneous(devices, config.gpu));
+    let mut plane = None;
+    if let Some((_, profile, seed)) = &faults {
+        match fleet.take() {
+            Some(f) => {
+                fleet = Some((0..devices).fold(f, |f, d| {
+                    f.with_seeded_faults(d, seed.wrapping_add(d as u64), profile)
+                }))
+            }
+            None => plane = Some(FaultPlane::seeded(*seed, profile)),
+        }
+    }
+    let sink = parsed.optional("telemetry").map(|_| {
+        JsonTelemetry::new(format!(
+            "simjoin join eps={eps} variant={} devices={devices} exec={} faults={}",
+            config.label(),
+            exec_mode.label(),
+            faults.as_ref().map_or("none", |(label, ..)| label.as_str())
+        ))
+    });
+    let mut join = DynSelfJoin::new(&points, config.clone());
+    if let Some(sink) = &sink {
+        join = join.with_telemetry(sink);
+    }
+    if let Some(plane) = &plane {
+        join = join.with_fault_plane(plane);
+    }
+    let target = match &fleet {
         Some(fleet) => ExecTarget::Fleet(fleet, strategy),
         None => exec_mode.target(policy),
     };
-    let outcome = DynSelfJoin::new(&points, config.clone())
-        .run(&target)
-        .map_err(|e| e.to_string())?;
-    let (pairs, report) = (outcome.result.sorted_pairs(), &outcome.report);
-    if parsed.switch("verify") {
+    let outcome = match join.run(&target) {
+        Err(e) if faults.is_some() && e.is_execution() => Err(e.to_string()),
+        Err(e) => return Err(e.to_string()),
+        Ok(outcome) => Ok(outcome),
+    };
+    let pairs = outcome.as_ref().map_or(vec![], |o| o.result.sorted_pairs());
+    let verify = outcome.is_ok() && (parsed.switch("verify") || faults.is_some());
+    if verify {
         let reference = superego_pairs(&points, eps)?;
         if pairs != reference {
             return Err(format!(
-                "verification FAILED: GPU join found {} pairs, SUPER-EGO found {}",
+                "verification FAILED: the join found {} pairs, SUPER-EGO found {}",
                 pairs.len(),
                 reference.len()
             ));
         }
-        println!(
-            "verification: SUPER-EGO agrees on all {} pairs",
-            pairs.len()
-        );
     }
 
-    println!(
-        "variant               : {} (k = {})",
-        config.label(),
-        config.k
-    );
-    println!("exec mode             : {}", exec_mode.label());
-    println!("pairs found           : {}", pairs.len());
-    println!("batches               : {}", report.num_batches);
-    println!("distance calculations : {}", report.distance_calcs());
-    println!("warp exec efficiency  : {:.1} %", report.wee() * 100.0);
-    println!("response time (model) : {:.6} s", report.response_time_s());
+    // Everything printed or written from here on fails only as I/O.
+    let print = |out: &mut dyn Write| -> std::io::Result<()> {
+        writeln!(out, "variant               : {}", config.label())?;
+        let (mode, recovery) = (exec_mode.label(), config.recovery.label());
+        writeln!(out, "exec mode             : {mode} ({recovery} recovery)")?;
+        if let Some((label, ..)) = &faults {
+            // Read after the run: the planes count the faults as they land.
+            let injected = fleet.as_ref().map_or(0, DeviceFleet::injected_faults)
+                + plane.as_ref().map_or(0, FaultPlane::injected_faults);
+            writeln!(out, "fault profile         : {label}")?;
+            writeln!(out, "injected faults       : {injected}")?;
+        }
+        let n = pairs.len();
+        match &outcome {
+            Err(e) => writeln!(
+                out,
+                "outcome               : typed error, acceptable under faults — {e}"
+            )?,
+            Ok(outcome) => {
+                if verify {
+                    writeln!(
+                        out,
+                        "verification          : SUPER-EGO agrees on all {n} pairs"
+                    )?;
+                }
+                print_report(out, outcome)?;
+            }
+        }
+        if let (Some(path), Ok(_)) = (parsed.optional("output"), &outcome) {
+            let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
+            for (a, b) in &pairs {
+                writeln!(w, "{a},{b}")?;
+            }
+            w.flush()?;
+            writeln!(out, "wrote {n} pairs to {path}")?;
+        }
+        if let (Some(sink), Some(path)) = (&sink, parsed.optional("telemetry")) {
+            writeln!(out, "\nhost-side phases:")?;
+            for event in sink.events().iter().filter(|e| e.scope == "executor.phase") {
+                match (event.field("host_ns"), event.field("model_s")) {
+                    (Some(Value::U64(ns)), _) => {
+                        writeln!(out, "  {:<20} {:>10.3} ms", event.name, *ns as f64 / 1e6)?
+                    }
+                    // Device pre-pass phases (sort/scan) are model-time only.
+                    (None, Some(Value::F64(s))) => {
+                        writeln!(out, "  {:<20} {s:>10.6} model s", event.name)?
+                    }
+                    _ => writeln!(out, "  {:<20} {:>10.3} ms", event.name, 0.0)?,
+                }
+            }
+            sink.write_to_file(Path::new(path))?;
+            writeln!(
+                out,
+                "\nwrote {} events ({SCHEMA_VERSION}) to {path}",
+                sink.len()
+            )?;
+        }
+        Ok(())
+    };
+    print(out).map_err(|e| e.to_string())
+}
+
+/// The canonical report of a completed join, then every block its outcome
+/// carries: the device pre-pass, the degradation, the fleet and the hybrid
+/// accounting.
+fn print_report(out: &mut dyn Write, outcome: &ExecOutcome) -> std::io::Result<()> {
+    let report = &outcome.report;
+    writeln!(out, "pairs found           : {}", outcome.result.len())?;
+    writeln!(out, "batches               : {}", report.num_batches)?;
+    writeln!(out, "distance calculations : {}", report.distance_calcs())?;
+    writeln!(out, "warp exec efficiency  : {:.1} %", report.wee() * 100.0)?;
+    writeln!(
+        out,
+        "response time (model) : {:.6} s",
+        report.response_time_s()
+    )?;
     if let Some(pp) = &report.prepass {
-        println!(
+        writeln!(
+            out,
             "device pre-pass       : {:.6} s (sort {:.6} s / {} launches, scan {:.6} s / {} launches){}",
             pp.model_s(),
             pp.sort_model_s,
@@ -441,16 +450,32 @@ fn join(parsed: &Parsed) -> Result<(), String> {
             } else {
                 ""
             }
-        );
+        )?;
+    }
+    if let Some(d) = &report.degradation {
+        writeln!(out, "batches salvaged      : {}", d.batches_salvaged)?;
+        writeln!(out, "points degraded to CPU: {}", d.points_degraded)?;
+        writeln!(out, "cpu fallback pairs    : {}", d.cpu_pairs)?;
+        writeln!(out, "cpu fallback (model)  : {:.6} s", d.cpu_model_s)?;
+        writeln!(
+            out,
+            "retries               : {} transient, {} overflow splits, {} counter",
+            d.transient_retries, d.overflow_splits, d.counter_retries
+        )?;
+        writeln!(out, "transfer stalls       : {}", d.transfer_stalls)?;
+        writeln!(out, "backoff (model)       : {:.6} s", d.backoff_s)?;
+        writeln!(out, "device lost           : {}", d.device_lost)?;
     }
     if let Some(fleet) = &outcome.fleet {
-        println!(
+        writeln!(
+            out,
             "devices               : {} ({} partitioning)",
             fleet.shards.len(),
             fleet.strategy.label()
-        );
+        )?;
         for s in &fleet.shards {
-            println!(
+            writeln!(
+                out,
                 "  device {}: units {:>4}..{:<4} queries {:>7} workload {:>10} \
                  batches {:>3} pairs {:>8} response {:.6} s{}{}",
                 s.device,
@@ -471,464 +496,79 @@ fn join(parsed: &Parsed) -> Result<(), String> {
                 } else {
                     String::new()
                 }
-            );
+            )?;
         }
-        println!("fleet makespan (model): {:.6} s", fleet.makespan_s);
-        println!(
+        writeln!(out, "fleet makespan (model): {:.6} s", fleet.makespan_s)?;
+        writeln!(
+            out,
             "jain fairness         : {:.3} (per-shard response times)",
             fleet.jain_fairness()
-        );
-        print_recovery(&fleet.recovery);
+        )?;
+        let rec = &fleet.recovery;
+        if rec.intervened() {
+            writeln!(
+                out,
+                "fleet recovery        : {} reshard round(s), {} unit(s) reassigned, \
+                 {} device(s) lost",
+                rec.reshard_rounds, rec.reassigned_units, rec.devices_lost
+            )?;
+        } else {
+            writeln!(out, "fleet recovery        : none (no intervention)")?;
+        }
+        if rec.cpu_last_resort_points > 0 {
+            writeln!(
+                out,
+                "cpu last resort       : {} point(s), {} pair(s), {:.6} model s",
+                rec.cpu_last_resort_points, rec.cpu_last_resort_pairs, rec.cpu_last_resort_model_s
+            )?;
+        }
+        for h in &rec.health {
+            writeln!(
+                out,
+                "  round {}: device {} -> {} ({} unit(s))",
+                h.round,
+                h.device,
+                h.state.label(),
+                h.units
+            )?;
+        }
         if fleet.makespan_s > 0.0 {
-            println!(
+            writeln!(
+                out,
                 "speedup vs 1 device   : {:.2}x",
                 report.response_time_s() / fleet.makespan_s
-            );
+            )?;
         }
     }
     if let Some(h) = &outcome.hybrid {
-        print_hybrid(h);
+        writeln!(
+            out,
+            "hybrid cut            : unit {} of {} ({} chosen) — {} gpu / {} cpu / {} spilled unit(s)",
+            h.cut,
+            h.units,
+            if h.forced { "forced" } else { "measured" },
+            h.gpu_units,
+            h.cpu_units,
+            h.spilled_units
+        )?;
+        writeln!(
+            out,
+            "hybrid gpu side       : {:.6} model s ({} unit(s))",
+            h.gpu_response_s, h.gpu_units
+        )?;
+        writeln!(
+            out,
+            "hybrid cpu side       : {:.6} model s ({} unit(s), {} jobs, {} distance calcs)",
+            h.cpu_model_s, h.cpu_units, h.jobs, h.cpu_stats.distance_calcs
+        )?;
+        writeln!(out, "hybrid makespan       : {:.6} model s", h.makespan_s)?;
         if h.makespan_s > 0.0 {
-            println!(
+            writeln!(
+                out,
                 "speedup vs gpu only   : {:.2}x",
                 report.response_time_s() / h.makespan_s
-            );
+            )?;
         }
-    }
-
-    if let Some(output) = parsed.optional("output") {
-        use std::io::Write;
-        let f = std::fs::File::create(output).map_err(|e| e.to_string())?;
-        let mut w = std::io::BufWriter::new(f);
-        for (a, b) in &pairs {
-            writeln!(w, "{a},{b}").map_err(|e| e.to_string())?;
-        }
-        println!("wrote {} pairs to {output}", pairs.len());
-    }
-    Ok(())
-}
-
-fn profile(parsed: &Parsed) -> Result<(), String> {
-    let eps = eps_flag(parsed)?;
-    let k = k_flag(parsed)?;
-    let mut config = join_config(parsed, eps, k.unwrap_or(1))?;
-    let points = load(parsed)?;
-    if k.is_none() {
-        config.k = DynSelfJoin::new(&points, config.clone())
-            .recommended_k()
-            .map_err(|e| e.to_string())?;
-    }
-
-    let sink = JsonTelemetry::new(format!(
-        "simjoin profile eps={eps} pattern={:?} balancing={:?}",
-        config.pattern, config.balancing
-    ));
-    let outcome = DynSelfJoin::new(&points, config.clone())
-        .with_telemetry(&sink)
-        .run(&ExecTarget::Gpu)
-        .map_err(|e| e.to_string())?;
-    let report = &outcome.report;
-
-    println!(
-        "variant               : {} (k = {})",
-        config.label(),
-        config.k
-    );
-    println!("pairs found           : {}", outcome.result.len());
-    println!("batches               : {}", report.num_batches);
-    println!("warp exec efficiency  : {:.1} %", report.wee() * 100.0);
-    println!("response time (model) : {:.6} s", report.response_time_s());
-
-    let events = sink.events();
-    println!("\nhost-side phases:");
-    for event in &events {
-        if event.scope == "executor.phase" {
-            match (event.field("host_ns"), event.field("model_s")) {
-                (Some(Value::U64(n)), _) => {
-                    println!("  {:<20} {:>10.3} ms", event.name, *n as f64 / 1e6);
-                }
-                // Device pre-pass phases (sort/scan) are model-time only.
-                (None, Some(Value::F64(s))) => {
-                    println!("  {:<20} {:>10.6} model s", event.name, s);
-                }
-                _ => println!("  {:<20} {:>10.3} ms", event.name, 0.0),
-            }
-        }
-    }
-    let mut counts: Vec<(String, usize)> = Vec::new();
-    for event in &events {
-        let key = format!("{}/{}", event.scope, event.name);
-        match counts.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, c)) => *c += 1,
-            None => counts.push((key, 1)),
-        }
-    }
-    println!("\nevents recorded:");
-    for (key, count) in &counts {
-        println!("  {key:<32} x{count}");
-    }
-
-    let output = parsed.optional("output").unwrap_or("telemetry.json");
-    sink.write_to_file(Path::new(output))
-        .map_err(|e| e.to_string())?;
-    println!(
-        "\nwrote {} events ({}) to {output}",
-        sink.len(),
-        sj_telemetry::SCHEMA_VERSION
-    );
-    Ok(())
-}
-
-fn chaos(parsed: &Parsed) -> Result<(), String> {
-    let eps = eps_flag(parsed)?;
-    let k: u32 = parsed.parse_or("k", 1)?;
-    let config = join_config(parsed, eps, k)?.with_recovery(recovery_flag(parsed)?);
-    let profile_name = parsed.optional("fault-profile").unwrap_or("mixed");
-    let profile = warpsim::FaultProfile::by_name(profile_name).ok_or_else(|| {
-        format!(
-            "unknown fault profile `{profile_name}` (one of: {})",
-            warpsim::FaultProfile::names().join("|")
-        )
-    })?;
-    let seed: u64 = parsed.parse_or("seed", 0)?;
-    let (devices, strategy, exec_mode) = target_flags(parsed)?;
-    let policy = hybrid_policy(parsed, exec_mode, &config)?;
-    let points = load(parsed)?;
-
-    let sink = JsonTelemetry::new(format!(
-        "simjoin chaos profile={profile_name} seed={seed} eps={eps} devices={devices}"
-    ));
-    // On a fleet every device draws its own schedule from the profile,
-    // with a seed offset per device so the fault timings decorrelate; a
-    // single device replays one seeded plane.
-    let fleet = (devices > 1).then(|| {
-        (0..devices).fold(DeviceFleet::homogeneous(devices, config.gpu), |fleet, d| {
-            fleet.with_fault_schedule(d, warpsim::FaultSchedule::seeded(seed + d as u64, &profile))
-        })
-    });
-    let plane = warpsim::FaultPlane::seeded(seed, &profile);
-    let mut join = DynSelfJoin::new(&points, config.clone()).with_telemetry(&sink);
-    let target = match &fleet {
-        Some(fleet) => ExecTarget::Fleet(fleet, strategy),
-        None => {
-            println!("injected faults       : {}", plane.injected_faults());
-            join = join.with_fault_plane(&plane);
-            exec_mode.target(policy)
-        }
-    };
-    let outcome = join.run(&target);
-
-    println!("variant               : {}", config.label());
-    println!("exec mode             : {}", exec_mode.label());
-    println!("fault profile         : {profile_name} (seed {seed})");
-    if devices > 1 {
-        println!(
-            "devices               : {devices} ({} partitioning, {} recovery)",
-            strategy.label(),
-            config.recovery.label()
-        );
-    }
-    match outcome {
-        Err(e) if e.is_execution() => {
-            println!("outcome               : typed error — {e}");
-            println!("(a typed error is an acceptable chaos outcome; a wrong result is not)");
-        }
-        Err(e) => return Err(e.to_string()),
-        Ok(outcome) => {
-            let pairs = outcome.result.sorted_pairs();
-            let reference = superego_pairs(&points, eps)?;
-            if pairs != reference {
-                return Err(format!(
-                    "chaos verification FAILED: join found {} pairs, SUPER-EGO found {}",
-                    pairs.len(),
-                    reference.len()
-                ));
-            }
-            println!(
-                "outcome               : completed, exact ({} pairs verified)",
-                pairs.len()
-            );
-            let report = &outcome.report;
-            println!("response time (model) : {:.6} s", report.response_time_s());
-            match &report.degradation {
-                None => println!("recovery              : none (clean run)"),
-                Some(d) => {
-                    println!("batches salvaged      : {}", d.batches_salvaged);
-                    println!("points degraded to CPU: {}", d.points_degraded);
-                    println!("cpu fallback pairs    : {}", d.cpu_pairs);
-                    println!("cpu fallback (model)  : {:.6} s", d.cpu_model_s);
-                    println!(
-                        "retries               : {} transient, {} overflow splits, {} counter",
-                        d.transient_retries, d.overflow_splits, d.counter_retries
-                    );
-                    println!("transfer stalls       : {}", d.transfer_stalls);
-                    println!("backoff (model)       : {:.6} s", d.backoff_s);
-                    println!("device lost           : {}", d.device_lost);
-                }
-            }
-            if let Some(fleet) = &outcome.fleet {
-                println!("fleet makespan (model): {:.6} s", fleet.makespan_s);
-                print_recovery(&fleet.recovery);
-            }
-            if let Some(h) = &outcome.hybrid {
-                print_hybrid(h);
-            }
-        }
-    }
-
-    let fault_events = sink
-        .events()
-        .iter()
-        .filter(|e| {
-            e.name == "fault_injected"
-                || e.name == "fault_retry"
-                || e.name == "overflow_recovery"
-                || e.name == "degradation"
-                || e.scope == "warpsim.fault"
-        })
-        .count();
-    println!("fault/recovery events : {fault_events}");
-    if let Some(output) = parsed.optional("output") {
-        sink.write_to_file(Path::new(output))
-            .map_err(|e| e.to_string())?;
-        println!(
-            "wrote {} events ({}) to {output}",
-            sink.len(),
-            sj_telemetry::SCHEMA_VERSION
-        );
-    }
-    Ok(())
-}
-
-/// One soak iteration's observable outcome.
-struct SoakRound {
-    /// Typed error string when the faulted run failed (acceptable under
-    /// injected faults); `None` means it completed and was verified exact.
-    error: Option<String>,
-    pairs: usize,
-    makespan_s: f64,
-    clean_makespan_s: f64,
-    intervened: bool,
-}
-
-/// Replays one soak iteration: a clean run and a faulted run of the same
-/// join on the same target shape, which must find exactly the same pairs.
-/// `faults` is the schedule and the device it lands on: a fleet soak
-/// attaches it to that device of a `devices`-wide fleet, a hybrid soak
-/// (`hybrid` set) replays it on the join's own fault plane.
-fn soak_round(
-    points: &DynPoints,
-    config: &SelfJoinConfig,
-    hybrid: Option<HybridPolicy>,
-    devices: usize,
-    faults: (usize, warpsim::FaultSchedule),
-    sink: &dyn Telemetry,
-) -> Result<SoakRound, String> {
-    let strategy = ShardStrategy::WorkloadAware;
-    let clean_fleet = DeviceFleet::homogeneous(devices, config.gpu);
-    let faulted_fleet = DeviceFleet::homogeneous(devices, config.gpu)
-        .with_fault_schedule(faults.0, faults.1.clone());
-    let plane = warpsim::FaultPlane::new(faults.1);
-    let (clean_target, faulted_target) = match hybrid {
-        Some(policy) => (ExecTarget::Hybrid(policy), ExecTarget::Hybrid(policy)),
-        None => (
-            ExecTarget::Fleet(&clean_fleet, strategy),
-            ExecTarget::Fleet(&faulted_fleet, strategy),
-        ),
-    };
-    // Clean reference on the same target: the invariant is that any fault
-    // schedule yields exactly this pair set.
-    let clean = DynSelfJoin::new(points, config.clone())
-        .run(&clean_target)
-        .map_err(|e| format!("clean run failed: {e}"))?;
-    let clean_pairs = clean.result.sorted_pairs();
-    let mut join = DynSelfJoin::new(points, config.clone()).with_telemetry(sink);
-    if hybrid.is_some() {
-        join = join.with_fault_plane(&plane);
-    }
-    let outcome = match join.run(&faulted_target) {
-        Err(e) if e.is_execution() => {
-            return Ok(SoakRound {
-                error: Some(e.to_string()),
-                pairs: 0,
-                makespan_s: 0.0,
-                clean_makespan_s: clean.model_s(),
-                intervened: false,
-            })
-        }
-        Err(e) => return Err(e.to_string()),
-        Ok(outcome) => outcome,
-    };
-    let pairs = outcome.result.sorted_pairs();
-    if pairs != clean_pairs {
-        return Err(format!(
-            "exact-result invariant VIOLATED: faulted run found {} pairs, clean run found {}",
-            pairs.len(),
-            clean_pairs.len()
-        ));
-    }
-    let intervened = match (&outcome.fleet, &outcome.hybrid) {
-        (Some(fleet), _) => {
-            // Structural bound: the parallel makespan can never exceed the
-            // serialized response time of the same recovered run (plus the
-            // host last-resort tail).
-            let serial_bound =
-                outcome.report.response_time_s() + fleet.recovery.cpu_last_resort_model_s;
-            if fleet.makespan_s > serial_bound * 1.05 + 1e-12 {
-                return Err(format!(
-                    "makespan bound VIOLATED: {:.6e} model s exceeds the serial \
-                     response bound {serial_bound:.6e}",
-                    fleet.makespan_s
-                ));
-            }
-            fleet.recovery.intervened()
-        }
-        (_, Some(h)) => h.spilled_units > 0,
-        _ => false,
-    };
-    Ok(SoakRound {
-        error: None,
-        pairs: pairs.len(),
-        makespan_s: outcome.model_s(),
-        clean_makespan_s: clean.model_s(),
-        intervened,
-    })
-}
-
-fn soak(parsed: &Parsed) -> Result<(), String> {
-    let iterations: u64 = parsed.parse_or("iterations", 12)?;
-    if iterations == 0 {
-        return Err("--iterations must be at least 1".into());
-    }
-    let seed_base: u64 = parsed.parse_or("seed", 0)?;
-    let dataset = parsed.optional("dataset").unwrap_or("Expo2D2M");
-    let spec = DatasetSpec::by_name(dataset)
-        .ok_or_else(|| format!("unknown dataset `{dataset}` (see `simjoin datasets`)"))?;
-    let n: usize = parsed.parse_or("n", if parsed.switch("quick") { 400 } else { 800 })?;
-    // Tuned for the default dataset at soak scale; override per dataset.
-    let eps = check_eps(parsed.parse_or("eps", 0.5)?)?;
-    let recovery = recovery_flag(parsed)?;
-    let exec_mode = exec_mode_flag(parsed)?;
-    if exec_mode == ExecMode::Cpu {
-        return Err("soak --exec-mode supports gpu|hybrid (cpu has no device to fault)".into());
-    }
-    let mut base = SelfJoinConfig::new(eps).with_recovery(recovery);
-    host_jobs_flag(parsed, &mut base)?;
-    let policy = hybrid_policy(parsed, exec_mode, &base)?;
-    let hybrid = (exec_mode == ExecMode::Hybrid).then_some(policy);
-    let points = spec.generate(n);
-
-    // Probe the clean pair count once, then tighten the batch capacity so
-    // the plan holds enough units that seeded fault schedules actually land
-    // inside each device's launch window — a soak over one-launch plans
-    // would exercise nothing.
-    let probe_pairs = DynSelfJoin::new(&points, SelfJoinConfig::new(eps))
-        .run(&ExecTarget::Gpu)
-        .map_err(|e| format!("soak probe failed: {e}"))?
-        .result
-        .len();
-    let batching = simjoin::BatchingConfig {
-        batch_result_capacity: probe_pairs / 16 + 8,
-        max_batches: 64,
-        ..simjoin::BatchingConfig::default()
-    };
-
-    let sink = JsonTelemetry::new(format!(
-        "simjoin soak dataset={dataset} n={n} eps={eps} seed-base={seed_base} \
-         iterations={iterations} recovery={}",
-        recovery.label()
-    ));
-    let profiles = warpsim::FaultProfile::names();
-    let patterns = [
-        AccessPattern::LidUnicomp,
-        AccessPattern::Unicomp,
-        AccessPattern::FullWindow,
-    ];
-
-    println!(
-        "soak: {iterations} iteration(s) on {dataset} n={n} eps={eps} ({} recovery, {} exec)",
-        recovery.label(),
-        exec_mode.label()
-    );
-    let mut typed_errors = 0u64;
-    let mut interventions = 0u64;
-    let mut worst_inflation = 1.0f64;
-    for i in 0..iterations {
-        let seed = seed_base + i;
-        let profile_name = profiles[i as usize % profiles.len()];
-        let profile = warpsim::FaultProfile::by_name(profile_name).expect("known profile");
-        let devices = if hybrid.is_some() {
-            1
-        } else {
-            1 + i as usize % 4
-        };
-        let pattern = patterns[i as usize % patterns.len()];
-        let config = base.clone().with_pattern(pattern).with_batching(batching);
-        let faults = (
-            i as usize % devices,
-            warpsim::FaultSchedule::seeded(seed, &profile),
-        );
-        let round = soak_round(&points, &config, hybrid, devices, faults, &sink).map_err(|e| {
-            format!(
-                "soak iteration {i} (profile={profile_name} devices={devices} seed={seed}): {e}"
-            )
-        })?;
-
-        let inflation = if round.error.is_none() && round.clean_makespan_s > 0.0 {
-            round.makespan_s / round.clean_makespan_s
-        } else {
-            1.0
-        };
-        worst_inflation = worst_inflation.max(inflation);
-        interventions += u64::from(round.intervened);
-        let mut event = sj_telemetry::Event::new("soak", "iteration")
-            .u64("iteration", i)
-            .str("profile", profile_name)
-            .u64("devices", devices as u64)
-            .str("pattern", format!("{pattern:?}"))
-            .u64("seed", seed)
-            .bool("intervened", round.intervened);
-        match &round.error {
-            Some(e) => {
-                typed_errors += 1;
-                event = event.bool("typed_error", true).str("error", e.clone());
-                println!(
-                    "  [{i:>3}] {profile_name:<11} devices={devices} {pattern:?}: \
-                     typed error — {e}"
-                );
-            }
-            None => {
-                event = event
-                    .bool("typed_error", false)
-                    .u64("pairs", round.pairs as u64)
-                    .f64("makespan_model_s", round.makespan_s)
-                    .f64("clean_makespan_model_s", round.clean_makespan_s)
-                    .f64("inflation", inflation);
-                println!(
-                    "  [{i:>3}] {profile_name:<11} devices={devices} {pattern:?}: exact \
-                     ({} pairs), makespan {:.6} s ({inflation:.2}x clean){}",
-                    round.pairs,
-                    round.makespan_s,
-                    if round.intervened { " [recovered]" } else { "" }
-                );
-            }
-        }
-        sink.record(event);
-    }
-
-    println!(
-        "soak summary          : {iterations} iteration(s), {typed_errors} typed error(s), \
-         {interventions} recovery intervention(s), worst makespan inflation {worst_inflation:.2}x"
-    );
-    println!("exact-result invariant: held on every completed iteration");
-    if let Some(output) = parsed.optional("output") {
-        sink.write_to_file(Path::new(output))
-            .map_err(|e| e.to_string())?;
-        println!(
-            "wrote {} events ({}) to {output}",
-            sink.len(),
-            sj_telemetry::SCHEMA_VERSION
-        );
     }
     Ok(())
 }
@@ -1125,6 +765,89 @@ mod tests {
     #[test]
     fn unknown_command_errors() {
         assert!(dispatch(&argv(&["frobnicate"])).is_err());
+        // Telemetry and fault replay are `join` flags, and the soak is
+        // `experiments soak`: none of them is a subcommand.
+        for gone in ["profile", "chaos", "soak"] {
+            let err = dispatch(&argv(&[gone, "--input", "x.csv", "--eps", "0.5"])).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown command `{gone}`")),
+                "{err}"
+            );
+        }
+    }
+
+    /// Runs `join` with `args` and returns what it printed.
+    fn join_output(args: &[&str]) -> String {
+        let mut out = Vec::new();
+        join(&Parsed::parse(&argv(args)).unwrap(), &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    /// Writes an `n`-point Expo2D2M dataset into a fresh temp directory
+    /// named after `tag` and returns the directory and the dataset path.
+    fn expo2d(tag: &str, n: usize) -> (std::path::PathBuf, String) {
+        let dir = std::env::temp_dir().join(format!("simjoin-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("pts.csv").to_str().unwrap().to_string();
+        let n = n.to_string();
+        let generate = [
+            "generate",
+            "--dataset",
+            "Expo2D2M",
+            "--n",
+            &n,
+            "--output",
+            &data,
+        ];
+        dispatch(&argv(&generate)).unwrap();
+        (dir, data)
+    }
+
+    #[test]
+    fn join_counts_the_faults_that_landed() {
+        let (dir, data) = expo2d("injected-test", 2_000);
+        let out = join_output(&[
+            "join",
+            "--input",
+            &data,
+            "--eps",
+            "0.05",
+            "--fault-profile",
+            "mixed",
+            "--seed",
+            "42",
+        ]);
+        let injected: u64 = out
+            .lines()
+            .find_map(|l| l.strip_prefix("injected faults       : "))
+            .unwrap_or_else(|| panic!("no injected-fault line in\n{out}"))
+            .parse()
+            .unwrap();
+        assert!(injected > 0, "the seeded run injects faults:\n{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn join_report_is_the_same_with_and_without_telemetry() {
+        let (dir, data) = expo2d("telemetry-test", 800);
+        let telemetry = dir.join("t.json").to_str().unwrap().to_string();
+        let args = ["join", "--input", &data, "--eps", "0.3", "--k", "auto"];
+        let plain = join_output(&args);
+        let traced = join_output(&[&args[..], &["--telemetry", telemetry.as_str()]].concat());
+        // The telemetry lines come last; everything before them is the
+        // report, which the observation-only sink must not change.
+        let rest = traced
+            .strip_prefix(&plain)
+            .unwrap_or_else(|| panic!("report changed:\n{plain}\nvs\n{traced}"));
+        assert!(
+            rest.starts_with("\nhost-side phases:\n  index_build "),
+            "{rest}"
+        );
+        assert!(
+            rest.trim_end().ends_with(&format!("to {telemetry}")),
+            "{rest}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1171,12 +894,12 @@ mod tests {
         let telemetry = dir.join("telemetry.json");
         let telemetry_s = telemetry.to_str().unwrap().to_string();
         dispatch(&argv(&[
-            "profile",
+            "join",
             "--input",
             &data_s,
             "--eps",
             "0.5",
-            "--output",
+            "--telemetry",
             &telemetry_s,
         ]))
         .unwrap();
@@ -1208,7 +931,7 @@ mod tests {
         for profile in warpsim::FaultProfile::names() {
             for seed in ["0", "1", "2"] {
                 dispatch(&argv(&[
-                    "chaos",
+                    "join",
                     "--input",
                     &data_s,
                     "--eps",
@@ -1224,7 +947,7 @@ mod tests {
         let telemetry = dir.join("chaos.json");
         let telemetry_s = telemetry.to_str().unwrap().to_string();
         dispatch(&argv(&[
-            "chaos",
+            "join",
             "--input",
             &data_s,
             "--eps",
@@ -1233,7 +956,7 @@ mod tests {
             "stall",
             "--seed",
             "7",
-            "--output",
+            "--telemetry",
             &telemetry_s,
         ]))
         .unwrap();
@@ -1246,7 +969,7 @@ mod tests {
     #[test]
     fn chaos_rejects_unknown_profile() {
         let p = argv(&[
-            "chaos",
+            "join",
             "--input",
             "nonexistent.csv",
             "--eps",
@@ -1254,7 +977,8 @@ mod tests {
             "--fault-profile",
             "gremlins",
         ]);
-        assert!(dispatch(&p).is_err());
+        let err = dispatch(&p).unwrap_err();
+        assert!(err.contains("unknown fault profile `gremlins`"), "{err}");
     }
 
     #[test]
@@ -1341,7 +1065,7 @@ mod tests {
         for recovery in ["reshard", "degrade"] {
             for seed in ["0", "3"] {
                 dispatch(&argv(&[
-                    "chaos",
+                    "join",
                     "--input",
                     &data_s,
                     "--eps",
@@ -1410,7 +1134,7 @@ mod tests {
         // Chaos replays go through the co-executor too; exactness (or a
         // typed error) is checked inside dispatch().
         dispatch(&argv(&[
-            "chaos",
+            "join",
             "--input",
             &data_s,
             "--eps",
@@ -1474,20 +1198,6 @@ mod tests {
     }
 
     #[test]
-    fn soak_hybrid_iteration_holds_the_exactness_invariant() {
-        dispatch(&argv(&[
-            "soak",
-            "--iterations",
-            "2",
-            "--quick",
-            "--exec-mode",
-            "hybrid",
-        ]))
-        .unwrap();
-        assert!(dispatch(&argv(&["soak", "--iterations", "1", "--exec-mode", "cpu"])).is_err());
-    }
-
-    #[test]
     fn recovery_flag_is_validated() {
         let p = Parsed::parse(&argv(&["--recovery", "reshard"])).unwrap();
         assert_eq!(recovery_flag(&p).unwrap(), simjoin::RecoveryPolicy::Reshard);
@@ -1506,31 +1216,6 @@ mod tests {
             "bogus",
         ]))
         .is_err());
-    }
-
-    #[test]
-    fn soak_runs_green_and_writes_strict_telemetry() {
-        let dir = std::env::temp_dir().join(format!("simjoin-soak-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let telemetry = dir.join("soak.json");
-        let telemetry_s = telemetry.to_str().unwrap().to_string();
-        dispatch(&argv(&[
-            "soak",
-            "--iterations",
-            "6",
-            "--quick",
-            "--output",
-            &telemetry_s,
-        ]))
-        .unwrap();
-        let doc = std::fs::read_to_string(&telemetry).unwrap();
-        assert!(doc.contains(sj_telemetry::SCHEMA_VERSION));
-        assert!(doc.contains("\"scope\": \"soak\""));
-        assert!(doc.contains("\"name\": \"iteration\""));
-        // Unknown iteration counts / datasets are flag errors.
-        assert!(dispatch(&argv(&["soak", "--iterations", "0"])).is_err());
-        assert!(dispatch(&argv(&["soak", "--dataset", "bogus"])).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1639,28 +1324,29 @@ mod tests {
     fn epsilon_is_validated_uniformly_across_commands() {
         // No command should get as far as touching the dataset with a bad ε
         // — the unified check fires first, with the same message everywhere.
-        for cmd in ["join", "stats", "profile", "chaos", "serve"] {
+        // `join` is checked with the telemetry sink and the fault plane
+        // attached too.
+        let commands: [&[&str]; 5] = [
+            &["join"],
+            &["join", "--telemetry", "t.json"],
+            &["join", "--fault-profile", "mixed", "--seed", "3"],
+            &["stats"],
+            &["serve"],
+        ];
+        for cmd in commands {
             for bad_eps in ["nan", "inf", "0", "-1"] {
-                let err = dispatch(&argv(&[
-                    cmd,
-                    "--input",
-                    "nonexistent.csv",
-                    "--eps",
-                    bad_eps,
-                ]))
-                .unwrap_err();
+                let args = ["--input", "nonexistent.csv", "--eps", bad_eps];
+                let err = dispatch(&argv(&[cmd, &args[..]].concat())).unwrap_err();
                 assert!(
                     err.contains("flag --eps is invalid"),
-                    "{cmd} --eps {bad_eps}: {err}"
+                    "{cmd:?} --eps {bad_eps}: {err}"
                 );
                 assert!(
                     err.contains("finite, strictly positive"),
-                    "{cmd} --eps {bad_eps}: {err}"
+                    "{cmd:?} --eps {bad_eps}: {err}"
                 );
             }
         }
-        let err = dispatch(&argv(&["soak", "--eps", "-1"])).unwrap_err();
-        assert!(err.contains("flag --eps is invalid"));
     }
 
     #[test]
@@ -1719,30 +1405,39 @@ mod tests {
             ),
             (
                 &[
-                    "profile",
+                    "join",
                     "--input",
                     "nonexistent.csv",
                     "--eps",
                     "0.5",
-                    "--devices",
-                    "2",
+                    "--iterations",
+                    "8",
                 ],
-                "--devices",
+                "--iterations",
             ),
             (
                 &[
-                    "chaos",
+                    "stats",
                     "--input",
                     "nonexistent.csv",
                     "--eps",
                     "0.5",
-                    "--verify",
+                    "--seed",
+                    "1",
                 ],
-                "--verify",
+                "--seed",
             ),
             (
-                &["soak", "--iterations", "1", "--devices", "2"],
-                "--devices",
+                &[
+                    "serve",
+                    "--input",
+                    "nonexistent.csv",
+                    "--eps",
+                    "0.5",
+                    "--fault-profile",
+                    "mixed",
+                ],
+                "--fault-profile",
             ),
             (
                 &[

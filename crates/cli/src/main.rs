@@ -5,10 +5,15 @@
 //! simjoin generate --dataset Expo2D2M --n 60000 --output pts.csv
 //! simjoin join --input pts.csv --eps 0.2 [--k 8|auto] [--pattern lid]
 //!              [--balancing queue] [--balanced-queue] [--output pairs.csv] [--verify]
+//! simjoin join --input pts.csv --eps 0.2 --telemetry telemetry.json
+//! simjoin join --input pts.csv --eps 0.2 --fault-profile mixed --seed 42
 //! simjoin stats --input pts.csv --eps 0.2
-//! simjoin profile --input pts.csv --eps 0.2 --output telemetry.json
-//! simjoin chaos --input pts.csv --eps 0.2 --fault-profile mixed --seed 42
+//! simjoin serve --input pts.csv --eps 0.2 --script requests.jsonl
 //! ```
+//!
+//! `--telemetry` attaches the JSON sink to a join; `--fault-profile` and
+//! `--seed` replay a seeded fault schedule against it and verify the
+//! result. The chaos soak harness is `experiments soak` (`sj-bench`).
 
 mod args;
 mod commands;

@@ -208,7 +208,7 @@ impl FaultProfile {
         ]
     }
 
-    /// Looks up a named profile (the `simjoin chaos --profile` values).
+    /// Looks up a named profile (the `simjoin join --fault-profile` values).
     pub fn by_name(name: &str) -> Option<Self> {
         match name {
             "transient" => Some(Self::transient()),
