@@ -1662,13 +1662,12 @@ impl Experiments {
                 Err(e) if e.is_execution() => (Err(e.to_string()), false),
                 Err(e) => panic!("{what}: {e}"),
                 Ok(o) => {
-                    let (found, expected) = (o.result.sorted_pairs(), clean.result.sorted_pairs());
                     assert!(
-                        found == expected,
+                        o.result.same_pairs_as(&clean.result),
                         "{what}: exact-result invariant VIOLATED: faulted run found {} pairs, \
                          clean run found {}",
-                        found.len(),
-                        expected.len()
+                        o.result.len(),
+                        clean.result.len()
                     );
                     let intervened = match (&o.fleet, &o.hybrid) {
                         (Some(fleet), _) => {

@@ -6,7 +6,7 @@ use std::path::Path;
 use epsgrid::{DynPoints, Point};
 use simjoin::{
     AccessPattern, Balancing, DynSelfJoin, ExecMode, ExecOutcome, ExecTarget, HybridPolicy,
-    SelfJoinConfig, ShardStrategy, SortBackend, WithPoints,
+    ResultSet, SelfJoinConfig, ShardStrategy, SortBackend, WithPoints,
 };
 use sj_telemetry::{JsonTelemetry, Telemetry, Value, SCHEMA_VERSION};
 use sjdata::{io as dataio, DatasetSpec};
@@ -277,17 +277,14 @@ fn fault_flags(parsed: &Parsed) -> Result<Option<(String, FaultProfile, u64)>, S
     Ok(Some((format!("{name} (seed {seed})"), profile, seed)))
 }
 
-/// SUPER-EGO's sorted pair set: the exact reference `--verify` checks
-/// against.
-fn superego_pairs(points: &DynPoints, eps: f32) -> Result<Vec<(u32, u32)>, String> {
+/// SUPER-EGO's pair set: the exact reference `--verify` checks against.
+fn superego_pairs(points: &DynPoints, eps: f32) -> Result<ResultSet, String> {
     struct SuperEgo(f32);
     impl WithPoints for SuperEgo {
-        type Output = Vec<(u32, u32)>;
+        type Output = ResultSet;
         fn call<const N: usize>(self, points: &[Point<N>]) -> Self::Output {
             let config = superego::SuperEgoConfig::new(self.0);
-            let mut pairs = superego::super_ego_join(points, &config).pairs;
-            pairs.sort_unstable();
-            pairs
+            ResultSet::from_pairs(superego::super_ego_join(points, &config).pairs)
         }
     }
     simjoin::with_points(points, SuperEgo(eps)).map_err(|e| e.to_string())
@@ -347,14 +344,13 @@ fn join(parsed: &Parsed, out: &mut dyn Write) -> Result<(), String> {
         Err(e) => return Err(e.to_string()),
         Ok(outcome) => Ok(outcome),
     };
-    let pairs = outcome.as_ref().map_or(vec![], |o| o.result.sorted_pairs());
+    let n = outcome.as_ref().map_or(0, |o| o.result.len());
     let verify = outcome.is_ok() && (parsed.switch("verify") || faults.is_some());
-    if verify {
+    if let (true, Ok(o)) = (verify, &outcome) {
         let reference = superego_pairs(&points, eps)?;
-        if pairs != reference {
+        if !o.result.same_pairs_as(&reference) {
             return Err(format!(
-                "verification FAILED: the join found {} pairs, SUPER-EGO found {}",
-                pairs.len(),
+                "verification FAILED: the join found {n} pairs, SUPER-EGO found {}",
                 reference.len()
             ));
         }
@@ -372,7 +368,6 @@ fn join(parsed: &Parsed, out: &mut dyn Write) -> Result<(), String> {
             writeln!(out, "fault profile         : {label}")?;
             writeln!(out, "injected faults       : {injected}")?;
         }
-        let n = pairs.len();
         match &outcome {
             Err(e) => writeln!(
                 out,
@@ -388,9 +383,9 @@ fn join(parsed: &Parsed, out: &mut dyn Write) -> Result<(), String> {
                 print_report(out, outcome)?;
             }
         }
-        if let (Some(path), Ok(_)) = (parsed.optional("output"), &outcome) {
+        if let (Some(path), Ok(outcome)) = (parsed.optional("output"), &outcome) {
             let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-            for (a, b) in &pairs {
+            for (a, b) in outcome.result.sorted_pairs() {
                 writeln!(w, "{a},{b}")?;
             }
             w.flush()?;

@@ -29,7 +29,7 @@ use crate::hybrid::{
     HybridReport,
 };
 use crate::kernels::{Assignment, JoinKernelSource, ResolvedPatterns};
-use crate::result::ResultSet;
+use crate::result::{same_pair_multiset, ResultSet};
 use crate::workload::{expand_cell_order, WorkloadProfile};
 
 /// Errors from configuring or running a self-join.
@@ -880,8 +880,10 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     /// while the CPU pool independently recomputes its share with the
     /// exact [`crate::fallback`] join on [`crate::pool::par_map`] workers
     /// (the CPU step every target finishes work with). Each CPU segment is
-    /// checked pair-for-pair against the GPU segment it replaces before the
-    /// plan-order merge; a divergence returns [`JoinError::Hybrid`] instead
+    /// checked against the GPU's pairs for its unit before the plan-order
+    /// merge: an exact multiset comparison read in place from the GPU's
+    /// ledger slices, linear in the unit's pairs plus the points, with no
+    /// copy and no sort. A divergence returns [`JoinError::Hybrid`] instead
     /// of a silently different result. The split decision and both
     /// backends' cost accounting (the overlapped makespan in model seconds)
     /// land on [`HybridOutcome::hybrid`] and in `hybrid.*` telemetry only,
@@ -1006,48 +1008,52 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             total(self.cpu_join_items(&spill_items, plan, jobs, &mut ledger));
         let cpu_host_ns = sw_cpu.elapsed_ns();
 
-        // Collect every checked unit's GPU segment — the oracle for the
-        // differential check — and drop the GPU's pairs of the replaced
-        // units `[cut, f_complete)` from the merge; their batches stay in
-        // the canonical report.
-        let mut gpu_segments: std::collections::BTreeMap<usize, Vec<(u32, u32)>> =
-            std::collections::BTreeMap::new();
-        let mut gpu_pairs_total = 0usize;
-        for di in &mut done {
-            if di.key >= task_lo && di.key < f_complete {
-                gpu_segments
-                    .entry(di.key)
-                    .or_default()
-                    .extend_from_slice(ledger.pairs(di));
-            }
-            if di.key >= cut && di.key < f_complete {
-                di.pairs.end = di.pairs.start;
-            }
-            gpu_pairs_total += di.pairs.len();
+        // Differential check: every recomputed segment must hold the same
+        // pairs as the GPU's output for its unit (the oracle), compared as
+        // multisets in place in the ledger. The GPU side of a unit is every
+        // slice it was checkpointed in: recovery can split a unit.
+        let checked = task_lo..f_complete;
+        let mut gpu_slices: Vec<Vec<&[(u32, u32)]>> = vec![Vec::new(); n];
+        for di in done.iter().filter(|di| checked.contains(&di.key)) {
+            gpu_slices[di.key].push(ledger.pairs(di));
         }
-
-        // Differential check: every recomputed segment must match the GPU
-        // segment for its unit pair-for-pair. Segments at or past the cut
-        // then replace the GPU's in the merge; checked prefix segments
-        // (auto mode) are released; spills are admitted unchecked — the
-        // GPU never completed them, the brute-force suites cover those.
-        let mut cpu_stats = spill_stats;
-        let mut cpu_pairs_total: usize = spill_segments.iter().map(|di| di.pairs.len()).sum();
-        let mut cpu_items = spill_segments.len();
-        for (di, stats) in planned_segments {
-            let mut gpu = gpu_segments.remove(&di.key).unwrap_or_default();
-            let mut cpu = ledger.pairs(&di).to_vec();
-            gpu.sort_unstable();
-            cpu.sort_unstable();
-            if gpu != cpu {
+        let slices_len = |slices: &[&[(u32, u32)]]| slices.iter().map(|s| s.len()).sum::<usize>();
+        for (di, _) in &planned_segments {
+            let (cpu, gpu) = (ledger.pairs(di), std::mem::take(&mut gpu_slices[di.key]));
+            if !same_pair_multiset(&[cpu], &gpu) {
                 return Err(JoinError::Hybrid(format!(
                     "unit {}: the CPU segment ({} pairs) disagrees with \
                      the GPU segment ({} pairs)",
                     di.key,
                     cpu.len(),
-                    gpu.len()
+                    slices_len(&gpu)
                 )));
             }
+        }
+        let gpu_lens = gpu_slices.iter().map(|slices| slices_len(slices));
+        if let Some((key, gpu)) = gpu_lens.enumerate().skip(cut).find(|&(_, gpu)| gpu > 0) {
+            return Err(JoinError::Hybrid(format!(
+                "unit {key}: the GPU produced {gpu} pairs but the CPU share had \
+                 no queries for it"
+            )));
+        }
+
+        // Drop the GPU's pairs of the replaced units `[cut, f_complete)`
+        // from the merge (their batches stay in the canonical report); the
+        // CPU segments at or past the cut replace them, and checked prefix
+        // segments (auto mode) are released. Spills are admitted unchecked:
+        // the GPU never completed them, the brute-force suites cover those.
+        let mut gpu_pairs_total = 0usize;
+        for di in &mut done {
+            if di.key >= cut && di.key < f_complete {
+                di.pairs.end = di.pairs.start;
+            }
+            gpu_pairs_total += di.pairs.len();
+        }
+        let mut cpu_stats = spill_stats;
+        let mut cpu_pairs_total: usize = spill_segments.iter().map(|di| di.pairs.len()).sum();
+        let mut cpu_items = spill_segments.len();
+        for (di, stats) in planned_segments {
             if di.key >= cut {
                 cpu_stats.add(&stats);
                 cpu_pairs_total += di.pairs.len();
@@ -1056,13 +1062,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             } else {
                 ledger.release(di);
             }
-        }
-        if let Some((&key, gpu)) = gpu_segments.range(cut..).find(|(_, gpu)| !gpu.is_empty()) {
-            return Err(JoinError::Hybrid(format!(
-                "unit {key}: the GPU produced {} pairs but the CPU share had \
-                 no queries for it",
-                gpu.len()
-            )));
         }
         done.extend(spill_segments);
 

@@ -72,7 +72,7 @@ pub use hybrid::{
     choose_cut_measured, forced_cut, gpu_weight_throughput, CutChoice, HybridOutcome, HybridPolicy,
     HybridReport,
 };
-pub use result::ResultSet;
+pub use result::{NeighborIndex, ResultSet};
 pub use serve::{
     Latency, Reply, Request, Response, ServeConfig, ServeError, ServeReport, ServeSession,
 };

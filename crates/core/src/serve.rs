@@ -15,10 +15,11 @@
 //!   with typed rejection ([`ServeError::QueueFull`]) instead of unbounded
 //!   buffering;
 //! - queued requests at the same ε are **coalesced** into one batched
-//!   launch on [`ServeConfig::target`] (through [`SelfJoin::run_on`]) and
-//!   answered from the shared [`ResultSet`](crate::ResultSet); repeated
-//!   flushes in the same churn epoch answer from a result cache without
-//!   launching at all;
+//!   launch on [`ServeConfig::target`] (through [`SelfJoin::run_on`]);
+//!   the launch's pairs are grouped once into a per-query
+//!   [`NeighborIndex`] (a linear-time counting sort), and each query
+//!   answer sorts only its own point's row. Repeated flushes in the same
+//!   churn epoch answer from that cache without launching at all;
 //! - every request is timed in **model seconds** on the session's service
 //!   clock (queue wait + execute), recorded as `serve.request` events and
 //!   rolled up into P50/P99 latencies in the [`ServeReport`].
@@ -39,6 +40,7 @@ use sj_telemetry::{json, Event, Telemetry};
 
 use crate::config::{validate_epsilon, EpsilonError, SelfJoinConfig};
 use crate::executor::{JoinError, SelfJoin};
+use crate::result::NeighborIndex;
 use crate::target::ExecTarget;
 
 /// Default bound on the admission queue.
@@ -318,8 +320,8 @@ struct Pending {
 
 struct CachedAnswer {
     eps_bits: u32,
-    neighbors: Vec<Vec<u32>>,
-    pairs: u64,
+    /// The launch's pairs grouped by query point, in production order.
+    index: NeighborIndex,
     mean_neighbors: f64,
 }
 
@@ -543,13 +545,17 @@ impl<'a, const N: usize> ServeSession<'a, N> {
         let epsilon = members[0].epsilon;
         let eps_bits = epsilon.to_bits();
         let coalesced = members.len() as u64;
-        let cached = self.cfg.coalesce && self.cache.iter().any(|c| c.eps_bits == eps_bits);
-        let start_s = self.clock_s;
-        let execute_s = if cached {
-            0.0
+        let hit = if self.cfg.coalesce {
+            self.cache.iter().position(|c| c.eps_bits == eps_bits)
         } else {
-            match self.launch(epsilon) {
-                Ok(s) => s,
+            None
+        };
+        let cached = hit.is_some();
+        let start_s = self.clock_s;
+        let (answer_at, execute_s) = match hit {
+            Some(at) => (at, 0.0),
+            None => match self.launch(epsilon) {
+                Ok(launched) => launched,
                 Err(e) => {
                     let err = match e {
                         JoinError::Grid(e) => ServeError::Unindexable(e),
@@ -560,7 +566,7 @@ impl<'a, const N: usize> ServeSession<'a, N> {
                         .flat_map(|p| self.reject(p.id, err.clone()).into_iter())
                         .collect();
                 }
-            }
+            },
         };
         self.clock_s += execute_s;
         self.telemetry.record(
@@ -570,11 +576,6 @@ impl<'a, const N: usize> ServeSession<'a, N> {
                 .bool("cache_hit", cached)
                 .f64("execute_model_s", execute_s),
         );
-        let answer_at = self
-            .cache
-            .iter()
-            .position(|c| c.eps_bits == eps_bits)
-            .expect("launch populates the cache for its ε");
         let mut out = Vec::with_capacity(members.len());
         for p in members {
             let latency = Latency {
@@ -596,7 +597,7 @@ impl<'a, const N: usize> ServeSession<'a, N> {
                     Reply::Neighbors {
                         point_id: pid,
                         epsilon,
-                        neighbors: answer.neighbors[pid as usize].clone(),
+                        neighbors: sorted(answer.index.neighbors(pid)),
                         latency,
                         coalesced,
                         cache_hit: cached,
@@ -606,7 +607,7 @@ impl<'a, const N: usize> ServeSession<'a, N> {
                     "join",
                     Reply::JoinSummary {
                         epsilon,
-                        pairs: answer.pairs,
+                        pairs: answer.index.num_pairs() as u64,
                         mean_neighbors: answer.mean_neighbors,
                         latency,
                         coalesced,
@@ -632,8 +633,8 @@ impl<'a, const N: usize> ServeSession<'a, N> {
     }
 
     /// Runs one join launch at `epsilon` and caches its answers. Returns
-    /// the launch's model seconds.
-    fn launch(&mut self, epsilon: f32) -> Result<f64, JoinError> {
+    /// where in the cache they are and the launch's model seconds.
+    fn launch(&mut self, epsilon: f32) -> Result<(usize, f64), JoinError> {
         let maintained = epsilon.to_bits() == self.grid.epsilon().to_bits();
         let per_cell: Vec<u64> = self.grid.per_cell_workload().to_vec();
         let index = self.grid.index().clone();
@@ -652,15 +653,14 @@ impl<'a, const N: usize> ServeSession<'a, N> {
         let n = points.len();
         let answer = CachedAnswer {
             eps_bits: epsilon.to_bits(),
-            neighbors: result.to_neighbor_lists(n),
-            pairs: result.len() as u64,
+            index: result.neighbor_index(n),
             mean_neighbors: result.mean_neighbors(n),
         };
         self.cache.retain(|c| c.eps_bits != answer.eps_bits);
         self.cache.push(answer);
         self.report.launches += 1;
         self.report.execute_model_s += execute_s;
-        Ok(execute_s)
+        Ok((self.cache.len() - 1, execute_s))
     }
 
     fn mutate(&mut self, id: u64, op: MutateOp<N>) -> Vec<Response> {
@@ -670,14 +670,20 @@ impl<'a, const N: usize> ServeSession<'a, N> {
         let requantified_before = self.grid.stats().requantified_cells;
         let (op_name, churn) = match op {
             MutateOp::Insert(point) => ("insert", self.grid.insert(point).map(ChurnOk::Inserted)),
-            MutateOp::Remove(pid) => ("remove", self.grid.remove(pid).map(ChurnOk::Removed)),
+            MutateOp::Remove(pid) => (
+                "remove",
+                self.grid.remove(pid).map(|moved_id| ChurnOk::Removed {
+                    point_id: pid,
+                    moved_id,
+                }),
+            ),
         };
         match churn {
             Err(e) => out.extend(self.reject(id, ServeError::Churn(e))),
             Ok(ok) => {
                 match ok {
                     ChurnOk::Inserted(_) => self.report.inserts += 1,
-                    ChurnOk::Removed(_) => self.report.removes += 1,
+                    ChurnOk::Removed { .. } => self.report.removes += 1,
                 }
                 // New epoch: cached answers describe the old dataset.
                 self.cache.clear();
@@ -709,11 +715,8 @@ impl<'a, const N: usize> ServeSession<'a, N> {
                         point_id: pid,
                         reindex,
                     },
-                    ChurnOk::Removed(moved_id) => Reply::Removed {
-                        point_id: match op {
-                            MutateOp::Remove(pid) => pid,
-                            MutateOp::Insert(_) => unreachable!(),
-                        },
+                    ChurnOk::Removed { point_id, moved_id } => Reply::Removed {
+                        point_id,
                         moved_id,
                         reindex,
                     },
@@ -814,11 +817,21 @@ enum MutateOp<const N: usize> {
 
 enum ChurnOk {
     Inserted(u32),
-    Removed(Option<u32>),
+    Removed {
+        point_id: u32,
+        moved_id: Option<u32>,
+    },
 }
 
 fn grid_build_message(e: &GridBuildError) -> String {
     format!("cannot index the initial dataset: {e:?}")
+}
+
+/// A query answer: one cached row, ascending.
+fn sorted(row: &[u32]) -> Vec<u32> {
+    let mut neighbors = row.to_vec();
+    neighbors.sort_unstable();
+    neighbors
 }
 
 /// `(p50, p99)` of `samples` (0.0 when empty).
@@ -827,7 +840,7 @@ fn percentiles(samples: &[f64]) -> (f64, f64) {
         return (0.0, 0.0);
     }
     let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    sorted.sort_by(f64::total_cmp);
     let at = |q: f64| {
         let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
         sorted[idx.min(sorted.len() - 1)]
@@ -1007,6 +1020,12 @@ mod tests {
         pts
     }
 
+    /// The brute-force ε-neighbourhood of `pid` in `pts`, ascending.
+    fn oracle(pts: &[Point<2>], eps: f32, pid: u32) -> Vec<u32> {
+        let index = ResultSet::from_pairs(brute_force_join(pts, eps)).neighbor_index(pts.len());
+        sorted(index.neighbors(pid))
+    }
+
     fn session<'a>(cfg: ServeConfig) -> ServeSession<'a, 2> {
         ServeSession::new(dataset(), SelfJoinConfig::new(0.8), cfg).unwrap()
     }
@@ -1041,10 +1060,9 @@ mod tests {
             .is_empty());
         let out = s.request(Request::Flush);
         assert_eq!(out.len(), 3);
-        let oracle = ResultSet::from_pairs(brute_force_join(&dataset(), 0.8)).to_neighbor_lists(40);
-        for (resp, pid) in out[..2].iter().zip([3usize, 7]) {
+        for (resp, pid) in out[..2].iter().zip([3, 7]) {
             let (neighbors, latency, coalesced, cache_hit) = expect_neighbors(resp);
-            assert_eq!(neighbors, &oracle[pid]);
+            assert_eq!(neighbors, &oracle(&dataset(), 0.8, pid));
             assert_eq!(coalesced, 2);
             assert!(!cache_hit);
             assert!(latency.execute_s > 0.0);
@@ -1056,7 +1074,6 @@ mod tests {
 
     #[test]
     fn every_target_answers_exactly_and_is_charged_its_model_seconds() {
-        let oracle = ResultSet::from_pairs(brute_force_join(&dataset(), 0.8)).to_neighbor_lists(40);
         let policy = crate::HybridPolicy::default();
         for target in [
             ExecTarget::Gpu,
@@ -1073,7 +1090,7 @@ mod tests {
             });
             let out = s.request(Request::Flush);
             let (neighbors, latency, _, _) = expect_neighbors(&out[0]);
-            assert_eq!(neighbors, &oracle[5], "{target:?}");
+            assert_eq!(neighbors, &oracle(&dataset(), 0.8, 5), "{target:?}");
             // A hybrid launch costs its makespan, not the GPU shadow's
             // response time.
             let points = dataset();
@@ -1199,9 +1216,7 @@ mod tests {
         let mut pts = dataset();
         pts.push([0.3, -0.2]);
         pts.swap_remove(5);
-        let oracle =
-            ResultSet::from_pairs(brute_force_join(&pts, 1.3)).to_neighbor_lists(pts.len());
-        assert_eq!(neighbors, &oracle[2]);
+        assert_eq!(neighbors, &oracle(&pts, 1.3, 2));
     }
 
     #[test]

@@ -62,12 +62,12 @@ fn main() {
     );
 
     // Where do the pairs live on the sky? The galactic plane dominates.
-    let counts = best.result.neighbor_counts(points.len());
+    let index = best.result.neighbor_index(points.len());
     let mut band_pairs = [0u64; 6]; // |b| in 15° bands
     let mut band_points = [0u64; 6];
     for (i, p) in points.iter().enumerate() {
         let band = ((p[1].abs() / 15.0) as usize).min(5);
-        band_pairs[band] += counts[i];
+        band_pairs[band] += index.neighbors(i as u32).len() as u64;
         band_points[band] += 1;
     }
     println!();

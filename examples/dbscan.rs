@@ -13,29 +13,29 @@
 
 use std::collections::VecDeque;
 
-use simjoin::{SelfJoin, SelfJoinConfig};
+use simjoin::{NeighborIndex, SelfJoin, SelfJoinConfig};
 use sj_examples::{fmt_time, parse_n_eps};
 use sjdata::uniform::uniform_points;
 
 const NOISE: i32 = -1;
 const UNVISITED: i32 = -2;
 
-/// DBSCAN over precomputed neighbor lists.
-fn dbscan(neighbors: &[Vec<u32>], min_pts: usize) -> (Vec<i32>, usize) {
-    let n = neighbors.len();
+/// DBSCAN over the join's pairs grouped by point.
+fn dbscan(neighbors: &NeighborIndex, min_pts: usize) -> (Vec<i32>, usize) {
+    let n = neighbors.num_points();
     let mut labels = vec![UNVISITED; n];
     let mut cluster = 0i32;
     for start in 0..n {
         if labels[start] != UNVISITED {
             continue;
         }
-        if neighbors[start].len() < min_pts {
+        if neighbors.neighbors(start as u32).len() < min_pts {
             labels[start] = NOISE;
             continue;
         }
         // Expand a new cluster from this core point.
         labels[start] = cluster;
-        let mut queue: VecDeque<u32> = neighbors[start].iter().copied().collect();
+        let mut queue: VecDeque<u32> = neighbors.neighbors(start as u32).iter().copied().collect();
         while let Some(p) = queue.pop_front() {
             let p = p as usize;
             if labels[p] == NOISE {
@@ -45,8 +45,9 @@ fn dbscan(neighbors: &[Vec<u32>], min_pts: usize) -> (Vec<i32>, usize) {
                 continue;
             }
             labels[p] = cluster;
-            if neighbors[p].len() >= min_pts {
-                queue.extend(neighbors[p].iter().copied());
+            let row = neighbors.neighbors(p as u32);
+            if row.len() >= min_pts {
+                queue.extend(row.iter().copied());
             }
         }
         cluster += 1;
@@ -82,7 +83,7 @@ fn main() {
         outcome.report.wee() * 100.0,
     );
 
-    let neighbors = outcome.result.to_neighbor_lists(points.len());
+    let neighbors = outcome.result.neighbor_index(points.len());
     let (labels, clusters) = dbscan(&neighbors, min_pts);
     let noise = labels.iter().filter(|&&l| l == NOISE).count();
     let mut sizes = vec![0usize; clusters];

@@ -36,7 +36,10 @@ fn main() {
     );
 
     // Neighbor lists are easy to derive from the ordered-pair result.
-    let counts = outcome.result.neighbor_counts(points.len());
+    let index = outcome.result.neighbor_index(points.len());
+    let counts: Vec<usize> = (0..points.len() as u32)
+        .map(|p| index.neighbors(p).len())
+        .collect();
     let (densest, &max) = counts
         .iter()
         .enumerate()

@@ -410,3 +410,67 @@ fn unindexable_foreign_epsilon_is_a_client_error() {
     assert_eq!(answered, vec![(19, oracle_neighbors(&mirror, 19, eps))]);
     assert_eq!(session.report().errors, 1);
 }
+
+/// A query answer is its point's row of the launch's per-query index,
+/// sorted at reply time: an isolated point answers an empty list, and a
+/// same-epoch cache hit answers with the very bytes the launch did.
+#[test]
+fn isolated_points_answer_empty_and_cache_hits_repeat_the_launch() {
+    let (mut pts, eps) = serve_dataset();
+    let far = |axis: usize| pts.iter().map(|p| p[axis]).fold(f32::MIN, f32::max) + 10.0 * eps;
+    pts.push([far(0), far(1)]);
+    let isolated = (pts.len() - 1) as u32;
+    let busy = (0..pts.len() as u32)
+        .max_by_key(|&pid| oracle_neighbors(&pts, pid, eps).len())
+        .unwrap();
+    assert!(oracle_neighbors(&pts, isolated, eps).is_empty());
+    assert!(oracle_neighbors(&pts, busy, eps).len() > 2);
+    let mut session = ServeSession::new(
+        pts.clone(),
+        SelfJoinConfig::new(eps),
+        ServeConfig::default(),
+    )
+    .unwrap();
+
+    // The neighbour list of each query line, and whether it was a cache hit.
+    let mut round = || -> Vec<(u32, String, bool)> {
+        let mut out = Vec::new();
+        for pid in [isolated, busy] {
+            out.extend(session.handle_line(&format!(
+                "{{\"op\": \"query\", \"point_id\": {pid}, \"eps\": {eps}}}"
+            )));
+        }
+        out.extend(session.handle_line("{\"op\": \"flush\"}"));
+        out.iter()
+            .filter(|line| line.contains("\"op\": \"query\""))
+            .map(|line| {
+                let doc = json::parse(line).unwrap();
+                let pid = doc.get("point_id").and_then(JsonValue::as_u64).unwrap() as u32;
+                let at = line.find("\"neighbors\": [").unwrap();
+                let list = &line[at..at + line[at..].find(']').unwrap() + 1];
+                let hit = doc.get("cache_hit").and_then(JsonValue::as_bool).unwrap();
+                (pid, list.to_string(), hit)
+            })
+            .collect()
+    };
+    let launched = round();
+    let repeated = round();
+    assert_eq!(launched.len(), 2);
+    assert_eq!(
+        launched[0],
+        (isolated, "\"neighbors\": []".to_string(), false)
+    );
+    let expected: Vec<String> = oracle_neighbors(&pts, busy, eps)
+        .iter()
+        .map(u32::to_string)
+        .collect();
+    let busy_list = format!("\"neighbors\": [{}]", expected.join(", "));
+    assert_eq!(launched[1], (busy, busy_list, false));
+    assert_eq!(repeated.len(), 2);
+    for (first, again) in launched.iter().zip(&repeated) {
+        assert_eq!(again.1, first.1, "point {}: the cache hit's list", first.0);
+        assert!(again.2, "point {}: answered from the cache", first.0);
+    }
+    assert_eq!(session.report().launches, 1);
+    assert_eq!(session.report().cache_hits, 2);
+}
