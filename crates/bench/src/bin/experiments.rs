@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--quick | --scale <f>] [--eps-stride <n>] [--jobs <n>] \
-//!             [--host-jobs <n>] [--step-mode stepped|runlength] \
+//!             [--step-mode stepped|runlength] \
 //!             [--devices <n>] [--lose-device <d>] [--sort-backend host|device] \
 //!             [--exec-mode gpu|cpu|hybrid] [--seed <u64>] [--no-telemetry] \
 //!             [all|table1|fig9|table3|fig10|table4|fig11|table5|fig12|table6|fig13|ablations|
@@ -17,20 +17,20 @@
 //! seconds; host wall-clock is measured by `perfbench` (see
 //! `perfbench/README.md`), not here.
 //!
-//! Neither `--jobs`, `--host-jobs`, `--step-mode`, `--devices`, nor
-//! `--sort-backend` can change any table: sweep cells are reassembled in
-//! input order, the intra-join layers merge in plan order, the two step
-//! modes are bit-identical, the sharded executor's canonical merged report
-//! is device-count invariant, and the device sort/scan pre-pass is
+//! Neither `--jobs`, `--step-mode`, `--devices`, nor `--sort-backend` can
+//! change any table: sweep cells are reassembled in input order, the
+//! intra-join layers merge in plan order, the two step modes are
+//! bit-identical, the sharded executor's canonical merged report is
+//! device-count invariant, and the device sort/scan pre-pass is
 //! differentially tested against the host planner (its cost lands only in
-//! telemetry), so stdout diffs clean across all five knobs (CI verifies the
+//! telemetry), so stdout diffs clean across all four knobs (CI verifies the
 //! step modes, `--devices 1` vs `--devices 4`, host vs device sorting, and
-//! `--host-jobs 1` vs `--host-jobs 4`).
+//! `--jobs 1` vs `--jobs 4`).
 //!
-//! `--jobs` parallelizes *across* sweep cells; `--host-jobs` parallelizes
-//! *inside* each join (fleet shards, batches, warps). Passing `--host-jobs`
-//! without an explicit `--jobs` pins the sweep pool to one worker so the
-//! two layers don't nest.
+//! `--jobs N` (default: one per core) is the one thread budget: a sweep's
+//! cells run N at a time, each join on one thread, and every other join
+//! runs on N threads inside (fleet shards, batches, warps), so the two
+//! layers never nest.
 //!
 //! `soak` replays eight seeded fault schedules from seed base `--seed`
 //! (default 0) over fleets, or over the co-executor under `--exec-mode
@@ -42,7 +42,7 @@ use warpsim::StepMode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--quick] [--scale <factor>] [--eps-stride <n>] [--jobs <n>] [--host-jobs <n>] [--step-mode stepped|runlength] [--devices <n>] [--lose-device <d>] [--sort-backend host|device] [--exec-mode gpu|cpu|hybrid] [--seed <u64>] [--no-telemetry] [EXPERIMENT]...\n\
+        "usage: experiments [--quick] [--scale <factor>] [--eps-stride <n>] [--jobs <n>] [--step-mode stepped|runlength] [--devices <n>] [--lose-device <d>] [--sort-backend host|device] [--exec-mode gpu|cpu|hybrid] [--seed <u64>] [--no-telemetry] [EXPERIMENT]...\n\
          experiments: all, table1, fig9, table3, fig10, table4, fig11, table5, fig12, table6, fig13, ablations, chaos, scaling, failover, hybrid, serve, soak\n\
          (chaos, scaling, failover, hybrid, serve, and soak are not part of `all`: chaos exercises the fault-injection plane,\n\
           scaling shards the join across a simulated multi-device fleet, failover compares reshard\n\
@@ -53,8 +53,8 @@ fn usage() -> ! {
           the co-executor, cpu is refused); --lose-device <d> injects a\n\
           device-lost fault into every fleet run — requires --devices > d; --exec-mode hybrid routes\n\
           every single-device cell through the co-executor — tables still diff clean;\n\
-          --jobs spreads sweep cells across workers, --host-jobs threads the inside of each join —\n\
-          both leave every table and telemetry artifact bit-identical)"
+          --jobs N runs N sweep cells at a time and threads every other join N ways —\n\
+          it leaves every table and telemetry artifact bit-identical)"
     );
     std::process::exit(2);
 }
@@ -64,7 +64,6 @@ fn main() {
     let mut names: Vec<String> = Vec::new();
     let mut telemetry = true;
     let mut jobs: Option<usize> = None;
-    let mut host_jobs: Option<usize> = None;
     let mut step_mode = StepMode::default();
     let mut devices = 1usize;
     let mut lose_device: Option<usize> = None;
@@ -87,10 +86,6 @@ fn main() {
             "--jobs" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 jobs = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--host-jobs" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                host_jobs = Some(v.parse().unwrap_or_else(|_| usage()));
             }
             "--step-mode" => {
                 let v = args.next().unwrap_or_else(|| usage());
@@ -133,15 +128,6 @@ fn main() {
     }
     if let Some(jobs) = jobs {
         exp.jobs = jobs.max(1);
-    }
-    if let Some(hj) = host_jobs {
-        exp.host_jobs = hj;
-        // --host-jobs threads the inside of each join; unless the caller
-        // also pinned --jobs, drop the sweep-cell pool to a single worker
-        // so the two thread layers don't nest (and oversubscribe).
-        if jobs.is_none() {
-            exp.jobs = 1;
-        }
     }
     exp.step_mode = step_mode;
     exp.devices = devices;

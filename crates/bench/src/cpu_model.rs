@@ -5,49 +5,24 @@
 //! conflate host speed with the experiment. Instead both sides are put on
 //! the **same cost model**: SUPER-EGO's operation counts (distance
 //! calculations with the same per-dimension cost table the GPU lanes use,
-//! plus the EGO-sort's `n log n` comparisons) are divided by a modeled CPU
-//! throughput (cores × SIMD lanes × clock).
+//! plus the EGO-sort's `n log n` comparisons) are divided by the throughput
+//! of [`simjoin::CpuModel`], the modeled host the executor's CPU paths are
+//! costed on too.
 
+use simjoin::CpuModel;
 use superego::JoinStats;
 use warpsim::CostModel;
 
-/// The modeled CPU (defaults approximate the paper's 2× Xeon E5-2620 v4,
-/// 16 cores at 2.1 GHz).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuModel {
-    /// Physical cores.
-    pub cores: u32,
-    /// Effective SIMD lanes per core for this workload. SUPER-EGO's inner
-    /// loop short-circuits per dimension, which defeats vectorization; 2
-    /// effective lanes (scalar + ILP) matches the original's scalar code.
-    pub simd_lanes: u32,
-    /// Core clock in Hz.
-    pub clock_hz: f64,
-    /// Model cycles per sort comparison.
-    pub sort_cost_per_cmp: u32,
-}
+/// Model cycles per EGO-sort comparison.
+pub const SORT_CYCLES_PER_CMP: u32 = 6;
 
-impl Default for CpuModel {
-    fn default() -> Self {
-        Self {
-            cores: 16,
-            simd_lanes: 2,
-            clock_hz: 2.1e9,
-            sort_cost_per_cmp: 6,
-        }
-    }
-}
-
-impl CpuModel {
-    /// Converts SUPER-EGO operation counts into model seconds.
-    pub fn model_seconds(&self, stats: &JoinStats, dims: u32, cost: &CostModel) -> f64 {
-        let dist_cycles = stats.distance_calcs as f64 * cost.distance_op(dims).cycles as f64;
-        let n = stats.sorted_points.max(2) as f64;
-        let sort_cycles = n * n.log2() * self.sort_cost_per_cmp as f64;
-        let emit_cycles = stats.pairs_found as f64 * cost.emit as f64;
-        let total = dist_cycles + sort_cycles + emit_cycles;
-        total / (self.cores as f64 * self.simd_lanes as f64 * self.clock_hz)
-    }
+/// Converts SUPER-EGO operation counts into model seconds.
+pub fn superego_seconds(stats: &JoinStats, dims: u32, cost: &CostModel) -> f64 {
+    let dist_cycles = stats.distance_calcs as f64 * cost.distance_op(dims).cycles as f64;
+    let n = stats.sorted_points.max(2) as f64;
+    let sort_cycles = n * n.log2() * SORT_CYCLES_PER_CMP as f64;
+    let emit_cycles = stats.pairs_found as f64 * cost.emit as f64;
+    CpuModel::seconds(dist_cycles + sort_cycles + emit_cycles)
 }
 
 #[cfg(test)]
@@ -65,40 +40,24 @@ mod tests {
 
     #[test]
     fn more_work_takes_longer() {
-        let m = CpuModel::default();
         let cost = CostModel::default();
-        let small = m.model_seconds(&stats(1_000, 100, 10), 2, &cost);
-        let large = m.model_seconds(&stats(1_000_000, 100, 10), 2, &cost);
+        let small = superego_seconds(&stats(1_000, 100, 10), 2, &cost);
+        let large = superego_seconds(&stats(1_000_000, 100, 10), 2, &cost);
         assert!(large > small * 100.0);
     }
 
     #[test]
     fn higher_dims_cost_more_per_distance() {
-        let m = CpuModel::default();
         let cost = CostModel::default();
-        let d2 = m.model_seconds(&stats(1_000_000, 2, 0), 2, &cost);
-        let d6 = m.model_seconds(&stats(1_000_000, 2, 0), 6, &cost);
+        let d2 = superego_seconds(&stats(1_000_000, 2, 0), 2, &cost);
+        let d6 = superego_seconds(&stats(1_000_000, 2, 0), 6, &cost);
         assert!(d6 > d2);
     }
 
     #[test]
-    fn throughput_scales_with_cores() {
-        let cost = CostModel::default();
-        let s = stats(10_000_000, 1000, 0);
-        let one = CpuModel {
-            cores: 1,
-            ..CpuModel::default()
-        }
-        .model_seconds(&s, 3, &cost);
-        let sixteen = CpuModel::default().model_seconds(&s, 3, &cost);
-        assert!((one / sixteen - 16.0).abs() < 0.01);
-    }
-
-    #[test]
     fn sort_cost_counts_even_with_no_distances() {
-        let m = CpuModel::default();
         let cost = CostModel::default();
         let s = stats(0, 1_000_000, 0);
-        assert!(m.model_seconds(&s, 2, &cost) > 0.0);
+        assert!(superego_seconds(&s, 2, &cost) > 0.0);
     }
 }

@@ -36,7 +36,6 @@ use sj_telemetry::{Event, JsonTelemetry, Telemetry};
 use sjdata::DatasetSpec;
 use warpsim::{CostModel, FaultPlane, FaultProfile, FaultSchedule, IssueOrder, StepMode};
 
-use crate::cpu_model::CpuModel;
 use crate::harness::{run_gpu, run_superego, CpuRunResult, GpuRunResult};
 use crate::table::{fmt_pct, fmt_speedup, fmt_time, Table};
 
@@ -72,8 +71,6 @@ impl ExperimentScale {
 pub struct Experiments {
     /// Scale knobs.
     pub scale: ExperimentScale,
-    /// CPU comparator model.
-    pub cpu: CpuModel,
     /// Batching parameters shared by all runs (`b_s` scaled down from the
     /// paper's 10⁸ to suit simulator-scale result sets).
     pub batching: BatchingConfig,
@@ -81,17 +78,15 @@ pub struct Experiments {
     /// experiment (`None` disables artifact writing — runs are unaffected
     /// either way; the sink is observation-only).
     pub artifact_dir: Option<PathBuf>,
-    /// Host worker threads used for the (dataset, ε, variant) sweep cells of
-    /// the figure experiments. Tables and telemetry artifacts are identical
-    /// for any value: each cell records into a sink of its own, and the
-    /// cells' events join the experiment's document in cell order.
+    /// The host thread budget. The (dataset, ε, variant) sweep cells of the
+    /// figure experiments run `jobs` at a time, each join on one thread;
+    /// every other join runs on `jobs` threads
+    /// ([`SelfJoinConfig::host_jobs`]), so the two thread layers never
+    /// nest. Tables and telemetry artifacts are identical for any value:
+    /// each cell records into a sink of its own, the cells' events join the
+    /// experiment's document in cell order, and a join's canonical report
+    /// is the same at any `host_jobs`.
     pub jobs: usize,
-    /// Host worker threads used *inside* each join (fleet shards,
-    /// within-device batches, warp micro-execution) — the
-    /// [`SelfJoinConfig::with_host_jobs`] knob, `0` = auto. Orthogonal to
-    /// `jobs`, which parallelizes across sweep cells: canonical reports,
-    /// tables, and telemetry artifacts are bit-identical for any value.
-    pub host_jobs: usize,
     /// Warp simulator step mode for every GPU run (host-side only; simulated
     /// results are bit-identical across modes — CI diffs both).
     pub step_mode: StepMode,
@@ -130,7 +125,6 @@ pub struct Experiments {
 #[derive(Clone)]
 struct CellRunner {
     sink: Option<Arc<JsonTelemetry>>,
-    cpu: CpuModel,
     devices: usize,
     lose_device: Option<usize>,
     exec_mode: ExecMode,
@@ -205,7 +199,7 @@ impl CellRunner {
     }
 
     fn sego(&self, pts: &DynPoints, eps: f32) -> CpuRunResult {
-        run_superego(pts, eps, &self.cpu, &CostModel::default(), self.telemetry())
+        run_superego(pts, eps, &CostModel::default(), self.telemetry())
             .expect("SUPER-EGO runs on every dataset dimensionality")
     }
 }
@@ -270,7 +264,6 @@ impl Experiments {
             scale,
             artifact_dir: None,
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            host_jobs: 0,
             step_mode: StepMode::default(),
             devices: 1,
             sort_backend: SortBackend::default(),
@@ -278,7 +271,6 @@ impl Experiments {
             exec_mode: ExecMode::default(),
             seed: 0,
             sink: RefCell::new(None),
-            cpu: CpuModel::default(),
             batching: BatchingConfig {
                 batch_result_capacity: 2_000_000,
                 // Scale bridging: the paper's 2M-point batches always
@@ -318,7 +310,15 @@ impl Experiments {
             .with_batching(self.batching)
             .with_step_mode(self.step_mode)
             .with_sort_backend(self.sort_backend)
-            .with_host_jobs(self.host_jobs)
+            .with_host_jobs(self.jobs)
+    }
+
+    /// The paper's optimized variant at `batching`, on `jobs` host threads:
+    /// the join the experiments outside the paper's sweeps build.
+    fn optimized(&self, eps: f32, batching: BatchingConfig) -> SelfJoinConfig {
+        SelfJoinConfig::optimized(eps)
+            .with_batching(batching)
+            .with_host_jobs(self.jobs)
     }
 
     /// Snapshot of the state a sweep cell needs, detached from the
@@ -326,7 +326,6 @@ impl Experiments {
     fn runner(&self) -> CellRunner {
         CellRunner {
             sink: self.sink.borrow().clone(),
-            cpu: self.cpu,
             devices: self.devices,
             lose_device: self.lose_device,
             exec_mode: self.exec_mode,
@@ -381,10 +380,7 @@ impl Experiments {
     /// most 64 batches) so the plan holds enough units to shard, cut, or
     /// spread across threads.
     fn unit_batching(&self, pts: &DynPoints, eps: f32) -> BatchingConfig {
-        let probe = self.run(
-            pts,
-            SelfJoinConfig::optimized(eps).with_batching(self.batching),
-        );
+        let probe = self.run(pts, self.optimized(eps, self.batching));
         BatchingConfig {
             batch_result_capacity: probe.pairs / 24 + 64,
             max_batches: 64,
@@ -392,16 +388,19 @@ impl Experiments {
         }
     }
 
-    /// Executes a flat list of sweep [`Cell`]s on `self.jobs` workers and
-    /// returns their outcomes in input order. Each cell records into its
-    /// own sink, and the cells' events are appended to the experiment's
-    /// document in cell order, so the artifact is the same for any `jobs`.
+    /// Executes a flat list of sweep [`Cell`]s on `self.jobs` workers, each
+    /// join on one host thread, and returns their outcomes in input order.
+    /// Each cell records into its own sink, and the cells' events are
+    /// appended to the experiment's document in cell order, so the artifact
+    /// is the same for any `jobs`.
     fn sweep(&self, data: &[(DatasetSpec, DynPoints)], cells: Vec<Cell>) -> Vec<CellOut> {
         let runner = self.runner();
         let outs = par_map(self.jobs, cells, |cell| {
             let cell_runner = runner.with_own_sink();
             let out = match cell {
-                Cell::Gpu(di, config) => CellOut::Gpu(cell_runner.run(&data[di].1, config)),
+                Cell::Gpu(di, config) => {
+                    CellOut::Gpu(cell_runner.run(&data[di].1, config.with_host_jobs(1)))
+                }
                 Cell::Cpu(di, eps) => CellOut::Cpu(cell_runner.sego(&data[di].1, eps)),
             };
             (out, cell_runner.sink)
@@ -1068,15 +1067,12 @@ impl Experiments {
         // Probe the result size, then tighten the batch capacity so the run
         // spans several launches — otherwise most schedule entries sit past
         // the last launch index and nothing injects.
-        let probe = self.run(
-            &pts,
-            SelfJoinConfig::optimized(eps).with_batching(self.batching),
-        );
+        let probe = self.run(&pts, self.optimized(eps, self.batching));
         let batching = simjoin::BatchingConfig {
             batch_result_capacity: probe.pairs / 6 + 64,
             ..self.batching
         };
-        let config = SelfJoinConfig::optimized(eps).with_batching(batching);
+        let config = self.optimized(eps, batching);
         let clean = self.run(&pts, config.clone());
         t.row(vec![
             "(none)".into(),
@@ -1152,8 +1148,7 @@ impl Experiments {
         let eps = selected_eps(&spec);
         // Probe the result size, then tighten the batch capacity so the
         // plan holds enough units for an 8-way partition to be meaningful.
-        let batching = self.unit_batching(&pts, eps);
-        let config = SelfJoinConfig::optimized(eps).with_batching(batching);
+        let config = self.optimized(eps, self.unit_batching(&pts, eps));
         let runner = self.runner();
         let mut points = Vec::new();
         for devices in [1usize, 2, 4, 8] {
@@ -1244,9 +1239,7 @@ impl Experiments {
             ("reshard", RecoveryPolicy::Reshard, true),
             ("degrade", RecoveryPolicy::Degrade, true),
         ] {
-            let config = SelfJoinConfig::optimized(eps)
-                .with_batching(batching)
-                .with_recovery(recovery);
+            let config = self.optimized(eps, batching).with_recovery(recovery);
             let mut fleet = warpsim::DeviceFleet::homogeneous(DEVICES, config.gpu);
             if faulted {
                 fleet =
@@ -1339,8 +1332,7 @@ impl Experiments {
         // peeling the tail onto host workers shortens the GPU pipeline by
         // more than the tail costs on the CPU. Tighten the capacity (as in
         // the scaling sweep) so the plan holds enough units to cut.
-        let batching = self.unit_batching(&pts, eps);
-        let config = SelfJoinConfig::optimized(eps).with_batching(batching);
+        let config = self.optimized(eps, self.unit_batching(&pts, eps));
         let sink = self.sink.borrow().clone();
         let runner = self.runner();
         let mut points = Vec::new();
@@ -1353,7 +1345,7 @@ impl Experiments {
             ("auto", None),
         ];
         for (mode, fraction) in sweep {
-            let mut policy = HybridPolicy::default();
+            let mut policy = HybridPolicy::default().with_jobs(config.resolved_host_jobs());
             if let Some(f) = fraction {
                 policy = policy.with_forced_cpu_fraction(f);
             }
@@ -1450,7 +1442,7 @@ impl Experiments {
         let mut transcripts: Vec<Vec<String>> = Vec::new();
         let runner = self.runner();
         for (mode, coalesce) in [("coalesced", true), ("serial", false)] {
-            let config = SelfJoinConfig::optimized(eps).with_batching(self.batching);
+            let config = self.optimized(eps, self.batching);
             let serve_cfg = ServeConfig {
                 queue_capacity: BURST + 4,
                 coalesce,

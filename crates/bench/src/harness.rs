@@ -8,7 +8,7 @@ use simjoin::{with_points, DynSelfJoin, ExecOutcome, ExecTarget, JoinError, With
 use sj_telemetry::Telemetry;
 use superego::{super_ego_join_with, SuperEgoConfig};
 
-use crate::cpu_model::CpuModel;
+use crate::cpu_model::superego_seconds;
 
 /// Outcome of one simulated-GPU join run.
 #[derive(Debug, Clone)]
@@ -75,13 +75,11 @@ pub fn run_gpu(
 pub fn run_superego(
     points: &DynPoints,
     epsilon: f32,
-    cpu: &CpuModel,
     cost: &warpsim::CostModel,
     telemetry: &dyn Telemetry,
 ) -> Result<CpuRunResult, JoinError> {
     struct SuperEgo<'s> {
         epsilon: f32,
-        cpu: &'s CpuModel,
         cost: &'s warpsim::CostModel,
         telemetry: &'s dyn Telemetry,
     }
@@ -90,7 +88,7 @@ pub fn run_superego(
         fn call<const N: usize>(self, points: &[Point<N>]) -> CpuRunResult {
             let outcome =
                 super_ego_join_with(points, &SuperEgoConfig::new(self.epsilon), self.telemetry);
-            let model_s = self.cpu.model_seconds(&outcome.stats, N as u32, self.cost);
+            let model_s = superego_seconds(&outcome.stats, N as u32, self.cost);
             if self.telemetry.is_enabled() {
                 self.telemetry.record(
                     sj_telemetry::Event::new("superego", "run_summary")
@@ -110,7 +108,6 @@ pub fn run_superego(
     }
     let superego = SuperEgo {
         epsilon,
-        cpu,
         cost,
         telemetry,
     };
@@ -138,7 +135,6 @@ mod tests {
         let cpu = run_superego(
             &pts,
             eps,
-            &CpuModel::default(),
             &warpsim::CostModel::default(),
             &sj_telemetry::NULL,
         )

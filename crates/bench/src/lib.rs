@@ -20,5 +20,4 @@ pub mod experiments;
 pub mod harness;
 pub mod table;
 
-pub use cpu_model::CpuModel;
 pub use harness::{run_gpu, run_superego, CpuRunResult, GpuRunResult};

@@ -22,3 +22,11 @@ fn soak_refuses_the_cpu_exec_mode_and_unknown_flags() {
         assert!(out.stdout.is_empty(), "{args:?} ran an experiment");
     }
 }
+
+#[test]
+fn host_jobs_is_refused_for_the_one_jobs_budget() {
+    // `--jobs` is the driver's one thread knob: `--host-jobs` is unknown.
+    let out = experiments(&["fig9", "--quick", "--host-jobs", "1", "--no-telemetry"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "ran an experiment");
+}

@@ -41,8 +41,8 @@ USAGE:
       (or at a forced --cpu-fraction), checking every unit both computed;
       --exec-mode cpu runs every unit on the checked CPU backend. Either way
       the pair set and canonical report equal --exec-mode gpu. --host-jobs N
-      threads the join itself (0 = one per core, default from the HOST_JOBS
-      env var); results and telemetry are bit-identical for any value.
+      threads the join itself (default 0 = one per core); results and
+      telemetry are bit-identical for any value.
       --telemetry attaches the observation-only JSON sink, prints the
       host-side phases and writes the sj-telemetry/v1 document.
       --fault-profile and/or --seed (default mixed, 0) replay a seeded fault
@@ -197,9 +197,8 @@ fn k_flag(parsed: &Parsed) -> Result<Option<u32>, String> {
 }
 
 /// The join configuration of [`CONFIG_FLAGS`] at thread granularity `k`.
-/// `--host-jobs <n>` sets the worker threads inside the join (`0` = one
-/// per core); when absent the config keeps its default (the `HOST_JOBS`
-/// env var, else auto). Results are bit-identical for any value.
+/// `--host-jobs <n>` sets the worker threads inside the join (`0`, the
+/// default, = one per core). Results are bit-identical for any value.
 fn join_config(parsed: &Parsed, eps: f32, k: u32) -> Result<SelfJoinConfig, String> {
     let mut config = SelfJoinConfig::new(eps)
         .with_pattern(pattern_flag(parsed)?)
@@ -425,7 +424,11 @@ fn print_report(out: &mut dyn Write, outcome: &ExecOutcome) -> std::io::Result<(
     writeln!(out, "pairs found           : {}", outcome.result.len())?;
     writeln!(out, "batches               : {}", report.num_batches)?;
     writeln!(out, "distance calculations : {}", report.distance_calcs())?;
-    writeln!(out, "warp exec efficiency  : {:.1} %", report.wee() * 100.0)?;
+    if report.num_batches == 0 {
+        writeln!(out, "warp exec efficiency  : n/a (no GPU batch ran)")?;
+    } else {
+        writeln!(out, "warp exec efficiency  : {:.1} %", report.wee() * 100.0)?;
+    }
     writeln!(
         out,
         "response time (model) : {:.6} s",
@@ -527,7 +530,7 @@ fn print_report(out: &mut dyn Write, outcome: &ExecOutcome) -> std::io::Result<(
                 h.units
             )?;
         }
-        if fleet.makespan_s > 0.0 {
+        if fleet.makespan_s > 0.0 && report.response_time_s() > 0.0 {
             writeln!(
                 out,
                 "speedup vs 1 device   : {:.2}x",
@@ -557,7 +560,7 @@ fn print_report(out: &mut dyn Write, outcome: &ExecOutcome) -> std::io::Result<(
             h.cpu_model_s, h.cpu_units, h.jobs, h.cpu_stats.distance_calcs
         )?;
         writeln!(out, "hybrid makespan       : {:.6} model s", h.makespan_s)?;
-        if h.makespan_s > 0.0 {
+        if h.makespan_s > 0.0 && report.response_time_s() > 0.0 {
             writeln!(
                 out,
                 "speedup vs gpu only   : {:.2}x",
@@ -843,6 +846,29 @@ mod tests {
             "{rest}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn report_claims_no_efficiency_or_speedup_when_no_gpu_batch_ran() {
+        // The device is lost at its first launch, so the hybrid spills every
+        // unit to the CPU: the canonical report holds no batch and 0 model
+        // seconds, which make neither an efficiency nor a speed-up.
+        let pts = DatasetSpec::by_name("Expo2D2M").unwrap().generate(2_000);
+        let plane = FaultPlane::new(warpsim::FaultSchedule::new().device_lost_at(0));
+        let join = DynSelfJoin::new(&pts, SelfJoinConfig::optimized(0.3)).with_fault_plane(&plane);
+        let outcome = join
+            .run(&ExecMode::Hybrid.target(HybridPolicy::default()))
+            .unwrap();
+        assert_eq!(outcome.report.num_batches, 0);
+        assert!(outcome.hybrid.as_ref().unwrap().makespan_s > 0.0);
+        let mut out = Vec::new();
+        print_report(&mut out, &outcome).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        assert!(
+            out.contains("warp exec efficiency  : n/a (no GPU batch ran)\n"),
+            "{out}"
+        );
+        assert!(!out.contains("speedup"), "{out}");
     }
 
     #[test]

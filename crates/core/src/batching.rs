@@ -25,15 +25,11 @@ pub struct BatchingConfig {
     /// Maximum result pairs per batch (`b_s`). The paper uses 10⁸ for
     /// datasets of 2–50 M points; scale it with your dataset.
     pub batch_result_capacity: usize,
-    /// Number of streams/pinned buffers overlapping transfers with kernels.
-    pub num_streams: usize,
     /// Fraction of the dataset sampled by the result-size estimator.
     pub sample_fraction: f64,
     /// Safety multiplier applied to the estimate before computing the batch
     /// count (guards against under-sampling; 1.0 reproduces the paper).
     pub safety_factor: f64,
-    /// Bytes transferred per result pair (two `u32` ids).
-    pub transfer_bytes_per_pair: u64,
     /// Device-to-host bandwidth in bytes per model second (PCIe-class).
     pub transfer_bandwidth: f64,
     /// WORKQUEUE only: cut queue chunks on cumulative workload instead of
@@ -54,10 +50,8 @@ impl Default for BatchingConfig {
     fn default() -> Self {
         Self {
             batch_result_capacity: 10_000_000,
-            num_streams: 3,
             sample_fraction: 0.01,
             safety_factor: 1.25,
-            transfer_bytes_per_pair: 8,
             transfer_bandwidth: 12.0e9,
             balanced_queue: false,
             max_batches: 0,
@@ -66,9 +60,14 @@ impl Default for BatchingConfig {
 }
 
 impl BatchingConfig {
+    /// Number of streams/pinned buffers overlapping transfers with kernels.
+    pub const NUM_STREAMS: usize = 3;
+    /// Bytes transferred per result pair (two `u32` ids).
+    pub const TRANSFER_BYTES_PER_PAIR: u64 = 8;
+
     /// Model seconds to transfer `pairs` result pairs to the host.
     pub fn transfer_seconds(&self, pairs: usize) -> f64 {
-        (pairs as u64 * self.transfer_bytes_per_pair) as f64 / self.transfer_bandwidth
+        (pairs as u64 * Self::TRANSFER_BYTES_PER_PAIR) as f64 / self.transfer_bandwidth
     }
 }
 
@@ -622,7 +621,6 @@ mod tests {
     #[test]
     fn transfer_seconds_uses_bandwidth() {
         let config = BatchingConfig {
-            transfer_bytes_per_pair: 8,
             transfer_bandwidth: 8.0e9,
             ..BatchingConfig::default()
         };

@@ -3,7 +3,6 @@
 use warpsim::{GpuConfig, IssueOrder, StepMode};
 
 use crate::batching::BatchingConfig;
-use crate::fallback::CpuFallbackModel;
 
 /// Why an ε value was rejected at a request entry point.
 ///
@@ -54,17 +53,19 @@ pub fn validate_epsilon(epsilon: f32) -> Result<f32, EpsilonError> {
     Ok(epsilon)
 }
 
-/// Bounded recovery behaviour of the resilient executor.
+/// The bounded recovery budgets of the resilient executor.
 ///
 /// Every backoff is counted in **model seconds** and accounted into the
 /// join's response time (on real hardware the host waits before
 /// re-submitting a failed launch; the device is idle meanwhile). Backoffs
-/// grow geometrically with the attempt number via `backoff_multiplier`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
+/// grow geometrically with the attempt number by
+/// [`RetryPolicy::BACKOFF_MULTIPLIER`].
+pub struct RetryPolicy;
+
+impl RetryPolicy {
     /// Re-submissions of a transiently failed batch before the executor
     /// treats the device as unusable.
-    pub max_transient_retries: u32,
+    pub const MAX_TRANSIENT_RETRIES: u32 = 3;
     /// Batch splits the executor may perform **per plan unit** when result
     /// buffers overflow; past this ceiling the overflow error surfaces. The
     /// budget is per unit (a unit's split ancestry depth), never shared
@@ -72,50 +73,31 @@ pub struct RetryPolicy {
     /// rescued — by another unit's splits. This is also what lets
     /// independent units execute on different host threads without their
     /// recovery state interacting.
-    pub max_overflow_splits: u32,
+    pub const MAX_OVERFLOW_SPLITS: u32 = 32;
     /// Static re-runs of a queue chunk after a detected counter fault
     /// before the fault surfaces as a typed error.
-    pub max_counter_retries: u32,
+    pub const MAX_COUNTER_RETRIES: u32 = 4;
     /// Base host backoff before re-submitting a transient failure, model
     /// seconds.
-    pub transient_backoff_s: f64,
+    pub const TRANSIENT_BACKOFF_S: f64 = 2e-3;
     /// Host re-plan cost per overflow split, model seconds.
-    pub overflow_backoff_s: f64,
+    pub const OVERFLOW_BACKOFF_S: f64 = 1e-3;
     /// Host cost of repairing the queue head after a counter fault, model
     /// seconds.
-    pub counter_backoff_s: f64,
+    pub const COUNTER_BACKOFF_S: f64 = 5e-4;
     /// Geometric growth factor of per-class backoff across attempts.
-    pub backoff_multiplier: f64,
-}
+    pub const BACKOFF_MULTIPLIER: f64 = 2.0;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_transient_retries: 3,
-            max_overflow_splits: 32,
-            max_counter_retries: 4,
-            transient_backoff_s: 2e-3,
-            overflow_backoff_s: 1e-3,
-            counter_backoff_s: 5e-4,
-            backoff_multiplier: 2.0,
-        }
-    }
-}
-
-impl RetryPolicy {
     /// The backoff for the `attempt`-th retry (1-based) of an error class
     /// with base backoff `base_s`, model seconds.
-    pub fn backoff_for(&self, base_s: f64, attempt: u32) -> f64 {
-        base_s
-            * self
-                .backoff_multiplier
-                .powi(attempt.saturating_sub(1) as i32)
+    pub fn backoff_for(base_s: f64, attempt: u32) -> f64 {
+        base_s * Self::BACKOFF_MULTIPLIER.powi(attempt.saturating_sub(1) as i32)
     }
 }
 
 /// What happens to the work a persistently failed device left unexecuted
-/// (the device latched `DeviceLost`, or a launch exhausted the transient
-/// budget of its [`RetryPolicy`]). The remainder always ends exact.
+/// (the device latched `DeviceLost`, or a launch exhausted
+/// [`RetryPolicy::MAX_TRANSIENT_RETRIES`]). The remainder always ends exact.
 ///
 /// A single-device join, and every fleet shard under `Degrade`, finishes it
 /// on the exact CPU fallback join, charged to the failed device. Under
@@ -323,20 +305,13 @@ pub struct SelfJoinConfig {
     pub batching: BatchingConfig,
     /// The simulated GPU.
     pub gpu: GpuConfig,
-    /// Seed for the arbitrary hardware scheduler model.
-    pub scheduler_seed: u64,
     /// Overrides the warp issue order implied by `balancing` (ablations
     /// only: e.g. SORTBYWL with a forced in-order scheduler isolates the
     /// WORKQUEUE's ordering contribution).
     pub issue_override: Option<IssueOrder>,
-    /// Bounded recovery behaviour under faults and overflows.
-    pub retry: RetryPolicy,
     /// What happens to a failed device's unexecuted work (re-sharding it
     /// across surviving devices, or finishing it on the CPU).
     pub recovery: RecoveryPolicy,
-    /// The host CPU model used when the join degrades to the exact CPU
-    /// fallback after persistent device failure.
-    pub cpu_fallback: CpuFallbackModel,
     /// How the warp simulator advances lockstep rounds (host-side only;
     /// simulated results are bit-identical across modes).
     pub step_mode: StepMode,
@@ -344,16 +319,19 @@ pub struct SelfJoinConfig {
     /// [`SortBackend`]).
     pub sort_backend: SortBackend,
     /// Host worker threads for intra-join parallelism: fleet shards,
-    /// within-device batches, and warp micro-execution all run on up to
-    /// this many OS threads. `0` means "auto" (available hardware
-    /// parallelism). Purely host-side — canonical results, reports, model
-    /// seconds, and telemetry artifacts are bit-identical for every value;
-    /// only wall-clock time changes. Defaults to the `HOST_JOBS`
-    /// environment variable when set, else auto.
+    /// within-device batches, warp micro-execution and the device
+    /// pre-pass's launches all run on up to this many OS threads. `0` (the
+    /// default) means "auto" (available hardware parallelism). Purely
+    /// host-side — canonical results, reports, model seconds, and telemetry
+    /// artifacts are bit-identical for every value; only wall-clock time
+    /// changes.
     pub host_jobs: usize,
 }
 
 impl SelfJoinConfig {
+    /// Seed of the arbitrary hardware scheduler model.
+    pub const SCHEDULER_SEED: u64 = 0xC0FFEE;
+
     /// A baseline configuration (GPUCALCGLOBAL, `k = 1`, no balancing) with
     /// the given ε.
     pub fn new(epsilon: f32) -> Self {
@@ -364,17 +342,11 @@ impl SelfJoinConfig {
             balancing: Balancing::None,
             batching: BatchingConfig::default(),
             gpu: GpuConfig::default(),
-            scheduler_seed: 0xC0FFEE,
             issue_override: None,
-            retry: RetryPolicy::default(),
             recovery: RecoveryPolicy::default(),
-            cpu_fallback: CpuFallbackModel::default(),
             step_mode: StepMode::default(),
             sort_backend: SortBackend::default(),
-            host_jobs: std::env::var("HOST_JOBS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
+            host_jobs: 0,
         }
     }
 
@@ -415,12 +387,6 @@ impl SelfJoinConfig {
     /// Builder-style: set the GPU model.
     pub fn with_gpu(mut self, gpu: GpuConfig) -> Self {
         self.gpu = gpu;
-        self
-    }
-
-    /// Builder-style: set the retry/recovery policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -465,7 +431,7 @@ impl SelfJoinConfig {
         match self.balancing {
             Balancing::WorkQueue => IssueOrder::InOrder,
             _ => IssueOrder::Arbitrary {
-                seed: self.scheduler_seed,
+                seed: Self::SCHEDULER_SEED,
             },
         }
     }

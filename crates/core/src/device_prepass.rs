@@ -10,13 +10,15 @@
 //! [`PrePassReport`] and the `sort`/`scan` phase telemetry do.
 //!
 //! Pre-pass launches are admitted through the same fault plane as the join's
-//! batch kernels. A transient launch failure is retried under the join's
-//! [`RetryPolicy`] (geometric backoff, accounted in model seconds); any
-//! other failure — or retry exhaustion — **degrades the pre-pass to the host
-//! path** rather than failing the join: planning is a pure function the host
-//! can always compute, so losing the device during planning costs only the
-//! device-resident speedup, never correctness. The degradation is recorded
-//! on the report and as an `executor`/`prepass_degraded` telemetry event.
+//! batch kernels. A transient launch failure is retried up to
+//! [`RetryPolicy::MAX_TRANSIENT_RETRIES`] times (geometric backoff,
+//! accounted in model seconds); any other failure — or retry exhaustion —
+//! **degrades the pre-pass to the host path** rather than failing the join:
+//! planning is a pure function the host can always compute, so losing the
+//! device during planning costs only the device-resident speedup, never
+//! correctness. The degradation is recorded on the report and as an
+//! `executor`/`prepass_degraded` telemetry event. Each launch steps its
+//! warps on the join's resolved `host_jobs` workers.
 //!
 //! [`SortBackend::Device`]: crate::config::SortBackend::Device
 
@@ -165,8 +167,9 @@ pub fn device_inclusive_prefix(
 /// semantics and accumulates the [`PrePassReport`].
 pub(crate) struct DevicePrepass<'a> {
     gpu: &'a GpuConfig,
-    retry: &'a RetryPolicy,
     step_mode: StepMode,
+    /// Host worker threads stepping each launch's warps.
+    workers: usize,
     fault: Option<&'a FaultPlane>,
     telemetry: &'a dyn Telemetry,
     /// Accounting so far; taken by the executor when planning finishes.
@@ -176,18 +179,29 @@ pub(crate) struct DevicePrepass<'a> {
 impl<'a> DevicePrepass<'a> {
     pub fn new(
         gpu: &'a GpuConfig,
-        retry: &'a RetryPolicy,
         step_mode: StepMode,
+        workers: usize,
         fault: Option<&'a FaultPlane>,
         telemetry: &'a dyn Telemetry,
     ) -> Self {
         Self {
             gpu,
-            retry,
             step_mode,
+            workers,
             fault,
             telemetry,
             stats: PrePassReport::default(),
+        }
+    }
+
+    /// The options every pre-pass launch runs with.
+    fn launch_options(&self) -> LaunchOptions<'a> {
+        let opts = LaunchOptions::default()
+            .with_step_mode(self.step_mode)
+            .with_workers(self.workers);
+        match self.fault {
+            Some(plane) => opts.with_fault_plane(plane),
+            None => opts,
         }
     }
 
@@ -206,20 +220,16 @@ impl<'a> DevicePrepass<'a> {
             // pre-pass has fallen back to the host.
             return None;
         }
+        let opts = self.launch_options();
         let mut attempt = 0u32;
         loop {
-            let mut opts = LaunchOptions::default().with_step_mode(self.step_mode);
-            if let Some(plane) = self.fault {
-                opts = opts.with_fault_plane(plane);
-            }
             match run(&opts) {
                 Ok(v) => return Some(v),
-                Err(LaunchError::Transient(_)) if attempt < self.retry.max_transient_retries => {
+                Err(LaunchError::Transient(_)) if attempt < RetryPolicy::MAX_TRANSIENT_RETRIES => {
                     attempt += 1;
                     self.stats.transient_retries += 1;
-                    self.stats.backoff_s += self
-                        .retry
-                        .backoff_for(self.retry.transient_backoff_s, attempt);
+                    self.stats.backoff_s +=
+                        RetryPolicy::backoff_for(RetryPolicy::TRANSIENT_BACKOFF_S, attempt);
                 }
                 Err(err) => {
                     self.stats.degraded_to_host = true;
@@ -342,10 +352,8 @@ mod tests {
     #[test]
     fn transient_prepass_fault_is_retried_with_backoff() {
         let gpu = GpuConfig::small_test();
-        let retry = RetryPolicy::default();
         let plane = warpsim::FaultPlane::new(FaultSchedule::new().transient_at(0));
-        let mut prepass =
-            DevicePrepass::new(&gpu, &retry, StepMode::default(), Some(&plane), &NULL);
+        let mut prepass = DevicePrepass::new(&gpu, StepMode::default(), 1, Some(&plane), &NULL);
         let per_point = heavy_tail_workloads(64);
         let mut pids: Vec<u32> = (0..64u32).collect();
         assert!(prepass.sort_by_workload(&per_point, &mut pids, "test"));
@@ -362,11 +370,9 @@ mod tests {
     #[test]
     fn device_loss_degrades_to_host_and_stays_degraded() {
         let gpu = GpuConfig::small_test();
-        let retry = RetryPolicy::default();
         let plane = warpsim::FaultPlane::new(FaultSchedule::new().device_lost_at(0));
         let sink = sj_telemetry::JsonTelemetry::new("prepass");
-        let mut prepass =
-            DevicePrepass::new(&gpu, &retry, StepMode::default(), Some(&plane), &sink);
+        let mut prepass = DevicePrepass::new(&gpu, StepMode::default(), 1, Some(&plane), &sink);
         let values = heavy_tail_workloads(32);
         assert!(prepass.inclusive_prefix(&values, "queue_cut").is_none());
         assert!(prepass.stats.degraded_to_host);
@@ -376,5 +382,18 @@ mod tests {
         assert!(!prepass.sort_by_workload(&values, &mut pids, "batch"));
         let events = sink.events_named("executor", "prepass_degraded");
         assert_eq!(events.len(), 1, "degradation is recorded exactly once");
+    }
+
+    #[test]
+    fn launches_step_on_the_joins_host_workers() {
+        let gpu = GpuConfig::small_test();
+        let plane = warpsim::FaultPlane::new(FaultSchedule::new());
+        for (workers, fault) in [(1, None), (3, Some(&plane))] {
+            let prepass = DevicePrepass::new(&gpu, StepMode::Stepped, workers, fault, &NULL);
+            let opts = prepass.launch_options();
+            assert_eq!(opts.workers, Some(workers));
+            assert_eq!(opts.step_mode, StepMode::Stepped);
+            assert_eq!(opts.fault_plane.is_some(), fault.is_some());
+        }
     }
 }

@@ -3,6 +3,7 @@
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::PoisonError;
 
 use epsgrid::{GridBuildError, GridIndex, Point};
 use sj_telemetry::{Event, Stopwatch, Telemetry, Value};
@@ -15,9 +16,9 @@ use warpsim::{
 use crate::batching::{
     buffer_capacity_for, estimate_prefix, estimate_strided, inclusive_workload_prefix,
     num_batches_for, plan_queue, plan_queue_balanced_from_prefix, plan_strided, BatchPlan,
-    ResultEstimate,
+    BatchingConfig, ResultEstimate,
 };
-use crate::config::{Balancing, RecoveryPolicy, SelfJoinConfig, SortBackend};
+use crate::config::{Balancing, RecoveryPolicy, RetryPolicy, SelfJoinConfig, SortBackend};
 use crate::device_prepass::{DevicePrepass, PrePassReport};
 use crate::fallback::{cpu_join_queries, CpuFallbackStats};
 use crate::fleet::{
@@ -25,8 +26,8 @@ use crate::fleet::{
     ShardReport, ShardStrategy,
 };
 use crate::hybrid::{
-    choose_cut_measured, forced_cut, gpu_weight_throughput, HybridOutcome, HybridPolicy,
-    HybridReport,
+    choose_cut_measured, cpu_backend_seconds, cpu_weight_throughput, forced_cut,
+    gpu_weight_throughput, HybridOutcome, HybridPolicy, HybridReport, CPU_DISPATCH_S,
 };
 use crate::kernels::{Assignment, JoinKernelSource, ResolvedPatterns};
 use crate::result::{same_pair_multiset, ResultSet};
@@ -426,8 +427,8 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             SortBackend::Host => None,
             SortBackend::Device => Some(DevicePrepass::new(
                 &self.config.gpu,
-                &self.config.retry,
                 self.config.step_mode,
+                self.config.resolved_host_jobs(),
                 self.fault,
                 self.telemetry,
             )),
@@ -516,15 +517,13 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     ///
     /// Completed batches are always salvaged. A batch that overflows its
     /// result buffer is split in two and the halves retried (bounded by
-    /// [`RetryPolicy::max_overflow_splits`]); transient launch failures are
+    /// [`RetryPolicy::MAX_OVERFLOW_SPLITS`]); transient launch failures are
     /// re-submitted under geometric backoff; a queue chunk whose device
     /// counter does not land exactly on the chunk boundary is discarded,
     /// the counter repaired, and the chunk re-run statically; and after
     /// persistent device failure the remaining query points complete on the
     /// exact CPU fallback join — the returned pair set is brute-force
     /// identical in every recovered outcome.
-    ///
-    /// [`RetryPolicy::max_overflow_splits`]: crate::RetryPolicy::max_overflow_splits
     pub fn run(&self) -> Result<JoinOutcome, JoinError> {
         let planned = self.plan_join();
         let (mut exec, mut ledger, mut done) = self.execute_plan(&planned)?;
@@ -550,7 +549,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     /// [`RecoveryPolicy::Degrade`] finished on the exact CPU fallback, and
     /// the merged join stays exact. One difference from the single-device
     /// executor under faults: the overflow-split and retry budgets of
-    /// [`crate::RetryPolicy`] apply **per shard**, since each device
+    /// [`RetryPolicy`] apply **per shard**, since each device
     /// recovers independently.
     pub fn run_on_fleet(
         &self,
@@ -715,7 +714,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     c.resolved_host_jobs(),
                     &mut ledger,
                 ));
-                let cpu_model_s = c.cpu_fallback.model_seconds(&stats, N as u32, &c.gpu.cost);
+                let cpu_model_s = stats.model_seconds(N as u32, &c.gpu.cost);
                 rec.cpu_last_resort_points = stats.queries;
                 rec.cpu_last_resort_pairs = stats.pairs;
                 rec.cpu_last_resort_model_s = cpu_model_s;
@@ -752,9 +751,9 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             // merge.
             survivors.sort_by(|&a, &b| {
                 states[a]
-                    .pipeline_and_response(c.batching.num_streams)
+                    .pipeline_and_response()
                     .1
-                    .total_cmp(&states[b].pipeline_and_response(c.batching.num_streams).1)
+                    .total_cmp(&states[b].pipeline_and_response().1)
                     .then(a.cmp(&b))
             });
             if telemetry_on {
@@ -793,7 +792,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         let mut makespan_s = 0.0f64;
         let mut recovery = RecoveryCounters::default();
         for (d, state) in states.iter().enumerate() {
-            let (pipeline, response_time_s) = state.pipeline_and_response(c.batching.num_streams);
+            let (pipeline, response_time_s) = state.pipeline_and_response();
             makespan_s = makespan_s.max(response_time_s);
             let batches: usize = state.done.iter().map(|di| di.batches.len()).sum();
             let pairs: usize = state.done.iter().map(|di| di.pairs.len()).sum();
@@ -907,14 +906,13 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         // reuse rule as the fleet path).
         let weights = unit_workloads(plan, self.cut_profile().per_point());
         let gpu_rate = gpu_weight_throughput(&c.gpu, N as u32);
-        let cpu_rate = policy.cpu.weight_throughput(N as u32, &c.gpu.cost);
-        let dispatch_s = policy.cpu.dispatch_overhead_s;
+        let cpu_rate = cpu_weight_throughput(N as u32, &c.gpu.cost);
         // A forced fraction fixes the cut up front (with throughput-model
         // predictions); the auto chooser decides after the shadow execution,
         // from the measured per-unit model costs of both backends.
         let forced_choice = policy
             .forced_cpu_fraction
-            .map(|fraction| forced_cut(&weights, fraction, gpu_rate, cpu_rate, dispatch_s));
+            .map(|fraction| forced_cut(&weights, fraction, gpu_rate, cpu_rate, CPU_DISPATCH_S));
 
         // The GPU shadow-executes the full plan exactly as `run` does: same
         // context, same counter, same fault plane. This is what keeps the
@@ -960,13 +958,13 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             None => {
                 let mut cpu_unit_s = vec![0.0f64; n];
                 for (di, stats) in &planned_segments {
-                    cpu_unit_s[di.key] = policy.cpu.model_seconds(stats, N as u32, &c.gpu.cost, 1);
+                    cpu_unit_s[di.key] = cpu_backend_seconds(stats, N as u32, &c.gpu.cost, 1);
                 }
                 choose_cut_measured(
                     &unit_timings,
                     gpu_fixed_s,
                     &cpu_unit_s,
-                    c.batching.num_streams,
+                    BatchingConfig::NUM_STREAMS,
                 )
             }
         };
@@ -1073,14 +1071,11 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             done.iter()
                 .filter(|di| di.key < cut)
                 .flat_map(|di| &di.batches),
-            c.batching.num_streams,
         )
         .total_s
             + exec.recovery.backoff_s()
             + exec.recovery.cpu.map_or(0.0, |(_, _, s)| s);
-        let cpu_model_s = policy
-            .cpu
-            .model_seconds(&cpu_stats, N as u32, &c.gpu.cost, cpu_items);
+        let cpu_model_s = cpu_backend_seconds(&cpu_stats, N as u32, &c.gpu.cost, cpu_items);
         let makespan_s = gpu_response_s.max(cpu_model_s);
 
         // The canonical merge and report over the full shadow execution —
@@ -1289,7 +1284,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         let (cpu, stats) = total(self.cpu_join_items(&intr.remnants, plan, jobs, ledger));
         done.extend(cpu);
         let gpu = device.map_or(&c.gpu, |(_, gpu)| gpu);
-        let cpu_model_s = c.cpu_fallback.model_seconds(&stats, N as u32, &gpu.cost);
+        let cpu_model_s = stats.model_seconds(N as u32, &gpu.cost);
         exec.recovery.cpu = Some((stats.queries, stats.pairs, cpu_model_s));
         if self.telemetry.is_enabled() {
             let event = Event::new("executor", "degradation")
@@ -1362,7 +1357,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         let report = JoinReport {
             estimate: planned.estimate,
             num_batches: batches.len(),
-            pipeline: schedule(&batches, c.batching.num_streams),
+            pipeline: schedule(&batches),
             totals,
             total_pairs: result.len(),
             degradation: recovery.into_report(batches.len()),
@@ -1597,9 +1592,10 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                             buffer.clear();
                             unit.counter_attempts += 1;
                             recovery.counter_retries += 1;
-                            let backoff = c
-                                .retry
-                                .backoff_for(c.retry.counter_backoff_s, unit.counter_attempts);
+                            let backoff = RetryPolicy::backoff_for(
+                                RetryPolicy::COUNTER_BACKOFF_S,
+                                unit.counter_attempts,
+                            );
                             // The corrupted launch's kernel time is wasted
                             // serial host time, not pipeline time.
                             recovery
@@ -1613,7 +1609,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                                     .u64("observed", observed)
                                     .f64("backoff_model_s", backoff)));
                             }
-                            if unit.counter_attempts > c.retry.max_counter_retries {
+                            if unit.counter_attempts > RetryPolicy::MAX_COUNTER_RETRIES {
                                 return Err(JoinError::Launch(LaunchError::CounterFault(
                                     CounterFault { expected, observed },
                                 )));
@@ -1681,7 +1677,8 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     // depends only on this unit's history and stays
                     // identical under any sharding or host-parallel
                     // interleaving of the other units.
-                    if queries.len() <= 1 || unit.split_attempts >= c.retry.max_overflow_splits {
+                    if queries.len() <= 1 || unit.split_attempts >= RetryPolicy::MAX_OVERFLOW_SPLITS
+                    {
                         if telemetry_on {
                             sink.record(tag(Event::new("executor", "overflow_recovery")
                                 .bool("terminal", true)
@@ -1697,7 +1694,8 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     // run-wide split count: per-unit attempt keying keeps
                     // recovery deterministic under any sharding of the plan.
                     let attempt = unit.split_attempts + 1;
-                    let backoff = c.retry.backoff_for(c.retry.overflow_backoff_s, attempt);
+                    let backoff =
+                        RetryPolicy::backoff_for(RetryPolicy::OVERFLOW_BACKOFF_S, attempt);
                     recovery.backoff_terms.push(backoff);
                     let right = queries.split_off(queries.len() / 2);
                     if telemetry_on {
@@ -1718,9 +1716,10 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     // unit can simply be re-submitted.
                     unit.transient_attempts += 1;
                     recovery.transient_retries += 1;
-                    let backoff = c
-                        .retry
-                        .backoff_for(c.retry.transient_backoff_s, unit.transient_attempts);
+                    let backoff = RetryPolicy::backoff_for(
+                        RetryPolicy::TRANSIENT_BACKOFF_S,
+                        unit.transient_attempts,
+                    );
                     recovery.backoff_terms.push(backoff);
                     if telemetry_on {
                         sink.record(tag(Event::new("executor", "fault_retry")
@@ -1728,7 +1727,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                             .u64("attempt", unit.transient_attempts as u64)
                             .f64("backoff_model_s", backoff)));
                     }
-                    let exhausted = unit.transient_attempts > c.retry.max_transient_retries;
+                    let exhausted = unit.transient_attempts > RetryPolicy::MAX_TRANSIENT_RETRIES;
                     pending.push_front(unit);
                     if exhausted {
                         break;
@@ -1798,12 +1797,9 @@ fn scan_event(pp: &PrePassReport, site: Option<&'static str>) -> Event {
 }
 
 /// The stream-pipeline schedule of `batches`, in order.
-fn schedule<'b>(
-    batches: impl IntoIterator<Item = &'b BatchReport>,
-    num_streams: usize,
-) -> PipelineReport {
+fn schedule<'b>(batches: impl IntoIterator<Item = &'b BatchReport>) -> PipelineReport {
     let timings: Vec<BatchTiming> = batches.into_iter().map(BatchReport::timing).collect();
-    StreamPipeline::new(num_streams).schedule(&timings)
+    StreamPipeline::new(BatchingConfig::NUM_STREAMS).schedule(&timings)
 }
 
 /// Splits the CPU step's output into its segments and their summed
@@ -1866,7 +1862,13 @@ impl EventBuffer {
     /// `executor.overflow_recovery` split counts: the splice-time
     /// restoration of run-global running counts in a per-item capture.
     fn splice_into(self, sink: &dyn Telemetry, batch_offset: u64, split_offset: u64) {
-        for mut event in self.events.into_inner().expect("a capturing walk panicked") {
+        // Poisoned only by a walk that panicked inside the pool's scope,
+        // which re-raises that panic; a push never leaves the list torn.
+        let events = self
+            .events
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        for mut event in events {
             let (keys, delta): (&[&str], u64) = match (event.scope, event.name) {
                 ("executor", "batch") => (&["index"], batch_offset),
                 ("executor", "overflow_recovery") => (&["split", "splits_used"], split_offset),
@@ -1889,7 +1891,10 @@ impl Telemetry for EventBuffer {
 
     fn record(&self, event: Event) {
         if self.enabled {
-            self.events.lock().unwrap().push(event);
+            self.events
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(event);
         }
     }
 }
@@ -2100,8 +2105,8 @@ impl DeviceState {
     /// This device's pipeline schedule over everything it has executed so
     /// far, and its response time: pipeline makespan plus serially accrued
     /// recovery time (retry backoff, the CPU fallback charged to it).
-    fn pipeline_and_response(&self, num_streams: usize) -> (PipelineReport, f64) {
-        let pipeline = schedule(self.done.iter().flat_map(|di| &di.batches), num_streams);
+    fn pipeline_and_response(&self) -> (PipelineReport, f64) {
+        let pipeline = schedule(self.done.iter().flat_map(|di| &di.batches));
         let cpu_s = self.recovery.cpu.map_or(0.0, |(_, _, s)| s);
         let response = pipeline.total_s + self.recovery.backoff_s() + cpu_s;
         (pipeline, response)
@@ -2777,22 +2782,21 @@ mod tests {
 
     #[test]
     fn overflow_past_the_split_budget_is_a_typed_terminal_error() {
-        // A zero-split budget turns the first overflow into a terminal
-        // typed error instead of an endless recovery loop.
+        // A query whose own neighbourhood outgrows the result buffer cannot
+        // be split any further: the walk halves its batch down to that one
+        // query and then stops with a typed terminal error, not a loop.
         let pts = skewed_points(300);
         let eps = 0.12;
-        let expected = reference(&pts, eps);
-        let config = SelfJoinConfig::new(eps)
-            .with_batching(crate::BatchingConfig {
-                batch_result_capacity: expected.len() / 4 + 64,
-                sample_fraction: 0.005,
-                safety_factor: 1.0,
-                ..crate::BatchingConfig::default()
-            })
-            .with_retry(crate::RetryPolicy {
-                max_overflow_splits: 0,
-                ..crate::RetryPolicy::default()
-            });
+        let mut degree = vec![0usize; pts.len()];
+        for (a, _) in reference(&pts, eps) {
+            degree[a as usize] += 1;
+        }
+        let widest = degree.into_iter().max().unwrap();
+        // The planner pads each buffer to at most twice `b_s`.
+        let config = SelfJoinConfig::new(eps).with_batching(crate::BatchingConfig {
+            batch_result_capacity: (widest - 1) / 2,
+            ..crate::BatchingConfig::default()
+        });
         let err = SelfJoin::new(&pts, config).unwrap().run().unwrap_err();
         assert!(matches!(
             err,

@@ -11,9 +11,10 @@
 //! CPU-computed pairs is the exact brute-force pair set, no matter where
 //! the device died.
 //!
-//! CPU time is modeled (like `bench::CpuModel` does for SUPER-EGO) by
-//! dividing operation counts by a modeled host throughput, so degraded runs
-//! stay comparable in model seconds.
+//! CPU time is modeled by dividing operation counts by the throughput of
+//! [`CpuModel`], the one modeled host (it costs the hybrid co-executor's CPU
+//! side and `sj-bench`'s SUPER-EGO too), so degraded runs stay comparable
+//! in model seconds.
 
 use epsgrid::{euclidean_dist_sq, GridIndex, Point};
 use warpsim::CostModel;
@@ -39,104 +40,37 @@ impl CpuFallbackStats {
         self.distance_calcs += other.distance_calcs;
         self.pairs += other.pairs;
     }
+
+    /// Model seconds [`CpuModel`] takes for these counts, at the GPU lanes'
+    /// per-op cycle costs so both substrates share one cost model.
+    pub fn model_seconds(&self, dims: u32, cost: &CostModel) -> f64 {
+        CpuModel::seconds(
+            self.distance_calcs as f64 * cost.distance_op(dims).cycles as f64
+                + self.pairs as f64 * cost.emit_op().cycles as f64,
+        )
+    }
 }
 
-/// The modeled host CPU the executor degrades onto (defaults approximate
-/// the paper's 2× Xeon E5-2620 v4: 16 cores at 2.1 GHz, ~2 effective
-/// SIMD/ILP lanes — the same machine `bench::CpuModel` models for
-/// SUPER-EGO).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuFallbackModel {
+/// The modeled host CPU: the paper's 2× Xeon E5-2620 v4, 16 cores at
+/// 2.1 GHz with ~2 effective SIMD/ILP lanes per core. It costs the CPU
+/// fallback, the hybrid co-executor's CPU backend ([`crate::hybrid`]) and,
+/// in `sj-bench`, SUPER-EGO, whose inner loop short-circuits per dimension
+/// and so runs scalar code plus ILP rather than full vectors.
+pub struct CpuModel;
+
+impl CpuModel {
     /// Physical cores.
-    pub cores: u32,
-    /// Effective SIMD/ILP lanes per core for this workload.
-    pub simd_lanes: u32,
-    /// Core clock in Hz.
-    pub clock_hz: f64,
-}
+    pub const CORES: u32 = 16;
+    /// Effective SIMD/ILP lanes per core.
+    pub const SIMD_LANES: u32 = 2;
+    /// Core clock, Hz.
+    pub const CLOCK_HZ: f64 = 2.1e9;
+    /// Cycles the whole machine retires per second.
+    pub const CYCLES_PER_S: f64 = Self::CORES as f64 * Self::SIMD_LANES as f64 * Self::CLOCK_HZ;
 
-impl Default for CpuFallbackModel {
-    fn default() -> Self {
-        Self {
-            cores: 16,
-            simd_lanes: 2,
-            clock_hz: 2.1e9,
-        }
-    }
-}
-
-impl CpuFallbackModel {
-    /// Converts fallback operation counts into model seconds, using the same
-    /// per-op cycle costs as the GPU lanes so both substrates share one cost
-    /// model.
-    pub fn model_seconds(&self, stats: &CpuFallbackStats, dims: u32, cost: &CostModel) -> f64 {
-        let cycles = stats.distance_calcs as f64 * cost.distance_op(dims).cycles as f64
-            + stats.pairs as f64 * cost.emit_op().cycles as f64;
-        cycles / (self.cores as f64 * self.simd_lanes as f64 * self.clock_hz)
-    }
-}
-
-/// The calibrated host backend model of the hybrid co-executor: the
-/// degradation-path [`CpuFallbackModel`] promoted to a peer, with the two
-/// costs a co-processing CPU side pays that a tail-end fallback does not.
-///
-/// A fallback run owns the whole machine after the device is gone; a
-/// co-processing run shares the host with the GPU driver loop, pays a
-/// per-work-item dispatch on the worker pool, and merges its segments into
-/// the canonical output. `parallel_efficiency` derates the fallback
-/// throughput for that interference; `dispatch_overhead_s` charges each
-/// work item's pool hand-off. Both are model-seconds calibration constants
-/// in the same sense as `GpuConfig::ipc_derate` (see EXPERIMENTS.md).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuBackendModel {
-    /// The underlying host model (cores, SIMD lanes, clock) shared with
-    /// the degradation path.
-    pub base: CpuFallbackModel,
-    /// Fraction of the fallback throughput a co-processing run sustains
-    /// (scheduling interference, segment merge): `0 < e <= 1`.
-    pub parallel_efficiency: f64,
-    /// Host-side dispatch cost per work item handed to the worker pool,
-    /// model seconds.
-    pub dispatch_overhead_s: f64,
-}
-
-impl Default for CpuBackendModel {
-    fn default() -> Self {
-        Self {
-            base: CpuFallbackModel::default(),
-            parallel_efficiency: 0.85,
-            dispatch_overhead_s: 2e-6,
-        }
-    }
-}
-
-impl CpuBackendModel {
-    /// Converts co-processed operation counts into model seconds: the
-    /// fallback model derated by `parallel_efficiency`, plus the dispatch
-    /// overhead of the `items` work items that produced them.
-    pub fn model_seconds(
-        &self,
-        stats: &CpuFallbackStats,
-        dims: u32,
-        cost: &CostModel,
-        items: usize,
-    ) -> f64 {
-        self.base.model_seconds(stats, dims, cost) / self.parallel_efficiency.max(f64::MIN_POSITIVE)
-            + items as f64 * self.dispatch_overhead_s
-    }
-
-    /// Quantified-workload units (candidate counts, the currency of
-    /// [`unit_workloads`](crate::unit_workloads)) this backend retires per
-    /// model second — the CPU-side rate [`forced_cut`](crate::forced_cut)
-    /// predicts with, next to
-    /// [`gpu_weight_throughput`](crate::hybrid::gpu_weight_throughput).
-    pub fn weight_throughput(&self, dims: u32, cost: &CostModel) -> f64 {
-        let cycles_per_weight = cost.distance_op(dims).cycles as f64;
-        self.base.cores as f64
-            * self.base.simd_lanes as f64
-            * self.base.clock_hz
-            * self.parallel_efficiency
-            / cycles_per_weight
+    /// Model seconds the machine takes to retire `cycles`.
+    pub fn seconds(cycles: f64) -> f64 {
+        cycles / Self::CYCLES_PER_S
     }
 }
 
@@ -257,33 +191,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_model_is_a_derated_fallback_model() {
-        let cost = warpsim::GpuConfig::default().cost;
-        let stats = CpuFallbackStats {
-            queries: 10,
-            distance_calcs: 50_000,
-            pairs: 400,
-        };
-        let backend = CpuBackendModel::default();
-        let fallback_s = backend.base.model_seconds(&stats, 2, &cost);
-        let backend_s = backend.model_seconds(&stats, 2, &cost, 0);
-        // Co-processing never beats owning the whole machine.
-        assert!(backend_s >= fallback_s);
-        // Dispatch overhead is charged per work item.
-        let with_items = backend.model_seconds(&stats, 2, &cost, 8);
-        assert!((with_items - backend_s - 8.0 * backend.dispatch_overhead_s).abs() < 1e-15);
-        // Throughput is finite, positive, and derated by the efficiency.
-        let full = CpuBackendModel {
-            parallel_efficiency: 1.0,
-            ..backend
-        };
-        let t = backend.weight_throughput(2, &cost);
-        assert!(t > 0.0 && t < full.weight_throughput(2, &cost));
-    }
-
-    #[test]
     fn model_seconds_scale_with_work() {
-        let model = CpuFallbackModel::default();
         let cost = warpsim::GpuConfig::default().cost;
         let small = CpuFallbackStats {
             queries: 1,
@@ -295,8 +203,8 @@ mod tests {
             distance_calcs: 10_000,
             pairs: 10,
         };
-        let s = model.model_seconds(&small, 2, &cost);
-        let l = model.model_seconds(&large, 2, &cost);
+        let s = small.model_seconds(2, &cost);
+        let l = large.model_seconds(2, &cost);
         assert!(s > 0.0 && l > s * 50.0);
     }
 }

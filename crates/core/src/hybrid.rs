@@ -12,7 +12,8 @@
 //! backends' measured per-unit model costs; a forced fraction fixes it up
 //! front ([`forced_cut`]), with makespan predictions from the two backends'
 //! throughput models ([`warpsim::GpuConfig`] for the GPU side,
-//! [`crate::fallback::CpuBackendModel`] for the CPU side).
+//! [`crate::CpuModel`] derated by [`CPU_PARALLEL_EFFICIENCY`] for the CPU
+//! side).
 //!
 //! Execution itself lives in [`crate::executor::SelfJoin::run_hybrid`]. To
 //! preserve the exact-result invariant *and* the canonical-report invariant
@@ -28,10 +29,42 @@
 //! pre-pass keeps tables backend-invariant.
 
 use crate::executor::JoinReport;
-use crate::fallback::{CpuBackendModel, CpuFallbackStats};
+use crate::fallback::{CpuFallbackStats, CpuModel};
 use crate::fleet::inclusive_weight_prefix;
 use crate::result::ResultSet;
-use warpsim::{BatchTiming, GpuConfig, StreamPipeline};
+use warpsim::{BatchTiming, CostModel, GpuConfig, StreamPipeline};
+
+/// Fraction of [`CpuModel`]'s throughput the co-executor's CPU side
+/// sustains. A fallback run owns the whole machine after the device is
+/// gone; a co-processing run shares the host with the GPU driver loop and
+/// merges its segments into the canonical output. A model-seconds
+/// calibration constant in the same sense as `GpuConfig::ipc_derate` (see
+/// EXPERIMENTS.md).
+pub const CPU_PARALLEL_EFFICIENCY: f64 = 0.85;
+
+/// Host-side dispatch cost of each work item the CPU side hands to the
+/// worker pool, model seconds.
+pub const CPU_DISPATCH_S: f64 = 2e-6;
+
+/// Model seconds the CPU backend takes for `stats`, produced by `items`
+/// work items: the fallback cost derated by [`CPU_PARALLEL_EFFICIENCY`],
+/// plus [`CPU_DISPATCH_S`] per item.
+pub(crate) fn cpu_backend_seconds(
+    stats: &CpuFallbackStats,
+    dims: u32,
+    cost: &CostModel,
+    items: usize,
+) -> f64 {
+    stats.model_seconds(dims, cost) / CPU_PARALLEL_EFFICIENCY + items as f64 * CPU_DISPATCH_S
+}
+
+/// Quantified-workload units (candidate counts, the currency of
+/// [`unit_workloads`](crate::unit_workloads)) the CPU backend retires per
+/// model second — the CPU-side rate [`forced_cut`] predicts with, next to
+/// [`gpu_weight_throughput`].
+pub(crate) fn cpu_weight_throughput(dims: u32, cost: &CostModel) -> f64 {
+    CpuModel::CYCLES_PER_S * CPU_PARALLEL_EFFICIENCY / cost.distance_op(dims).cycles as f64
+}
 
 /// Modeled GPU weight throughput (workload units per model second).
 ///
@@ -213,8 +246,6 @@ pub fn forced_cut(
 /// How a hybrid run splits and staffs its two backends.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HybridPolicy {
-    /// Cost model for the CPU backend (calibrated over the fallback model).
-    pub cpu: CpuBackendModel,
     /// Worker threads for the CPU pool (clamped to at least 1).
     pub jobs: usize,
     /// When set, force this CPU unit fraction instead of choosing the cut.
@@ -225,7 +256,6 @@ pub struct HybridPolicy {
 impl Default for HybridPolicy {
     fn default() -> Self {
         Self {
-            cpu: CpuBackendModel::default(),
             jobs: 1,
             forced_cpu_fraction: None,
         }
@@ -400,6 +430,27 @@ mod tests {
             chosen.cut > 0 && chosen.cut < n,
             "skew should split interior"
         );
+    }
+
+    #[test]
+    fn cpu_backend_cost_is_a_derated_fallback_cost() {
+        let cost = GpuConfig::default().cost;
+        let stats = CpuFallbackStats {
+            queries: 10,
+            distance_calcs: 50_000,
+            pairs: 400,
+        };
+        let fallback_s = stats.model_seconds(2, &cost);
+        let backend_s = cpu_backend_seconds(&stats, 2, &cost, 0);
+        // Co-processing never beats owning the whole machine.
+        assert!(backend_s >= fallback_s);
+        // Dispatch overhead is charged per work item.
+        let with_items = cpu_backend_seconds(&stats, 2, &cost, 8);
+        assert!((with_items - backend_s - 8.0 * CPU_DISPATCH_S).abs() < 1e-15);
+        // Throughput is finite, positive, and derated by the efficiency.
+        let t = cpu_weight_throughput(2, &cost);
+        let full = CpuModel::CYCLES_PER_S / cost.distance_op(2).cycles as f64;
+        assert!(t > 0.0 && t < full);
     }
 
     #[test]

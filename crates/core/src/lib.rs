@@ -62,7 +62,7 @@ pub use device_prepass::{
     device_cell_order, device_inclusive_prefix, device_sort_by_workload, PrePassReport,
 };
 pub use executor::{DegradationReport, JoinError, JoinOutcome, JoinReport, SelfJoin};
-pub use fallback::{cpu_join_queries, CpuBackendModel, CpuFallbackModel, CpuFallbackStats};
+pub use fallback::{cpu_join_queries, CpuFallbackStats, CpuModel};
 pub use fleet::{
     inclusive_weight_prefix, partition_units, partition_units_from_prefix, unit_workloads,
     DeviceHealth, FleetOutcome, FleetRecoveryReport, FleetReport, HealthEvent, ShardReport,

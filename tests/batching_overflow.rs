@@ -179,9 +179,10 @@ fn heavy_tail_underestimate_splits_the_batch_and_stays_exact() {
 
 #[test]
 fn overflow_split_ceiling_surfaces_a_typed_error_with_terminal_telemetry() {
-    // The recovery budget is bounded: with a zero split budget the first
-    // overflow must surface as a typed error — not loop — and telemetry
-    // must record the terminal overflow_recovery event.
+    // The recovery is bounded: a clump point's own neighbourhood outgrows
+    // every result buffer, so splitting its batch down to that one query
+    // cannot help. The overflow must surface as a typed error — not loop —
+    // and telemetry must record the terminal overflow_recovery event.
     let spec = DatasetSpec::by_name("Unif2D2M").unwrap();
     let mut raw = spec.generate(2_000).into_raw();
     for _ in 0..140 {
@@ -189,17 +190,22 @@ fn overflow_split_ceiling_surfaces_a_typed_error_with_terminal_telemetry() {
     }
     let pts = epsgrid::DynPoints::from_interleaved(2, raw);
     let eps = 0.05;
-    let config = SelfJoinConfig::new(eps)
-        .with_batching(BatchingConfig {
-            batch_result_capacity: 12_000,
-            sample_fraction: 0.0004,
-            safety_factor: 1.0,
-            ..BatchingConfig::default()
-        })
-        .with_retry(simjoin::RetryPolicy {
-            max_overflow_splits: 0,
-            ..simjoin::RetryPolicy::default()
-        });
+    let mut degree = vec![0usize; pts.len()];
+    for (a, _) in brute_force_dyn(&pts, eps) {
+        degree[a as usize] += 1;
+    }
+    let widest = degree.into_iter().max().unwrap();
+    assert!(
+        widest >= 139,
+        "the clump must hold the widest neighbourhood"
+    );
+    // The planner pads each buffer to at most twice `b_s`.
+    let config = SelfJoinConfig::new(eps).with_batching(BatchingConfig {
+        batch_result_capacity: (widest - 1) / 2,
+        sample_fraction: 0.0004,
+        safety_factor: 1.0,
+        ..BatchingConfig::default()
+    });
     let fixed = pts.as_fixed::<2>().unwrap();
     let sink = sj_telemetry::JsonTelemetry::new("overflow ceiling");
     let err = simjoin::SelfJoin::new(&fixed, config)
@@ -223,8 +229,8 @@ fn overflow_split_ceiling_surfaces_a_typed_error_with_terminal_telemetry() {
         .collect();
     assert_eq!(terminals.len(), 1, "exactly one terminal recovery event");
     assert_eq!(
-        terminals[0].field("splits_used"),
-        Some(&sj_telemetry::Value::U64(0))
+        terminals[0].field("batch_queries"),
+        Some(&sj_telemetry::Value::U64(1))
     );
 }
 

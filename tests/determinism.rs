@@ -4,7 +4,7 @@
 use simjoin::{Balancing, BatchingConfig, SelfJoinConfig};
 use sj_integration_support::{assert_canonical_reports_identical, brute_force_dyn, join_dyn};
 use sjdata::DatasetSpec;
-use warpsim::StepMode;
+use warpsim::{IssueOrder, StepMode};
 
 #[test]
 fn generators_are_reproducible() {
@@ -83,12 +83,10 @@ fn host_jobs_never_changes_results() {
 fn scheduler_seed_changes_timing_not_results() {
     let spec = DatasetSpec::by_name("SW2DA").unwrap();
     let pts = spec.generate(2_000);
-    let mut base = SelfJoinConfig::new(1.0);
-    base.scheduler_seed = 1;
-    let mut other = SelfJoinConfig::new(1.0);
-    other.scheduler_seed = 999;
-    let (pairs_a, report_a) = join_dyn(&pts, base);
-    let (pairs_b, report_b) = join_dyn(&pts, other);
+    let seeded =
+        |seed| SelfJoinConfig::new(1.0).with_issue_override(IssueOrder::Arbitrary { seed });
+    let (pairs_a, report_a) = join_dyn(&pts, seeded(1));
+    let (pairs_b, report_b) = join_dyn(&pts, seeded(999));
     assert_eq!(pairs_a, pairs_b, "seed must not affect the result set");
     // WEE is intra-warp and independent of issue order.
     assert_eq!(report_a.wee(), report_b.wee());
