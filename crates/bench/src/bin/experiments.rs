@@ -10,27 +10,31 @@
 //! ```
 //!
 //! With no experiment names, runs everything in `all`. Output is markdown
-//! on stdout; tee it into `EXPERIMENTS.md` material. Each experiment also
-//! writes a schema-versioned telemetry document to
+//! on stdout; tee it into `EXPERIMENTS.md` material. Each experiment but
+//! `table1` also writes a schema-versioned telemetry document to
 //! `results/<name>_telemetry.json`; with `--no-telemetry` the run writes no
 //! file at all (the sink never changes results). Tables report model
 //! seconds; host wall-clock is measured by `perfbench` (see
-//! `perfbench/README.md`), not here.
+//! `perfbench/README.md`), not here. Within one run each dataset is
+//! generated once and each distinct join runs once, its events replayed
+//! into every document that uses it, so naming experiments together
+//! prints and writes what naming each alone would.
 //!
-//! Neither `--jobs`, `--step-mode`, `--devices`, nor `--sort-backend` can
-//! change any table: sweep cells are reassembled in input order, the
-//! intra-join layers merge in plan order, the two step modes are
-//! bit-identical, the sharded executor's canonical merged report is
-//! device-count invariant, and the device sort/scan pre-pass is
+//! Neither `--jobs`, `--step-mode` nor `--devices` can change any table:
+//! sweep cells are reassembled in input order, the intra-join layers merge
+//! in plan order, the two step modes are bit-identical and the sharded
+//! executor's canonical merged report is device-count invariant. Nor can
+//! `--sort-backend`, except chaos's: the device sort/scan pre-pass is
 //! differentially tested against the host planner (its cost lands only in
-//! telemetry), so stdout diffs clean across all four knobs (CI verifies the
-//! step modes, `--devices 1` vs `--devices 4`, host vs device sorting, and
-//! `--jobs 1` vs `--jobs 4`).
+//! telemetry), but its launches go through the join's fault plane, so
+//! chaos's seeded faults land on other launches under `device`. CI diffs
+//! stdout across the step modes, `--devices 1` vs `--devices 4`, host vs
+//! device sorting (chaos left out) and `--jobs 1` vs `--jobs 4`.
 //!
-//! `--jobs N` (default: one per core) is the one thread budget: a sweep's
-//! cells run N at a time, each join on one thread, and every other join
-//! runs on N threads inside (fleet shards, batches, warps), so the two
-//! layers never nest.
+//! `--jobs N` (default: one per core) is the one thread budget: the joins
+//! of a sweep run N at a time, each on N / joins threads (at least one),
+//! and a lone join runs on N threads inside (fleet shards, batches,
+//! warps), so the two layers never nest.
 //!
 //! `soak` replays eight seeded fault schedules from seed base `--seed`
 //! (default 0) over fleets, or over the co-executor under `--exec-mode
@@ -53,7 +57,8 @@ fn usage() -> ! {
           the co-executor, cpu is refused); --lose-device <d> injects a\n\
           device-lost fault into every fleet run — requires --devices > d; --exec-mode hybrid routes\n\
           every single-device cell through the co-executor — tables still diff clean;\n\
-          --jobs N runs N sweep cells at a time and threads every other join N ways —\n\
+          --sort-backend device changes only the chaos table (its faults land on pre-pass launches);\n\
+          --jobs N runs N sweep cells at a time and threads a lone join N ways —\n\
           it leaves every table and telemetry artifact bit-identical)"
     );
     std::process::exit(2);
@@ -150,26 +155,8 @@ fn main() {
         scale.points_scale, scale.eps_stride
     );
     for name in names {
-        match name.as_str() {
-            "all" => drop(exp.run_all()),
-            "table1" => drop(exp.table1()),
-            "fig9" => drop(exp.fig9()),
-            "table3" => drop(exp.table3()),
-            "fig10" => drop(exp.fig10()),
-            "table4" => drop(exp.table4()),
-            "fig11" => drop(exp.fig11()),
-            "table5" => drop(exp.table5()),
-            "fig12" => drop(exp.fig12()),
-            "table6" => drop(exp.table6()),
-            "fig13" => drop(exp.fig13()),
-            "ablations" => drop(exp.ablations()),
-            "chaos" => drop(exp.chaos()),
-            "scaling" => drop(exp.scaling()),
-            "failover" => drop(exp.failover()),
-            "hybrid" => drop(exp.hybrid()),
-            "serve" => drop(exp.serve()),
-            "soak" => drop(exp.soak()),
-            _ => usage(),
+        if exp.run(&name).is_none() {
+            usage();
         }
     }
 }

@@ -1,28 +1,40 @@
-//! Regeneration of every table and figure in the paper's evaluation (§IV).
+//! Regeneration of every table and figure in the paper's evaluation (§IV),
+//! and of the experiments outside it. [`Experiments::run`] runs one by name,
+//! printing its markdown and returning it:
 //!
-//! Each function prints (and returns) one artifact:
-//!
-//! | function | paper artifact |
+//! | name | artifact |
 //! |---|---|
-//! | [`Experiments::table1`] | Table I — dataset inventory |
-//! | [`Experiments::fig9`] | Fig. 9 — response time vs ε: GPUCALCGLOBAL vs UNICOMP vs LID-UNICOMP |
-//! | [`Experiments::table3`] | Table III — WEE & time for the three patterns |
-//! | [`Experiments::fig10`] | Fig. 10 — k = 1 vs k = 8 |
-//! | [`Experiments::table4`] | Table IV — WEE & time, k = 1 vs k = 8 |
-//! | [`Experiments::fig11`] | Fig. 11 — baseline vs SORTBYWL vs WORKQUEUE |
-//! | [`Experiments::table5`] | Table V — WEE & time, baseline vs WORKQUEUE (k = 8) |
-//! | [`Experiments::fig12`] | Fig. 12 — real-world datasets vs SUPER-EGO |
-//! | [`Experiments::table6`] | Table VI — WEE & time, all variants, real-world datasets |
-//! | [`Experiments::fig13`] | Fig. 13 — speedups of the combined optimization |
-//! | [`Experiments::ablations`] | DESIGN.md §5 — scheduler order, k sweep, estimator, atomic cost |
-//! | [`Experiments::chaos`] | DESIGN.md §7 — the resilient executor under seeded fault profiles |
-//! | [`Experiments::scaling`] | DESIGN.md §8 — multi-device sharding, workload-aware vs equal-count |
-//! | [`Experiments::failover`] | DESIGN.md §10 — reshard recovery vs CPU degradation after a device loss |
-//! | [`Experiments::hybrid`] | DESIGN.md §11 — CPU/GPU co-execution, forced split fractions vs the measured auto cut |
-//! | [`Experiments::serve`] | DESIGN.md §13 — the serve daemon's churn-and-query stream, coalesced vs serial |
-//! | [`Experiments::soak`] | DESIGN.md §10 — seeded fault schedules over fleets (or the hybrid), exact or a typed error |
+//! | `table1` | Table I — dataset inventory |
+//! | `fig9` | Fig. 9 — response time vs ε: GPUCALCGLOBAL vs UNICOMP vs LID-UNICOMP |
+//! | `table3` | Table III — WEE & time for the three patterns |
+//! | `fig10` | Fig. 10 — k = 1 vs k = 8 |
+//! | `table4` | Table IV — WEE & time, k = 1 vs k = 8 |
+//! | `fig11` | Fig. 11 — baseline vs SORTBYWL vs WORKQUEUE |
+//! | `table5` | Table V — WEE & time, baseline vs WORKQUEUE (k = 8) |
+//! | `fig12` | Fig. 12 — real-world datasets vs SUPER-EGO |
+//! | `table6` | Table VI — WEE & time, all variants, real-world datasets |
+//! | `fig13` | Fig. 13 — speedups of the combined optimization |
+//! | `ablations` | DESIGN.md §5 — scheduler order, k sweep, estimator, atomic cost |
+//! | `all` | every row above, in paper order |
+//! | `chaos` | DESIGN.md §7 — the resilient executor under seeded fault profiles |
+//! | `scaling` | DESIGN.md §8 — multi-device sharding, workload-aware vs equal-count |
+//! | `failover` | DESIGN.md §10 — reshard recovery vs CPU degradation after a device loss |
+//! | `hybrid` | DESIGN.md §11 — CPU/GPU co-execution, forced split fractions vs the measured auto cut |
+//! | `serve` | DESIGN.md §13 — the serve daemon's churn-and-query stream, coalesced vs serial |
+//! | `soak` | DESIGN.md §10 — seeded fault schedules over fleets (or the hybrid), exact or a typed error |
+//!
+//! Figs. 9–13 and Tables III–VI are data: each is a `Figure` value naming
+//! its datasets, its ε (the sweep or the selected ε), the joins of a row
+//! (kernel variants or SUPER-EGO) and its columns, and one renderer runs
+//! every figure's joins as one sweep on the shared pool. Every join config
+//! comes from one builder of (ε, variant) that applies the table batching,
+//! the step mode, the sort backend and the thread budget. Within one driver
+//! each dataset is generated once and each distinct join runs once: the
+//! cell cache keeps its outcome and events and replays the events into
+//! every document that uses it.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -66,24 +78,43 @@ impl ExperimentScale {
     }
 }
 
+/// The batching of every join the driver builds, unless an experiment
+/// tightens it (`b_s` scaled down from the paper's 10⁸ to suit
+/// simulator-scale result sets).
+fn batching() -> BatchingConfig {
+    BatchingConfig {
+        batch_result_capacity: 2_000_000,
+        // Scale bridging: the paper's 2M-point batches always
+        // saturate the device; at simulator-scale sizes the
+        // saturation floor keeps kernels large enough that batch
+        // counts measure load balance, not launch overhead.
+        max_batches: 8,
+        // Scale bridging: preserve the paper's kernel:transfer time
+        // ratio (kernels dominate, transfers hide under streams).
+        // Simulator-scale kernels are short in model time while
+        // result sets shrink only linearly, so the physical 12 GB/s
+        // would make every heavy run transfer-bound — a regime the
+        // paper's evaluation never enters.
+        transfer_bandwidth: 400.0e9,
+        ..BatchingConfig::default()
+    }
+}
+
 /// The experiment driver.
 #[derive(Debug, Clone)]
 pub struct Experiments {
     /// Scale knobs.
     pub scale: ExperimentScale,
-    /// Batching parameters shared by all runs (`b_s` scaled down from the
-    /// paper's 10⁸ to suit simulator-scale result sets).
-    pub batching: BatchingConfig,
     /// Directory receiving one schema-versioned telemetry JSON document per
     /// experiment (`None` disables artifact writing — runs are unaffected
     /// either way; the sink is observation-only).
     pub artifact_dir: Option<PathBuf>,
-    /// The host thread budget. The (dataset, ε, variant) sweep cells of the
-    /// figure experiments run `jobs` at a time, each join on one thread;
-    /// every other join runs on `jobs` threads
-    /// ([`SelfJoinConfig::host_jobs`]), so the two thread layers never
-    /// nest. Tables and telemetry artifacts are identical for any value:
-    /// each cell records into a sink of its own, the cells' events join the
+    /// The host thread budget. Every join runs on `jobs` threads
+    /// ([`SelfJoinConfig::host_jobs`]), except in a sweep of several joins:
+    /// those run `jobs` at a time on the shared pool, each on `jobs / joins`
+    /// threads (at least one), so the two thread layers never nest. Tables
+    /// and telemetry artifacts are identical for any value: each join
+    /// records into a sink of its own, the joins' events join the
     /// experiment's document in cell order, and a join's canonical report
     /// is the same at any `host_jobs`.
     pub jobs: usize,
@@ -95,9 +126,11 @@ pub struct Experiments {
     /// so tables are bit-identical for any value — CI diffs 1 vs 4.
     pub devices: usize,
     /// Where the planner's sorts and prefix sums run (host folds or the
-    /// on-device kernel chains). Planning is backend-invariant — the device
-    /// pre-pass shows up only in telemetry — so tables are bit-identical
-    /// across backends too; CI diffs host vs device.
+    /// on-device kernel chains) in every join. Planning is
+    /// backend-invariant — the device pre-pass shows up only in telemetry —
+    /// so tables are bit-identical across backends, except chaos's: its
+    /// pre-pass launches go through the join's fault plane, so the seeded
+    /// faults land on other launches. CI diffs host vs device on the rest.
     pub sort_backend: SortBackend,
     /// Lose this device (`DeviceLost` on its first launch) in every sharded
     /// run — the failover soak knob. Requires `devices > 1` to matter; with
@@ -117,7 +150,15 @@ pub struct Experiments {
     /// seeded `seed + i`.
     pub seed: u64,
     sink: RefCell<Option<Arc<JsonTelemetry>>>,
+    /// Each Table I dataset generated so far, by name and size.
+    datasets: RefCell<HashMap<(String, usize), Arc<Dataset>>>,
+    /// Each join run so far, by [`CellRunner::cell_key`]: its outcome and
+    /// the events it recorded.
+    cells: RefCell<HashMap<String, (CellOut, Vec<Event>)>>,
 }
+
+/// A Table I dataset generated at the driver's scale.
+type Dataset = (DatasetSpec, DynPoints);
 
 /// The `Sync` subset of the driver that executes one sweep cell, so cells
 /// can run on [`par_map`] worker threads (`Experiments` itself holds a
@@ -151,6 +192,34 @@ impl CellRunner {
         }
     }
 
+    /// The cache key of `cell`: the rendering of everything that reaches
+    /// its join — the dataset's name and size, the target GPU cells run on,
+    /// whether events are captured, and the whole config but `host_jobs`
+    /// (no result or event depends on it). A config field added later joins
+    /// the key through `Debug` without an edit here.
+    fn cell_key(&self, data: &[Arc<Dataset>], cell: &Cell) -> String {
+        let (di, join) = match cell {
+            Cell::Gpu(di, config) => {
+                let config = SelfJoinConfig {
+                    host_jobs: 0,
+                    ..config.clone()
+                };
+                (*di, format!("{config:?}"))
+            }
+            Cell::Cpu(di, eps) => (*di, format!("SUPER-EGO {eps:?}")),
+        };
+        let (spec, pts) = &*data[di];
+        format!(
+            "{} {} {} {:?} {:?} {} {join}",
+            spec.name,
+            pts.len(),
+            self.devices,
+            self.lose_device,
+            self.exec_mode,
+            self.sink.is_some()
+        )
+    }
+
     /// Runs one cell on `target` with the sink attached, recording its
     /// `bench.gpu_run` summary.
     fn run_on(
@@ -162,7 +231,17 @@ impl CellRunner {
         let join = DynSelfJoin::new(pts, config).with_telemetry(self.telemetry());
         let (r, outcome) = run_gpu(&join, target).expect("join execution must succeed");
         if let Some(sink) = self.sink.as_ref() {
-            record_gpu_run(sink.as_ref(), &r);
+            sink.record(
+                Event::new("bench", "gpu_run")
+                    .str("variant", r.label.clone())
+                    .u64("pairs", r.pairs as u64)
+                    .u64("batches", r.batches as u64)
+                    .u64("distance_calcs", r.distance_calcs)
+                    .f64("response_model_s", r.response_s)
+                    .f64("wee", r.wee)
+                    .f64("warp_cv", r.warp_cv)
+                    .f64("sim_wall_s", r.sim_wall.as_secs_f64()),
+            );
         }
         (r, outcome)
     }
@@ -197,31 +276,11 @@ impl CellRunner {
         let (r, outcome) = self.run_on(pts, config, &ExecTarget::Fleet(&fleet, strategy));
         (r, outcome.fleet.expect("a fleet target reports its fleet"))
     }
-
-    fn sego(&self, pts: &DynPoints, eps: f32) -> CpuRunResult {
-        run_superego(pts, eps, &CostModel::default(), self.telemetry())
-            .expect("SUPER-EGO runs on every dataset dimensionality")
-    }
 }
 
-/// Records the canonical summary event of one GPU cell run.
-fn record_gpu_run(sink: &JsonTelemetry, r: &GpuRunResult) {
-    sink.record(
-        Event::new("bench", "gpu_run")
-            .str("variant", r.label.clone())
-            .u64("pairs", r.pairs as u64)
-            .u64("batches", r.batches as u64)
-            .u64("distance_calcs", r.distance_calcs)
-            .f64("response_model_s", r.response_s)
-            .f64("wee", r.wee)
-            .f64("warp_cv", r.warp_cv)
-            .f64("sim_wall_s", r.sim_wall.as_secs_f64()),
-    );
-}
-
-/// One sweep cell of a figure experiment: a GPU variant run or the SUPER-EGO
-/// CPU comparator, against the dataset at `usize`-indexed position.
-// A figure's cell list holds tens of entries for the duration of one sweep,
+/// One join of a sweep: a GPU variant run or the SUPER-EGO CPU comparator,
+/// against the dataset at `usize`-indexed position.
+// A sweep's cell list holds tens of entries for the duration of one sweep,
 // so the Gpu variant's inline config outweighing Cpu is irrelevant.
 #[allow(clippy::large_enum_variant)]
 enum Cell {
@@ -230,23 +289,25 @@ enum Cell {
 }
 
 /// The outcome of a [`Cell`].
+#[derive(Debug, Clone)]
 enum CellOut {
     Gpu(GpuRunResult),
     Cpu(CpuRunResult),
 }
 
 impl CellOut {
-    fn gpu(self) -> GpuRunResult {
+    fn gpu(&self) -> &GpuRunResult {
         match self {
             CellOut::Gpu(r) => r,
             CellOut::Cpu(_) => panic!("expected a GPU cell"),
         }
     }
 
-    fn cpu(self) -> CpuRunResult {
+    /// Model seconds: a GPU run's response time, SUPER-EGO's modeled time.
+    fn time_s(&self) -> f64 {
         match self {
-            CellOut::Cpu(r) => r,
-            CellOut::Gpu(_) => panic!("expected a CPU cell"),
+            CellOut::Gpu(r) => r.response_s,
+            CellOut::Cpu(r) => r.model_s,
         }
     }
 }
@@ -256,6 +317,216 @@ impl CellOut {
 // back in input order no matter how cells were scheduled, so every table
 // built from them is deterministic.
 use simjoin::pool::par_map;
+
+/// A kernel variant of the paper (§III): cell access pattern, load
+/// balancing and threads per query point `k`.
+type Variant = (AccessPattern, Balancing, u32);
+
+/// GPUCALCGLOBAL, the baseline of every figure.
+const GCG: Variant = (AccessPattern::FullWindow, Balancing::None, 1);
+const UNICOMP: Variant = (AccessPattern::Unicomp, Balancing::None, 1);
+const LID: Variant = (AccessPattern::LidUnicomp, Balancing::None, 1);
+const K8: Variant = (AccessPattern::FullWindow, Balancing::None, 8);
+const SORTBYWL: Variant = (AccessPattern::FullWindow, Balancing::SortByWorkload, 1);
+const WQ: Variant = (AccessPattern::FullWindow, Balancing::WorkQueue, 1);
+const WQ_LID: Variant = (AccessPattern::LidUnicomp, Balancing::WorkQueue, 1);
+const WQ_K8: Variant = (AccessPattern::FullWindow, Balancing::WorkQueue, 8);
+/// The paper's combined optimization, WORKQUEUE + LID-UNICOMP + k = 8: also
+/// the join of chaos, scaling, failover, hybrid and serve.
+const OPTIMIZED: Variant = (AccessPattern::LidUnicomp, Balancing::WorkQueue, 8);
+
+/// One join of a figure row.
+#[derive(Clone, Copy)]
+enum Run {
+    Gpu(Variant),
+    SuperEgo,
+}
+
+/// What a figure column shows in a row, by index into the figure's runs.
+#[derive(Clone, Copy)]
+enum Col {
+    /// The run's model seconds.
+    Time(usize),
+    /// The GPU run's warp execution efficiency, in percent.
+    Wee(usize),
+    /// `time(a) / time(b)`. With the paper's (max, mean) claim, the
+    /// column's max and mean go on a summary line under the table.
+    Speedup(usize, usize, Option<&'static str>),
+    /// The header of the row's fastest `Time` column.
+    Best,
+}
+
+/// The ε of a figure's rows on each dataset.
+#[derive(Clone, Copy)]
+enum Eps {
+    /// Every `eps_stride`-th ε of the dataset's sweep.
+    Sweep,
+    /// The one ε the tables report (`selected_eps`).
+    Selected,
+}
+
+/// One of the paper's figures or tables as data: a row per dataset and ε,
+/// each row running `runs` and showing `columns` after its dataset and ε.
+struct Figure {
+    /// Experiment name, which its telemetry document also takes.
+    name: &'static str,
+    title: &'static str,
+    /// Table I names in row order; `None` is every Table I dataset.
+    datasets: Option<&'static [&'static str]>,
+    eps: Eps,
+    /// A row's joins, in the order they record telemetry.
+    runs: &'static [Run],
+    columns: &'static [(&'static str, Col)],
+}
+
+const SYNTHETIC: Option<&[&str]> = Some(&["Expo2D2M", "Expo6D2M", "Unif2D2M", "Unif6D2M"]);
+const REAL_WORLD: Option<&[&str]> = Some(&["SW2DA", "SW2DB", "SW3DA", "SW3DB", "Gaia"]);
+
+const FIG9: Figure = Figure {
+    name: "fig9",
+    title: "Fig. 9 — cell access patterns, response time vs eps (k = 1)",
+    datasets: SYNTHETIC,
+    eps: Eps::Sweep,
+    runs: &[Run::Gpu(GCG), Run::Gpu(UNICOMP), Run::Gpu(LID)],
+    columns: &[
+        ("GPUCALCGLOBAL", Col::Time(0)),
+        ("UNICOMP", Col::Time(1)),
+        ("LID-UNICOMP", Col::Time(2)),
+        ("best", Col::Best),
+    ],
+};
+
+const TABLE3: Figure = Figure {
+    name: "table3",
+    title: "Table III — WEE and time of the cell access patterns",
+    eps: Eps::Selected,
+    columns: &[
+        ("GCG WEE(%)", Col::Wee(0)),
+        ("GCG time", Col::Time(0)),
+        ("UNI WEE(%)", Col::Wee(1)),
+        ("UNI time", Col::Time(1)),
+        ("LID WEE(%)", Col::Wee(2)),
+        ("LID time", Col::Time(2)),
+    ],
+    ..FIG9
+};
+
+const FIG10: Figure = Figure {
+    name: "fig10",
+    title: "Fig. 10 — thread granularity (k = 1 vs k = 8), GPUCALCGLOBAL",
+    datasets: SYNTHETIC,
+    eps: Eps::Sweep,
+    runs: &[Run::Gpu(GCG), Run::Gpu(K8)],
+    columns: &[
+        ("k=1", Col::Time(0)),
+        ("k=8", Col::Time(1)),
+        ("k=8 speedup", Col::Speedup(0, 1, None)),
+    ],
+};
+
+const TABLE4: Figure = Figure {
+    name: "table4",
+    title: "Table IV — WEE and time, k = 1 vs k = 8",
+    eps: Eps::Selected,
+    columns: &[
+        ("k=1 WEE(%)", Col::Wee(0)),
+        ("k=1 time", Col::Time(0)),
+        ("k=8 WEE(%)", Col::Wee(1)),
+        ("k=8 time", Col::Time(1)),
+    ],
+    ..FIG10
+};
+
+const FIG11: Figure = Figure {
+    name: "fig11",
+    title: "Fig. 11 — workload sorting and the work queue",
+    datasets: SYNTHETIC,
+    eps: Eps::Sweep,
+    runs: &[Run::Gpu(GCG), Run::Gpu(SORTBYWL), Run::Gpu(WQ)],
+    columns: &[
+        ("GPUCALCGLOBAL", Col::Time(0)),
+        ("SORTBYWL", Col::Time(1)),
+        ("WORKQUEUE", Col::Time(2)),
+        ("best", Col::Best),
+    ],
+};
+
+const TABLE5: Figure = Figure {
+    name: "table5",
+    title: "Table V — WEE and time, baseline vs WORKQUEUE (k = 8)",
+    datasets: SYNTHETIC,
+    eps: Eps::Selected,
+    runs: &[Run::Gpu(GCG), Run::Gpu(WQ_K8)],
+    columns: &[
+        ("GCG WEE(%)", Col::Wee(0)),
+        ("GCG time", Col::Time(0)),
+        ("WQ k=8 WEE(%)", Col::Wee(1)),
+        ("WQ k=8 time", Col::Time(1)),
+    ],
+};
+
+const FIG12: Figure = Figure {
+    name: "fig12",
+    title: "Fig. 12 — real-world datasets, response time vs eps",
+    datasets: REAL_WORLD,
+    eps: Eps::Sweep,
+    runs: &[
+        Run::Gpu(GCG),
+        Run::SuperEgo,
+        Run::Gpu(WQ),
+        Run::Gpu(WQ_LID),
+        Run::Gpu(WQ_K8),
+        Run::Gpu(OPTIMIZED),
+    ],
+    columns: &[
+        ("GPUCALCGLOBAL", Col::Time(0)),
+        ("SUPER-EGO", Col::Time(1)),
+        ("WQ", Col::Time(2)),
+        ("WQ+LID", Col::Time(3)),
+        ("WQ+k8", Col::Time(4)),
+        ("WQ+LID+k8", Col::Time(5)),
+    ],
+};
+
+const TABLE6: Figure = Figure {
+    name: "table6",
+    title: "Table VI — WEE and time on real-world datasets",
+    datasets: REAL_WORLD,
+    eps: Eps::Selected,
+    runs: &[
+        Run::Gpu(GCG),
+        Run::Gpu(WQ),
+        Run::Gpu(WQ_LID),
+        Run::Gpu(WQ_K8),
+        Run::Gpu(OPTIMIZED),
+    ],
+    columns: &[
+        ("GCG WEE(%)", Col::Wee(0)),
+        ("GCG time", Col::Time(0)),
+        ("WQ WEE(%)", Col::Wee(1)),
+        ("WQ+LID WEE(%)", Col::Wee(2)),
+        ("WQ+k8 WEE(%)", Col::Wee(3)),
+        ("WQ+LID+k8 WEE(%)", Col::Wee(4)),
+        ("WQ+LID+k8 time", Col::Time(4)),
+    ],
+};
+
+const FIG13: Figure = Figure {
+    name: "fig13",
+    title: "Fig. 13 — speedup of WORKQUEUE + LID-UNICOMP + k = 8",
+    datasets: None,
+    eps: Eps::Sweep,
+    runs: &[Run::Gpu(GCG), Run::SuperEgo, Run::Gpu(OPTIMIZED)],
+    columns: &[
+        ("vs SUPER-EGO", Col::Speedup(1, 2, Some("10.7×, 2.5×"))),
+        ("vs GPUCALCGLOBAL", Col::Speedup(0, 2, Some("9.7×, 1.6×"))),
+    ],
+};
+
+/// Figs. 9–13 and Tables III–VI, in paper order.
+const FIGURES: [&Figure; 9] = [
+    &FIG9, &TABLE3, &FIG10, &TABLE4, &FIG11, &TABLE5, &FIG12, &TABLE6, &FIG13,
+];
 
 impl Experiments {
     /// Creates a driver at the given scale.
@@ -271,53 +542,40 @@ impl Experiments {
             exec_mode: ExecMode::default(),
             seed: 0,
             sink: RefCell::new(None),
-            batching: BatchingConfig {
-                batch_result_capacity: 2_000_000,
-                // Scale bridging: the paper's 2M-point batches always
-                // saturate the device; at simulator-scale sizes the
-                // saturation floor keeps kernels large enough that batch
-                // counts measure load balance, not launch overhead.
-                max_batches: 8,
-                // Scale bridging: preserve the paper's kernel:transfer time
-                // ratio (kernels dominate, transfers hide under streams).
-                // Simulator-scale kernels are short in model time while
-                // result sets shrink only linearly, so the physical 12 GB/s
-                // would make every heavy run transfer-bound — a regime the
-                // paper's evaluation never enters.
-                transfer_bandwidth: 400.0e9,
-                ..BatchingConfig::default()
-            },
+            datasets: RefCell::default(),
+            cells: RefCell::default(),
         }
     }
 
-    fn dataset(&self, name: &str) -> (DatasetSpec, DynPoints) {
+    /// Table I's dataset `name` at the driver's scale, generated once per
+    /// driver.
+    fn dataset(&self, name: &str) -> Arc<Dataset> {
         let spec = DatasetSpec::by_name(name).unwrap_or_else(|| panic!("unknown dataset {name}"));
-        let n = ((spec.default_points as f64 * self.scale.points_scale) as usize).max(500);
-        let pts = spec.generate(n);
-        (spec, pts)
+        let n = self.scaled_points(&spec);
+        let mut datasets = self.datasets.borrow_mut();
+        let data = datasets.entry((spec.name.clone(), n)).or_insert_with(|| {
+            let pts = spec.generate(n);
+            Arc::new((spec, pts))
+        });
+        Arc::clone(data)
     }
 
-    fn epsilons(&self, spec: &DatasetSpec) -> Vec<f32> {
-        spec.epsilons
-            .iter()
-            .copied()
-            .step_by(self.scale.eps_stride.max(1))
-            .collect()
+    /// The point count `spec` is generated at.
+    fn scaled_points(&self, spec: &DatasetSpec) -> usize {
+        ((spec.default_points as f64 * self.scale.points_scale) as usize).max(500)
     }
 
-    fn config(&self, eps: f32) -> SelfJoinConfig {
+    /// The join of `variant` at `eps`. Every config the driver builds comes
+    /// from here, so each carries the table batching, the step mode, the
+    /// sort backend and the thread budget.
+    fn config(&self, eps: f32, (pattern, balancing, k): Variant) -> SelfJoinConfig {
         SelfJoinConfig::new(eps)
-            .with_batching(self.batching)
+            .with_pattern(pattern)
+            .with_balancing(balancing)
+            .with_k(k)
+            .with_batching(batching())
             .with_step_mode(self.step_mode)
             .with_sort_backend(self.sort_backend)
-            .with_host_jobs(self.jobs)
-    }
-
-    /// The paper's optimized variant at `batching`, on `jobs` host threads:
-    /// the join the experiments outside the paper's sweeps build.
-    fn optimized(&self, eps: f32, batching: BatchingConfig) -> SelfJoinConfig {
-        SelfJoinConfig::optimized(eps)
-            .with_batching(batching)
             .with_host_jobs(self.jobs)
     }
 
@@ -332,32 +590,24 @@ impl Experiments {
         }
     }
 
-    /// Opens a fresh telemetry document for `name` (no-op when
-    /// `artifact_dir` is unset). Subsequent [`Self::run`] / [`Self::sego`]
-    /// calls record into it until [`Self::end_experiment`].
-    fn begin_experiment(&self, name: &str) {
-        if self.artifact_dir.is_none() {
-            return;
-        }
-        let sink = JsonTelemetry::new(name);
+    /// Runs `experiment` with a fresh telemetry document for `name` open,
+    /// so the joins it runs record into it, then writes the document to
+    /// `<artifact_dir>/<name>_telemetry.json` (no document when
+    /// `artifact_dir` is unset).
+    fn document(&self, name: &str, experiment: impl FnOnce() -> String) -> String {
+        let Some(dir) = self.artifact_dir.as_ref() else {
+            return experiment();
+        };
+        let sink = Arc::new(JsonTelemetry::new(name));
         sink.record(
             Event::new("bench", "experiment")
                 .str("name", name)
                 .f64("points_scale", self.scale.points_scale)
                 .u64("eps_stride", self.scale.eps_stride as u64),
         );
-        *self.sink.borrow_mut() = Some(Arc::new(sink));
-    }
-
-    /// Writes the open telemetry document to
-    /// `<artifact_dir>/<name>_telemetry.json` and closes it.
-    fn end_experiment(&self, name: &str) {
-        let Some(sink) = self.sink.borrow_mut().take() else {
-            return;
-        };
-        let Some(dir) = self.artifact_dir.as_ref() else {
-            return;
-        };
+        *self.sink.borrow_mut() = Some(Arc::clone(&sink));
+        let out = experiment();
+        *self.sink.borrow_mut() = None;
         let path = dir.join(format!("{name}_telemetry.json"));
         match sink.write_to_file(&path) {
             Ok(()) => {
@@ -369,54 +619,161 @@ impl Experiments {
             }
             Err(e) => eprintln!("[telemetry] failed to write {}: {e}", path.display()),
         }
+        out
     }
 
-    fn run(&self, pts: &DynPoints, config: SelfJoinConfig) -> GpuRunResult {
-        self.runner().run(pts, config)
+    /// Executes the joins of `cells` and returns their outcomes in input
+    /// order. A join this driver has run before, or that recurs in
+    /// `cells`, runs once: the rest run on `self.jobs` pool workers, each
+    /// into a sink of its own. Every cell then replays its join's events
+    /// into the experiment's document in cell order, so the document is
+    /// the same for any `jobs` and for whatever ran before.
+    fn sweep(&self, data: &[Arc<Dataset>], cells: Vec<Cell>) -> Vec<CellOut> {
+        let runner = self.runner();
+        let keys: Vec<String> = cells
+            .iter()
+            .map(|cell| runner.cell_key(data, cell))
+            .collect();
+        let mut todo: Vec<(String, Cell)> = Vec::new();
+        for (key, cell) in keys.iter().zip(cells) {
+            if !self.cells.borrow().contains_key(key) && todo.iter().all(|(k, _)| k != key) {
+                todo.push((key.clone(), cell));
+            }
+        }
+        let host_jobs = (self.jobs / todo.len().max(1)).max(1);
+        let ran = par_map(self.jobs, todo, |(key, cell)| {
+            let cell_runner = runner.with_own_sink();
+            let out = match cell {
+                Cell::Gpu(di, config) => {
+                    CellOut::Gpu(cell_runner.run(&data[di].1, config.with_host_jobs(host_jobs)))
+                }
+                Cell::Cpu(di, eps) => CellOut::Cpu(
+                    run_superego(
+                        &data[di].1,
+                        eps,
+                        &CostModel::default(),
+                        cell_runner.telemetry(),
+                    )
+                    .expect("SUPER-EGO runs on every dataset dimensionality"),
+                ),
+            };
+            let events = cell_runner.sink.map_or_else(Vec::new, |sink| sink.events());
+            (key, (out, events))
+        });
+        let mut cache = self.cells.borrow_mut();
+        cache.extend(ran);
+        keys.iter()
+            .map(|key| {
+                let (out, events) = &cache[key];
+                if let Some(sink) = runner.sink.as_ref() {
+                    events.iter().for_each(|e| sink.record(e.clone()));
+                }
+                out.clone()
+            })
+            .collect()
+    }
+
+    /// Runs one join through the [`Self::sweep`] cache.
+    fn join(&self, data: &Arc<Dataset>, config: SelfJoinConfig) -> GpuRunResult {
+        let out = self.sweep(std::slice::from_ref(data), vec![Cell::Gpu(0, config)]);
+        out[0].gpu().clone()
     }
 
     /// The batching of the multi-unit experiments: probe the result size
     /// at the table batching, then shrink the capacity to a 24th of it (at
     /// most 64 batches) so the plan holds enough units to shard, cut, or
     /// spread across threads.
-    fn unit_batching(&self, pts: &DynPoints, eps: f32) -> BatchingConfig {
-        let probe = self.run(pts, self.optimized(eps, self.batching));
+    fn unit_batching(&self, data: &Arc<Dataset>, eps: f32) -> BatchingConfig {
+        let probe = self.join(data, self.config(eps, OPTIMIZED));
         BatchingConfig {
             batch_result_capacity: probe.pairs / 24 + 64,
             max_batches: 64,
-            ..self.batching
+            ..batching()
         }
     }
 
-    /// Executes a flat list of sweep [`Cell`]s on `self.jobs` workers, each
-    /// join on one host thread, and returns their outcomes in input order.
-    /// Each cell records into its own sink, and the cells' events are
-    /// appended to the experiment's document in cell order, so the artifact
-    /// is the same for any `jobs`.
-    fn sweep(&self, data: &[(DatasetSpec, DynPoints)], cells: Vec<Cell>) -> Vec<CellOut> {
-        let runner = self.runner();
-        let outs = par_map(self.jobs, cells, |cell| {
-            let cell_runner = runner.with_own_sink();
-            let out = match cell {
-                Cell::Gpu(di, config) => {
-                    CellOut::Gpu(cell_runner.run(&data[di].1, config.with_host_jobs(1)))
-                }
-                Cell::Cpu(di, eps) => CellOut::Cpu(cell_runner.sego(&data[di].1, eps)),
+    /// Renders `fig`: its rows' joins run as one sweep, then each row's
+    /// columns are computed from them.
+    fn figure(&self, fig: &Figure) -> String {
+        let data: Vec<Arc<Dataset>> = match fig.datasets {
+            Some(names) => names.iter().map(|n| self.dataset(n)).collect(),
+            None => DatasetSpec::table1()
+                .iter()
+                .map(|s| self.dataset(&s.name))
+                .collect(),
+        };
+        let mut rows = Vec::new();
+        for (di, (spec, _)) in data.iter().map(|d| &**d).enumerate() {
+            let stride = self.scale.eps_stride.max(1);
+            let eps: Vec<f32> = match fig.eps {
+                Eps::Sweep => spec.epsilons.iter().copied().step_by(stride).collect(),
+                Eps::Selected => vec![selected_eps(spec)],
             };
-            (out, cell_runner.sink)
-        });
-        outs.into_iter()
-            .map(|(out, cell_sink)| {
-                if let (Some(sink), Some(cell_sink)) = (&runner.sink, cell_sink) {
-                    cell_sink.events().into_iter().for_each(|e| sink.record(e));
-                }
-                out
+            rows.extend(eps.into_iter().map(|eps| (di, eps)));
+        }
+        let cells = rows
+            .iter()
+            .flat_map(|&(di, eps)| {
+                fig.runs.iter().map(move |run| match *run {
+                    Run::Gpu(variant) => Cell::Gpu(di, self.config(eps, variant)),
+                    Run::SuperEgo => Cell::Cpu(di, eps),
+                })
             })
-            .collect()
+            .collect();
+        let outs = self.sweep(&data, cells);
+        let mut header = vec!["dataset", "eps"];
+        header.extend(fig.columns.iter().map(|&(h, _)| h));
+        let mut t = Table::new(header);
+        let mut speedups = vec![Vec::new(); fig.columns.len()];
+        for (&(di, eps), runs) in rows.iter().zip(outs.chunks(fig.runs.len())) {
+            let mut row = vec![data[di].0.name.clone(), format!("{eps}")];
+            for (ci, &(_, col)) in fig.columns.iter().enumerate() {
+                row.push(match col {
+                    Col::Time(i) => fmt_time(runs[i].time_s()),
+                    Col::Wee(i) => fmt_pct(runs[i].gpu().wee),
+                    Col::Speedup(a, b, _) => {
+                        let speedup = runs[a].time_s() / runs[b].time_s();
+                        speedups[ci].push(speedup);
+                        fmt_speedup(speedup)
+                    }
+                    Col::Best => fig
+                        .columns
+                        .iter()
+                        .filter_map(|&(h, c)| match c {
+                            Col::Time(i) => Some((h, runs[i].time_s())),
+                            _ => None,
+                        })
+                        .min_by(|a, b| a.1.total_cmp(&b.1))
+                        .expect("a best-of column follows time columns")
+                        .0
+                        .to_string(),
+                });
+            }
+            t.row(row);
+        }
+        let mut out = t.render();
+        let claims: Vec<String> = fig
+            .columns
+            .iter()
+            .zip(&speedups)
+            .filter_map(|(&(h, col), v)| match col {
+                Col::Speedup(_, _, Some(paper)) => {
+                    let max = v.iter().copied().fold(f64::MIN, f64::max);
+                    let avg = v.iter().sum::<f64>() / v.len().max(1) as f64;
+                    let (max, avg) = (fmt_speedup(max), fmt_speedup(avg));
+                    Some(format!("{h} max {max} avg {avg} (paper: {paper})"))
+                }
+                _ => None,
+            })
+            .collect();
+        if !claims.is_empty() {
+            out.push_str(&format!("\nSummary: {}\n", claims.join("; ")));
+        }
+        emit(fig.title, out)
     }
 
     /// Table I: the dataset inventory (paper size vs scaled size).
-    pub fn table1(&self) -> String {
+    fn table1(&self) -> String {
         let mut t = Table::new(vec![
             "Dataset",
             "n",
@@ -425,512 +782,56 @@ impl Experiments {
             "family",
         ]);
         for spec in DatasetSpec::table1() {
-            let n = ((spec.default_points as f64 * self.scale.points_scale) as usize).max(500);
             t.row(vec![
                 spec.name.clone(),
                 spec.dims.to_string(),
                 spec.paper_points.to_string(),
-                n.to_string(),
+                self.scaled_points(&spec).to_string(),
                 format!("{:?}", spec.family),
             ]);
         }
         emit("Table I — datasets", t.render())
     }
 
-    /// Fig. 9: response time vs ε for the three cell access patterns
-    /// (k = 1) on Expo2D/Expo6D/Unif2D/Unif6D.
-    pub fn fig9(&self) -> String {
-        self.begin_experiment("fig9");
-        let mut t = Table::new(vec![
-            "dataset",
-            "eps",
-            "GPUCALCGLOBAL",
-            "UNICOMP",
-            "LID-UNICOMP",
-            "best",
-        ]);
-        let data: Vec<_> = ["Expo2D2M", "Expo6D2M", "Unif2D2M", "Unif6D2M"]
-            .into_iter()
-            .map(|n| self.dataset(n))
-            .collect();
-        let mut rows = Vec::new();
-        let mut cells = Vec::new();
-        for (di, (spec, _)) in data.iter().enumerate() {
-            for eps in self.epsilons(spec) {
-                rows.push((di, eps));
-                cells.push(Cell::Gpu(di, self.config(eps)));
-                cells.push(Cell::Gpu(
-                    di,
-                    self.config(eps).with_pattern(AccessPattern::Unicomp),
-                ));
-                cells.push(Cell::Gpu(
-                    di,
-                    self.config(eps).with_pattern(AccessPattern::LidUnicomp),
-                ));
-            }
-        }
-        let mut results = self.sweep(&data, cells).into_iter();
-        for (di, eps) in rows {
-            let full = results.next().unwrap().gpu();
-            let uni = results.next().unwrap().gpu();
-            let lid = results.next().unwrap().gpu();
-            let best = [
-                ("GPUCALCGLOBAL", full.response_s),
-                ("UNICOMP", uni.response_s),
-                ("LID-UNICOMP", lid.response_s),
-            ]
-            .into_iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .unwrap()
-            .0;
-            t.row(vec![
-                data[di].0.name.clone(),
-                format!("{eps}"),
-                fmt_time(full.response_s),
-                fmt_time(uni.response_s),
-                fmt_time(lid.response_s),
-                best.to_string(),
-            ]);
-        }
-        let out = emit(
-            "Fig. 9 — cell access patterns, response time vs eps (k = 1)",
-            t.render(),
-        );
-        self.end_experiment("fig9");
-        out
-    }
-
-    /// Table III: WEE and response time of the three patterns at one
-    /// selected ε per dataset.
-    pub fn table3(&self) -> String {
-        self.begin_experiment("table3");
-        let mut t = Table::new(vec![
-            "dataset",
-            "eps",
-            "GCG WEE(%)",
-            "GCG time",
-            "UNI WEE(%)",
-            "UNI time",
-            "LID WEE(%)",
-            "LID time",
-        ]);
-        for name in ["Expo2D2M", "Expo6D2M", "Unif2D2M", "Unif6D2M"] {
-            let (spec, pts) = self.dataset(name);
-            let eps = selected_eps(&spec);
-            let full = self.run(&pts, self.config(eps));
-            let uni = self.run(&pts, self.config(eps).with_pattern(AccessPattern::Unicomp));
-            let lid = self.run(
-                &pts,
-                self.config(eps).with_pattern(AccessPattern::LidUnicomp),
-            );
-            t.row(vec![
-                name.to_string(),
-                format!("{eps}"),
-                fmt_pct(full.wee),
-                fmt_time(full.response_s),
-                fmt_pct(uni.wee),
-                fmt_time(uni.response_s),
-                fmt_pct(lid.wee),
-                fmt_time(lid.response_s),
-            ]);
-        }
-        let out = emit(
-            "Table III — WEE and time of the cell access patterns",
-            t.render(),
-        );
-        self.end_experiment("table3");
-        out
-    }
-
-    /// Fig. 10: k = 1 vs k = 8 for GPUCALCGLOBAL.
-    pub fn fig10(&self) -> String {
-        self.begin_experiment("fig10");
-        let mut t = Table::new(vec!["dataset", "eps", "k=1", "k=8", "k=8 speedup"]);
-        let data: Vec<_> = ["Expo2D2M", "Expo6D2M", "Unif2D2M", "Unif6D2M"]
-            .into_iter()
-            .map(|n| self.dataset(n))
-            .collect();
-        let mut rows = Vec::new();
-        let mut cells = Vec::new();
-        for (di, (spec, _)) in data.iter().enumerate() {
-            for eps in self.epsilons(spec) {
-                rows.push((di, eps));
-                cells.push(Cell::Gpu(di, self.config(eps)));
-                cells.push(Cell::Gpu(di, self.config(eps).with_k(8)));
-            }
-        }
-        let mut results = self.sweep(&data, cells).into_iter();
-        for (di, eps) in rows {
-            let k1 = results.next().unwrap().gpu();
-            let k8 = results.next().unwrap().gpu();
-            t.row(vec![
-                data[di].0.name.clone(),
-                format!("{eps}"),
-                fmt_time(k1.response_s),
-                fmt_time(k8.response_s),
-                fmt_speedup(k1.response_s / k8.response_s),
-            ]);
-        }
-        let out = emit(
-            "Fig. 10 — thread granularity (k = 1 vs k = 8), GPUCALCGLOBAL",
-            t.render(),
-        );
-        self.end_experiment("fig10");
-        out
-    }
-
-    /// Table IV: WEE and time for k = 1 vs k = 8 at one ε per dataset.
-    pub fn table4(&self) -> String {
-        self.begin_experiment("table4");
-        let mut t = Table::new(vec![
-            "dataset",
-            "eps",
-            "k=1 WEE(%)",
-            "k=1 time",
-            "k=8 WEE(%)",
-            "k=8 time",
-        ]);
-        for name in ["Expo2D2M", "Expo6D2M", "Unif2D2M", "Unif6D2M"] {
-            let (spec, pts) = self.dataset(name);
-            let eps = selected_eps(&spec);
-            let k1 = self.run(&pts, self.config(eps));
-            let k8 = self.run(&pts, self.config(eps).with_k(8));
-            t.row(vec![
-                name.to_string(),
-                format!("{eps}"),
-                fmt_pct(k1.wee),
-                fmt_time(k1.response_s),
-                fmt_pct(k8.wee),
-                fmt_time(k8.response_s),
-            ]);
-        }
-        let out = emit("Table IV — WEE and time, k = 1 vs k = 8", t.render());
-        self.end_experiment("table4");
-        out
-    }
-
-    /// Fig. 11: baseline vs SORTBYWL vs WORKQUEUE (k = 1, FullWindow).
-    pub fn fig11(&self) -> String {
-        self.begin_experiment("fig11");
-        let mut t = Table::new(vec![
-            "dataset",
-            "eps",
-            "GPUCALCGLOBAL",
-            "SORTBYWL",
-            "WORKQUEUE",
-            "best",
-        ]);
-        let data: Vec<_> = ["Expo2D2M", "Expo6D2M", "Unif2D2M", "Unif6D2M"]
-            .into_iter()
-            .map(|n| self.dataset(n))
-            .collect();
-        let mut rows = Vec::new();
-        let mut cells = Vec::new();
-        for (di, (spec, _)) in data.iter().enumerate() {
-            for eps in self.epsilons(spec) {
-                rows.push((di, eps));
-                cells.push(Cell::Gpu(di, self.config(eps)));
-                cells.push(Cell::Gpu(
-                    di,
-                    self.config(eps).with_balancing(Balancing::SortByWorkload),
-                ));
-                cells.push(Cell::Gpu(
-                    di,
-                    self.config(eps).with_balancing(Balancing::WorkQueue),
-                ));
-            }
-        }
-        let mut results = self.sweep(&data, cells).into_iter();
-        for (di, eps) in rows {
-            let base = results.next().unwrap().gpu();
-            let sorted = results.next().unwrap().gpu();
-            let queued = results.next().unwrap().gpu();
-            let best = [
-                ("GPUCALCGLOBAL", base.response_s),
-                ("SORTBYWL", sorted.response_s),
-                ("WORKQUEUE", queued.response_s),
-            ]
-            .into_iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .unwrap()
-            .0;
-            t.row(vec![
-                data[di].0.name.clone(),
-                format!("{eps}"),
-                fmt_time(base.response_s),
-                fmt_time(sorted.response_s),
-                fmt_time(queued.response_s),
-                best.to_string(),
-            ]);
-        }
-        let out = emit("Fig. 11 — workload sorting and the work queue", t.render());
-        self.end_experiment("fig11");
-        out
-    }
-
-    /// Table V: WEE and time, GPUCALCGLOBAL vs WORKQUEUE with k = 8.
-    pub fn table5(&self) -> String {
-        self.begin_experiment("table5");
-        let mut t = Table::new(vec![
-            "dataset",
-            "eps",
-            "GCG WEE(%)",
-            "GCG time",
-            "WQ k=8 WEE(%)",
-            "WQ k=8 time",
-        ]);
-        for name in ["Expo2D2M", "Expo6D2M", "Unif2D2M", "Unif6D2M"] {
-            let (spec, pts) = self.dataset(name);
-            let eps = selected_eps(&spec);
-            let base = self.run(&pts, self.config(eps));
-            let wq = self.run(
-                &pts,
-                self.config(eps)
-                    .with_balancing(Balancing::WorkQueue)
-                    .with_k(8),
-            );
-            t.row(vec![
-                name.to_string(),
-                format!("{eps}"),
-                fmt_pct(base.wee),
-                fmt_time(base.response_s),
-                fmt_pct(wq.wee),
-                fmt_time(wq.response_s),
-            ]);
-        }
-        let out = emit(
-            "Table V — WEE and time, baseline vs WORKQUEUE (k = 8)",
-            t.render(),
-        );
-        self.end_experiment("table5");
-        out
-    }
-
-    /// Fig. 12: the real-world datasets, all WORKQUEUE combinations vs the
-    /// baseline and vs SUPER-EGO.
-    pub fn fig12(&self) -> String {
-        self.begin_experiment("fig12");
-        let mut t = Table::new(vec![
-            "dataset",
-            "eps",
-            "GPUCALCGLOBAL",
-            "SUPER-EGO",
-            "WQ",
-            "WQ+LID",
-            "WQ+k8",
-            "WQ+LID+k8",
-        ]);
-        let data: Vec<_> = ["SW2DA", "SW2DB", "SW3DA", "SW3DB", "Gaia"]
-            .into_iter()
-            .map(|n| self.dataset(n))
-            .collect();
-        let mut rows = Vec::new();
-        let mut cells = Vec::new();
-        for (di, (spec, _)) in data.iter().enumerate() {
-            for eps in self.epsilons(spec) {
-                rows.push((di, eps));
-                cells.push(Cell::Gpu(di, self.config(eps)));
-                cells.push(Cell::Cpu(di, eps));
-                cells.push(Cell::Gpu(
-                    di,
-                    self.config(eps).with_balancing(Balancing::WorkQueue),
-                ));
-                cells.push(Cell::Gpu(
-                    di,
-                    self.config(eps)
-                        .with_balancing(Balancing::WorkQueue)
-                        .with_pattern(AccessPattern::LidUnicomp),
-                ));
-                cells.push(Cell::Gpu(
-                    di,
-                    self.config(eps)
-                        .with_balancing(Balancing::WorkQueue)
-                        .with_k(8),
-                ));
-                cells.push(Cell::Gpu(
-                    di,
-                    self.config(eps)
-                        .with_balancing(Balancing::WorkQueue)
-                        .with_pattern(AccessPattern::LidUnicomp)
-                        .with_k(8),
-                ));
-            }
-        }
-        let mut results = self.sweep(&data, cells).into_iter();
-        for (di, eps) in rows {
-            let base = results.next().unwrap().gpu();
-            let sego = results.next().unwrap().cpu();
-            let wq = results.next().unwrap().gpu();
-            let wq_lid = results.next().unwrap().gpu();
-            let wq_k8 = results.next().unwrap().gpu();
-            let all = results.next().unwrap().gpu();
-            t.row(vec![
-                data[di].0.name.clone(),
-                format!("{eps}"),
-                fmt_time(base.response_s),
-                fmt_time(sego.model_s),
-                fmt_time(wq.response_s),
-                fmt_time(wq_lid.response_s),
-                fmt_time(wq_k8.response_s),
-                fmt_time(all.response_s),
-            ]);
-        }
-        let out = emit(
-            "Fig. 12 — real-world datasets, response time vs eps",
-            t.render(),
-        );
-        self.end_experiment("fig12");
-        out
-    }
-
-    /// Table VI: WEE and time for all variants on the real-world datasets.
-    pub fn table6(&self) -> String {
-        self.begin_experiment("table6");
-        let mut t = Table::new(vec![
-            "dataset",
-            "eps",
-            "GCG WEE(%)",
-            "GCG time",
-            "WQ WEE(%)",
-            "WQ+LID WEE(%)",
-            "WQ+k8 WEE(%)",
-            "WQ+LID+k8 WEE(%)",
-            "WQ+LID+k8 time",
-        ]);
-        for name in ["SW2DA", "SW2DB", "SW3DA", "SW3DB", "Gaia"] {
-            let (spec, pts) = self.dataset(name);
-            let eps = selected_eps(&spec);
-            let base = self.run(&pts, self.config(eps));
-            let wq = self.run(&pts, self.config(eps).with_balancing(Balancing::WorkQueue));
-            let wq_lid = self.run(
-                &pts,
-                self.config(eps)
-                    .with_balancing(Balancing::WorkQueue)
-                    .with_pattern(AccessPattern::LidUnicomp),
-            );
-            let wq_k8 = self.run(
-                &pts,
-                self.config(eps)
-                    .with_balancing(Balancing::WorkQueue)
-                    .with_k(8),
-            );
-            let all = self.run(
-                &pts,
-                self.config(eps)
-                    .with_balancing(Balancing::WorkQueue)
-                    .with_pattern(AccessPattern::LidUnicomp)
-                    .with_k(8),
-            );
-            t.row(vec![
-                name.to_string(),
-                format!("{eps}"),
-                fmt_pct(base.wee),
-                fmt_time(base.response_s),
-                fmt_pct(wq.wee),
-                fmt_pct(wq_lid.wee),
-                fmt_pct(wq_k8.wee),
-                fmt_pct(all.wee),
-                fmt_time(all.response_s),
-            ]);
-        }
-        let out = emit("Table VI — WEE and time on real-world datasets", t.render());
-        self.end_experiment("table6");
-        out
-    }
-
-    /// Fig. 13: speedups of WORKQUEUE + LID-UNICOMP + k = 8 over SUPER-EGO
-    /// (a) and over GPUCALCGLOBAL (b), across every dataset and ε.
-    pub fn fig13(&self) -> String {
-        self.begin_experiment("fig13");
-        let mut t = Table::new(vec!["dataset", "eps", "vs SUPER-EGO", "vs GPUCALCGLOBAL"]);
-        let mut vs_cpu: Vec<f64> = Vec::new();
-        let mut vs_gpu: Vec<f64> = Vec::new();
-        let all_names: Vec<String> = DatasetSpec::table1().into_iter().map(|s| s.name).collect();
-        let data: Vec<_> = all_names.iter().map(|n| self.dataset(n)).collect();
-        let mut rows = Vec::new();
-        let mut cells = Vec::new();
-        for (di, (spec, _)) in data.iter().enumerate() {
-            for eps in self.epsilons(spec) {
-                rows.push((di, eps));
-                cells.push(Cell::Gpu(di, self.config(eps)));
-                cells.push(Cell::Cpu(di, eps));
-                cells.push(Cell::Gpu(
-                    di,
-                    self.config(eps)
-                        .with_balancing(Balancing::WorkQueue)
-                        .with_pattern(AccessPattern::LidUnicomp)
-                        .with_k(8),
-                ));
-            }
-        }
-        let mut results = self.sweep(&data, cells).into_iter();
-        for (di, eps) in rows {
-            let base = results.next().unwrap().gpu();
-            let sego = results.next().unwrap().cpu();
-            let best = results.next().unwrap().gpu();
-            let s_cpu = sego.model_s / best.response_s;
-            let s_gpu = base.response_s / best.response_s;
-            vs_cpu.push(s_cpu);
-            vs_gpu.push(s_gpu);
-            t.row(vec![
-                data[di].0.name.clone(),
-                format!("{eps}"),
-                fmt_speedup(s_cpu),
-                fmt_speedup(s_gpu),
-            ]);
-        }
-        let summary = |v: &[f64]| {
-            let max = v.iter().copied().fold(f64::MIN, f64::max);
-            let avg = v.iter().sum::<f64>() / v.len().max(1) as f64;
-            (max, avg)
-        };
-        let (cpu_max, cpu_avg) = summary(&vs_cpu);
-        let (gpu_max, gpu_avg) = summary(&vs_gpu);
-        let mut out = t.render();
-        out.push_str(&format!(
-            "\nSummary: vs SUPER-EGO max {} avg {} (paper: 10.7×, 2.5×); \
-             vs GPUCALCGLOBAL max {} avg {} (paper: 9.7×, 1.6×)\n",
-            fmt_speedup(cpu_max),
-            fmt_speedup(cpu_avg),
-            fmt_speedup(gpu_max),
-            fmt_speedup(gpu_avg),
-        ));
-        let out = emit("Fig. 13 — speedup of WORKQUEUE + LID-UNICOMP + k = 8", out);
-        self.end_experiment("fig13");
-        out
-    }
-
     /// Ablations from DESIGN.md §5.
-    pub fn ablations(&self) -> String {
-        self.begin_experiment("ablations");
+    fn ablations(&self) -> String {
+        let data = self.dataset("Expo2D2M");
+        let eps = selected_eps(&data.0);
+        let orders = [
+            ("arbitrary", IssueOrder::Arbitrary { seed: 0xC0FFEE }),
+            ("in-order", IssueOrder::InOrder),
+            ("reversed", IssueOrder::Reversed),
+        ];
+        let ks = [1u32, 2, 4, 8, 16, 32];
+        let strategies = [("strided (baseline)", GCG), ("prefix (workqueue)", WQ)];
+        let atomics = [10u32, 40, 160, 640];
+        // The joins of ablations A–D, as one sweep. An issue order or a
+        // cost model is part of a join's config, hence of its cache key.
+        let mut configs = vec![self.config(eps, GCG)];
+        configs.extend(orders.map(|(_, o)| self.config(eps, SORTBYWL).with_issue_override(o)));
+        configs
+            .extend(ks.map(|k| self.config(eps, (AccessPattern::FullWindow, Balancing::None, k))));
+        configs.extend(strategies.map(|(_, variant)| self.config(eps, variant)));
+        configs.extend(atomics.map(|atomic| {
+            let mut cfg = self.config(eps, WQ);
+            cfg.gpu.cost.atomic = atomic;
+            cfg
+        }));
+        let cells = configs.into_iter().map(|c| Cell::Gpu(0, c)).collect();
+        let outs = self.sweep(std::slice::from_ref(&data), cells);
+        let mut runs = outs.iter().map(CellOut::gpu);
+        let mut next = || runs.next().expect("one join per ablation row");
         let mut out = String::new();
 
         // (a) Warp issue order under SORTBYWL: isolates the WORKQUEUE's
         // forced execution order from its packing.
-        let (spec, pts) = self.dataset("Expo2D2M");
-        let eps = selected_eps(&spec);
         let mut t = Table::new(vec!["variant", "issue order", "time", "WEE(%)"]);
-        let base = self.run(&pts, self.config(eps));
-        t.row(vec![
-            "baseline".into(),
-            "arbitrary".into(),
-            fmt_time(base.response_s),
-            fmt_pct(base.wee),
-        ]);
-        for (label, order) in [
-            ("arbitrary", IssueOrder::Arbitrary { seed: 0xC0FFEE }),
-            ("in-order", IssueOrder::InOrder),
-            ("reversed", IssueOrder::Reversed),
-        ] {
-            let r = self.run(
-                &pts,
-                self.config(eps)
-                    .with_balancing(Balancing::SortByWorkload)
-                    .with_issue_override(order),
-            );
+        let rows = orders.map(|(label, _)| ("SORTBYWL", label));
+        for (variant, order) in [("baseline", "arbitrary")].into_iter().chain(rows) {
+            let r = next();
             t.row(vec![
-                "SORTBYWL".into(),
-                label.into(),
+                variant.to_string(),
+                order.to_string(),
                 fmt_time(r.response_s),
                 fmt_pct(r.wee),
             ]);
@@ -942,8 +843,8 @@ impl Experiments {
 
         // (b) k sweep beyond the paper's 1-vs-8.
         let mut t = Table::new(vec!["k", "time", "WEE(%)", "warps cv"]);
-        for k in [1u32, 2, 4, 8, 16, 32] {
-            let r = self.run(&pts, self.config(eps).with_k(k));
+        for k in ks {
+            let r = next();
             t.row(vec![
                 k.to_string(),
                 fmt_time(r.response_s),
@@ -963,22 +864,17 @@ impl Experiments {
             "batches",
             "actual pairs",
         ]);
-        for (label, balancing) in [
-            ("strided (baseline)", Balancing::None),
-            ("prefix (workqueue)", Balancing::WorkQueue),
-        ] {
-            let cfg = self.config(eps).with_balancing(balancing);
+        for (label, variant) in strategies {
             let (estimate, plan) = {
-                let fixed = pts.as_fixed::<2>().unwrap();
-                let join = simjoin::SelfJoin::new(&fixed, cfg.clone()).unwrap();
+                let fixed = data.1.as_fixed::<2>().unwrap();
+                let join = simjoin::SelfJoin::new(&fixed, self.config(eps, variant)).unwrap();
                 join.plan()
             };
-            let r = self.run(&pts, cfg);
             t.row(vec![
                 label.to_string(),
                 estimate.estimated_total.to_string(),
                 plan.num_batches().to_string(),
-                r.pairs.to_string(),
+                next().pairs.to_string(),
             ]);
         }
         out.push_str(&emit(
@@ -988,10 +884,8 @@ impl Experiments {
 
         // (d) Atomic-cost sensitivity of the WORKQUEUE.
         let mut t = Table::new(vec!["atomic cost (cycles)", "time", "WEE(%)"]);
-        for atomic in [10u32, 40, 160, 640] {
-            let mut cfg = self.config(eps).with_balancing(Balancing::WorkQueue);
-            cfg.gpu.cost.atomic = atomic;
-            let r = self.run(&pts, cfg);
+        for atomic in atomics {
+            let r = next();
             t.row(vec![
                 atomic.to_string(),
                 fmt_time(r.response_s),
@@ -1004,21 +898,16 @@ impl Experiments {
         ));
 
         // (e) Fixed vs workload-balanced queue chunking (paper §V future
-        // work): per-batch result spread and total time.
+        // work): per-batch result spread and total time. These joins read
+        // the per-batch report, so they run outside the sweep.
         let mut t = Table::new(vec!["chunking", "batches", "max/mean batch pairs", "time"]);
-        let tight = BatchingConfig {
-            batch_result_capacity: 500_000,
-            ..self.batching
-        };
         for (label, balanced) in [("fixed (paper)", false), ("balanced (§V)", true)] {
-            let cfg = self
-                .config(eps)
-                .with_balancing(Balancing::WorkQueue)
-                .with_batching(BatchingConfig {
-                    balanced_queue: balanced,
-                    ..tight
-                });
-            let fixed_pts = pts.as_fixed::<2>().unwrap();
+            let cfg = self.config(eps, WQ).with_batching(BatchingConfig {
+                batch_result_capacity: 500_000,
+                balanced_queue: balanced,
+                ..batching()
+            });
+            let fixed_pts = data.1.as_fixed::<2>().unwrap();
             let outcome = simjoin::SelfJoin::new(&fixed_pts, cfg)
                 .unwrap()
                 .run()
@@ -1042,15 +931,13 @@ impl Experiments {
             "Ablation E — fixed vs workload-balanced queue chunking (Expo2D)",
             t.render(),
         ));
-        self.end_experiment("ablations");
         out
     }
 
-    /// Resilience table (not part of the paper; not in `run_all`): the
+    /// Resilience table (not part of the paper, nor of `all`): the
     /// optimized variant under each named fault profile at a fixed seed,
     /// reporting what recovery cost and whether the result stayed exact.
-    pub fn chaos(&self) -> String {
-        self.begin_experiment("chaos");
+    fn chaos(&self) -> String {
         let mut t = Table::new(vec![
             "profile",
             "outcome",
@@ -1062,18 +949,17 @@ impl Experiments {
             "time",
             "overhead",
         ]);
-        let (spec, pts) = self.dataset("Expo2D2M");
-        let eps = selected_eps(&spec);
+        let data = self.dataset("Expo2D2M");
+        let eps = selected_eps(&data.0);
         // Probe the result size, then tighten the batch capacity so the run
         // spans several launches — otherwise most schedule entries sit past
         // the last launch index and nothing injects.
-        let probe = self.run(&pts, self.optimized(eps, self.batching));
-        let batching = simjoin::BatchingConfig {
+        let probe = self.join(&data, self.config(eps, OPTIMIZED));
+        let config = self.config(eps, OPTIMIZED).with_batching(BatchingConfig {
             batch_result_capacity: probe.pairs / 6 + 64,
-            ..self.batching
-        };
-        let config = self.optimized(eps, batching);
-        let clean = self.run(&pts, config.clone());
+            ..batching()
+        });
+        let clean = self.join(&data, config.clone());
         t.row(vec![
             "(none)".into(),
             "clean".into(),
@@ -1089,21 +975,15 @@ impl Experiments {
             let profile = FaultProfile::by_name(profile_name).expect("named profile");
             let plane = FaultPlane::seeded(0xC4A05, &profile);
             let runner = self.runner();
-            let join = DynSelfJoin::new(&pts, config.clone())
+            let join = DynSelfJoin::new(&data.1, config.clone())
                 .with_telemetry(runner.telemetry())
                 .with_fault_plane(&plane);
             match run_gpu(&join, &ExecTarget::Gpu) {
-                Err(error) => t.row(vec![
-                    profile_name.to_string(),
-                    format!("typed error: {error}"),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                ]),
+                Err(error) => {
+                    let mut row = vec![profile_name.to_string(), format!("typed error: {error}")];
+                    row.resize(9, "-".into());
+                    t.row(row)
+                }
                 Ok((r, outcome)) => {
                     assert_eq!(
                         r.pairs, clean.pairs,
@@ -1133,63 +1013,20 @@ impl Experiments {
                 }
             }
         }
-        let out = emit(
+        emit(
             "Chaos — resilient executor under seeded fault profiles",
             t.render(),
-        );
-        self.end_experiment("chaos");
-        out
+        )
     }
 
-    /// One measured point of [`Self::scaling`]: the fleet sweep over
-    /// `devices × partition strategy`, all from the same global plan.
-    pub(crate) fn scaling_points(&self) -> Vec<ScalingPoint> {
-        let (spec, pts) = self.dataset("Expo2D2M");
-        let eps = selected_eps(&spec);
-        // Probe the result size, then tighten the batch capacity so the
-        // plan holds enough units for an 8-way partition to be meaningful.
-        let config = self.optimized(eps, self.unit_batching(&pts, eps));
-        let runner = self.runner();
-        let mut points = Vec::new();
-        for devices in [1usize, 2, 4, 8] {
-            for strategy in [ShardStrategy::WorkloadAware, ShardStrategy::EqualCount] {
-                if devices == 1 && strategy != ShardStrategy::WorkloadAware {
-                    continue;
-                }
-                let (r, fleet) = runner.run_sharded(&pts, config.clone(), devices, strategy);
-                if let Some(sink) = self.sink.borrow().as_ref() {
-                    sink.record(
-                        Event::new("bench", "scaling_run")
-                            .u64("devices", devices as u64)
-                            .str("partition", strategy.label())
-                            .f64("makespan_model_s", fleet.makespan_s)
-                            .f64("workload_imbalance", fleet.workload_imbalance())
-                            .f64("jain_fairness", fleet.jain_fairness())
-                            .f64("canonical_model_s", r.response_s),
-                    );
-                }
-                points.push(ScalingPoint {
-                    devices,
-                    partition: strategy.label(),
-                    makespan_s: fleet.makespan_s,
-                    imbalance: fleet.workload_imbalance(),
-                    jain: fleet.jain_fairness(),
-                    canonical_s: r.response_s,
-                    batches: r.batches,
-                });
-            }
-        }
-        points
-    }
-
-    /// Multi-device scaling table (not part of the paper; not in
-    /// `run_all`): the optimized variant on the skewed Expo2D dataset,
+    /// Multi-device scaling table (not part of the paper, nor
+    /// of `all`): the optimized variant on the skewed Expo2D dataset,
     /// sharded across 1–8 simulated devices with workload-aware vs
-    /// equal-count partitioning. The canonical merged time is device-count
-    /// invariant by construction; what scales is the *fleet makespan*, and
-    /// on skewed data the workload-aware cut should beat equal-count.
-    pub fn scaling(&self) -> String {
-        self.begin_experiment("scaling");
+    /// equal-count partitioning, all from the same global plan. The
+    /// canonical merged time is device-count invariant by construction;
+    /// what scales is the *fleet makespan*, and on skewed data the
+    /// workload-aware cut should beat equal-count.
+    fn scaling(&self) -> String {
         let mut t = Table::new(vec![
             "devices",
             "partition",
@@ -1200,26 +1037,49 @@ impl Experiments {
             "canonical time",
             "batches",
         ]);
-        let points = self.scaling_points();
-        let single = points.first().map_or(0.0, |p| p.makespan_s);
-        for p in &points {
-            t.row(vec![
-                p.devices.to_string(),
-                p.partition.to_string(),
-                fmt_time(p.makespan_s),
-                fmt_speedup(single / p.makespan_s),
-                format!("{:.3}", p.imbalance),
-                format!("{:.3}", p.jain),
-                fmt_time(p.canonical_s),
-                p.batches.to_string(),
-            ]);
+        let data = self.dataset("Expo2D2M");
+        let eps = selected_eps(&data.0);
+        // Probe the result size, then tighten the batch capacity so the
+        // plan holds enough units for an 8-way partition to be meaningful.
+        let config = self
+            .config(eps, OPTIMIZED)
+            .with_batching(self.unit_batching(&data, eps));
+        let runner = self.runner();
+        let mut single = None;
+        for devices in [1usize, 2, 4, 8] {
+            for strategy in [ShardStrategy::WorkloadAware, ShardStrategy::EqualCount] {
+                if devices == 1 && strategy != ShardStrategy::WorkloadAware {
+                    continue;
+                }
+                let (r, fleet) = runner.run_sharded(&data.1, config.clone(), devices, strategy);
+                if let Some(sink) = runner.sink.as_ref() {
+                    sink.record(
+                        Event::new("bench", "scaling_run")
+                            .u64("devices", devices as u64)
+                            .str("partition", strategy.label())
+                            .f64("makespan_model_s", fleet.makespan_s)
+                            .f64("workload_imbalance", fleet.workload_imbalance())
+                            .f64("jain_fairness", fleet.jain_fairness())
+                            .f64("canonical_model_s", r.response_s),
+                    );
+                }
+                let single = *single.get_or_insert(fleet.makespan_s);
+                t.row(vec![
+                    devices.to_string(),
+                    strategy.label().to_string(),
+                    fmt_time(fleet.makespan_s),
+                    fmt_speedup(single / fleet.makespan_s),
+                    format!("{:.3}", fleet.workload_imbalance()),
+                    format!("{:.3}", fleet.jain_fairness()),
+                    fmt_time(r.response_s),
+                    r.batches.to_string(),
+                ]);
+            }
         }
-        let out = emit(
+        emit(
             "Scaling — multi-device sharding, workload-aware vs equal-count",
             t.render(),
-        );
-        self.end_experiment("scaling");
-        out
+        )
     }
 
     /// One measured point of [`Self::failover`]: the same 4-device join
@@ -1228,26 +1088,28 @@ impl Experiments {
     pub(crate) fn failover_points(&self) -> Vec<FailoverPoint> {
         const DEVICES: usize = 4;
         const LOST_DEVICE: usize = 1;
-        let (spec, pts) = self.dataset("Unif2D2M");
-        let eps = selected_eps(&spec);
+        let data = self.dataset("Unif2D2M");
+        let eps = selected_eps(&data.0);
         // Tighten the batch capacity (as in the scaling sweep) so the plan
         // holds enough units that the lost device's region is non-trivial.
-        let batching = self.unit_batching(&pts, eps);
+        let batching = self.unit_batching(&data, eps);
+        let runner = self.runner();
         let mut points = Vec::new();
         for (mode, recovery, faulted) in [
             ("clean", RecoveryPolicy::Reshard, false),
             ("reshard", RecoveryPolicy::Reshard, true),
             ("degrade", RecoveryPolicy::Degrade, true),
         ] {
-            let config = self.optimized(eps, batching).with_recovery(recovery);
+            let config = self
+                .config(eps, OPTIMIZED)
+                .with_batching(batching)
+                .with_recovery(recovery);
             let mut fleet = warpsim::DeviceFleet::homogeneous(DEVICES, config.gpu);
             if faulted {
                 fleet =
                     fleet.with_fault_schedule(LOST_DEVICE, FaultSchedule::new().device_lost_at(0));
             }
-            let sink = self.sink.borrow().clone();
-            let runner = self.runner();
-            let join = DynSelfJoin::new(&pts, config).with_telemetry(runner.telemetry());
+            let join = DynSelfJoin::new(&data.1, config).with_telemetry(runner.telemetry());
             let (r, outcome) = run_gpu(
                 &join,
                 &ExecTarget::Fleet(&fleet, ShardStrategy::WorkloadAware),
@@ -1261,7 +1123,7 @@ impl Experiments {
                     .filter_map(|s| s.degradation.as_ref())
                     .map(|d| d.points_degraded)
                     .sum::<usize>();
-            if let Some(s) = sink.as_ref() {
+            if let Some(s) = runner.sink.as_ref() {
                 s.record(
                     Event::new("bench", "failover_run")
                         .str("mode", mode)
@@ -1284,13 +1146,12 @@ impl Experiments {
         points
     }
 
-    /// Failover comparison table (not part of the paper; not in `run_all`):
+    /// Failover comparison table (not part of the paper, nor of `all`):
     /// device 1 of a 4-device fleet latches `DeviceLost` on its first
     /// launch. Re-sharding its unexecuted units onto the three survivors is
     /// compared against degrading them to the exact CPU fallback; the pair
     /// set is identical in all three rows by the exactness invariant.
-    pub fn failover(&self) -> String {
-        self.begin_experiment("failover");
+    fn failover(&self) -> String {
         let mut t = Table::new(vec![
             "mode",
             "makespan",
@@ -1313,27 +1174,26 @@ impl Experiments {
                 p.cpu_points.to_string(),
             ]);
         }
-        let out = emit(
+        emit(
             "Failover — one device lost mid-join: reshard vs CPU degradation",
             t.render(),
-        );
-        self.end_experiment("failover");
-        out
+        )
     }
 
     /// One measured point of [`Self::hybrid`]: the co-executor on the
     /// skewed Expo2D workload at one forced split fraction (or the measured
     /// auto cut), against the same plan.
     pub(crate) fn hybrid_points(&self) -> Vec<HybridPoint> {
-        let (spec, pts) = self.dataset("Expo2D2M");
-        let eps = selected_eps(&spec);
+        let data = self.dataset("Expo2D2M");
+        let eps = selected_eps(&data.0);
         // WORKQUEUE sorting without balanced chunking leaves a light tail of
         // small units behind the heavy head — exactly the shape where
         // peeling the tail onto host workers shortens the GPU pipeline by
         // more than the tail costs on the CPU. Tighten the capacity (as in
         // the scaling sweep) so the plan holds enough units to cut.
-        let config = self.optimized(eps, self.unit_batching(&pts, eps));
-        let sink = self.sink.borrow().clone();
+        let config = self
+            .config(eps, OPTIMIZED)
+            .with_batching(self.unit_batching(&data, eps));
         let runner = self.runner();
         let mut points = Vec::new();
         let sweep: [(&'static str, Option<f64>); 6] = [
@@ -1349,11 +1209,11 @@ impl Experiments {
             if let Some(f) = fraction {
                 policy = policy.with_forced_cpu_fraction(f);
             }
-            let join = DynSelfJoin::new(&pts, config.clone()).with_telemetry(runner.telemetry());
+            let join = DynSelfJoin::new(&data.1, config.clone()).with_telemetry(runner.telemetry());
             let (r, outcome) = run_gpu(&join, &ExecTarget::Hybrid(policy))
                 .expect("hybrid join execution must succeed");
             let h = outcome.hybrid.expect("a hybrid target reports its cut");
-            if let Some(s) = sink.as_ref() {
+            if let Some(s) = runner.sink.as_ref() {
                 s.record(
                     Event::new("bench", "hybrid_run")
                         .str("mode", mode)
@@ -1381,15 +1241,14 @@ impl Experiments {
         points
     }
 
-    /// Hybrid co-execution table (not part of the paper; not in `run_all`):
+    /// Hybrid co-execution table (not part of the paper, nor of `all`):
     /// the optimized variant on the skewed Expo2D dataset, co-executed
     /// across the simulated GPU and the modeled CPU backend at forced split
     /// fractions plus the measured auto cut. The pair set is identical in
     /// every row (each CPU unit is differentially checked against the GPU
     /// segment); what varies is the co-processed makespan, and the measured
     /// cut should land at or below both single-backend rows.
-    pub fn hybrid(&self) -> String {
-        self.begin_experiment("hybrid");
+    fn hybrid(&self) -> String {
         let mut t = Table::new(vec![
             "mode",
             "cut",
@@ -1416,41 +1275,51 @@ impl Experiments {
                 p.pairs.to_string(),
             ]);
         }
-        let out = emit(
+        emit(
             "Hybrid — CPU/GPU co-execution, forced splits vs the measured cut",
             t.render(),
-        );
-        self.end_experiment("hybrid");
-        out
+        )
     }
 
-    /// The serve throughput comparison: the same churn-and-query request
-    /// stream through the always-on daemon in coalesced mode (admission
-    /// queue merges same-ε requests into one launch, barrier-flushed by
-    /// mutations) and in the serial baseline (one launch per request).
-    /// Answers are asserted identical across the two modes — coalescing is
-    /// a scheduling optimization, never a semantic one — and the coalesced
-    /// mode must beat the serial baseline on total launch model seconds.
-    pub(crate) fn serve_points(&self) -> Vec<ServePoint> {
+    /// Serve daemon table (not part of the paper, nor of `all`): the
+    /// same churn-and-query request stream through the always-on daemon in
+    /// coalesced mode (admission queue merges same-ε requests into one
+    /// launch, barrier-flushed by mutations) and in the serial baseline
+    /// (one launch per request). Answers are asserted identical across the
+    /// two modes — coalescing is a scheduling optimization, never a
+    /// semantic one — and the coalesced mode must beat the serial baseline
+    /// on total launch model seconds.
+    fn serve(&self) -> String {
         const ROUNDS: usize = 5;
         const BURST: usize = 6;
-        let (spec, pts) = self.dataset("Expo2D2M");
-        let eps = selected_eps(&spec);
-        let fixed: Vec<[f32; 2]> = pts.as_fixed::<2>().expect("Expo2D is 2-D");
-        let sink = self.sink.borrow().clone();
-        let mut points = Vec::new();
-        let mut transcripts: Vec<Vec<String>> = Vec::new();
+        let mut t = Table::new(vec![
+            "mode",
+            "requests",
+            "admitted",
+            "launches",
+            "coalesced",
+            "cache hits",
+            "reindex inc/full",
+            "exec model s",
+            "total p50",
+            "total p99",
+        ]);
+        let data = self.dataset("Expo2D2M");
+        let eps = selected_eps(&data.0);
+        let fixed: Vec<[f32; 2]> = data.1.as_fixed::<2>().expect("Expo2D is 2-D");
         let runner = self.runner();
+        let mut launch_s = Vec::new();
+        let mut transcripts: Vec<Vec<String>> = Vec::new();
         for (mode, coalesce) in [("coalesced", true), ("serial", false)] {
-            let config = self.optimized(eps, self.batching);
             let serve_cfg = ServeConfig {
                 queue_capacity: BURST + 4,
                 coalesce,
                 ..ServeConfig::default()
             };
-            let mut session = ServeSession::new(fixed.clone(), config, serve_cfg)
-                .expect("dataset indexes at its sweep ε")
-                .with_telemetry(runner.telemetry());
+            let mut session =
+                ServeSession::new(fixed.clone(), self.config(eps, OPTIMIZED), serve_cfg)
+                    .expect("dataset indexes at its sweep ε")
+                    .with_telemetry(runner.telemetry());
             let mut responses = Vec::new();
             for round in 0..ROUNDS {
                 // Churn: one insert near an existing point, one remove.
@@ -1487,7 +1356,7 @@ impl Experiments {
                 })
                 .collect();
             transcripts.push(transcript);
-            if let Some(s) = sink.as_ref() {
+            if let Some(s) = runner.sink.as_ref() {
                 s.record(
                     Event::new("bench", "serve_mode")
                         .str("mode", mode)
@@ -1500,80 +1369,41 @@ impl Experiments {
                         .f64("total_p99_s", report.total_p99_s),
                 );
             }
-            points.push(ServePoint {
-                mode,
-                requests: report.requests,
-                admitted: report.queries + report.joins,
-                launches: report.launches,
-                coalesced_requests: report.coalesced_requests,
-                cache_hits: report.cache_hits,
-                incremental_reindexes: report.incremental_reindexes,
-                full_rebuilds: report.full_rebuilds,
-                execute_model_s: report.execute_model_s,
-                total_p50_s: report.total_p50_s,
-                total_p99_s: report.total_p99_s,
-            });
+            t.row(vec![
+                mode.to_string(),
+                report.requests.to_string(),
+                (report.queries + report.joins).to_string(),
+                report.launches.to_string(),
+                report.coalesced_requests.to_string(),
+                report.cache_hits.to_string(),
+                format!("{}/{}", report.incremental_reindexes, report.full_rebuilds),
+                fmt_time(report.execute_model_s),
+                fmt_time(report.total_p50_s),
+                fmt_time(report.total_p99_s),
+            ]);
+            launch_s.push(report.execute_model_s);
         }
         assert_eq!(
             transcripts[0], transcripts[1],
             "serve invariant violated: coalesced and serial modes answered differently"
         );
-        points
-    }
-
-    /// Serve daemon table (not part of the paper; not in `run_all`): the
-    /// coalesced admission queue vs the serial one-launch-per-request
-    /// baseline on an identical churn-and-query stream (rows from
-    /// `serve_points`).
-    pub fn serve(&self) -> String {
-        self.begin_experiment("serve");
-        let mut t = Table::new(vec![
-            "mode",
-            "requests",
-            "admitted",
-            "launches",
-            "coalesced",
-            "cache hits",
-            "reindex inc/full",
-            "exec model s",
-            "total p50",
-            "total p99",
-        ]);
-        let points = self.serve_points();
-        for p in &points {
-            t.row(vec![
-                p.mode.to_string(),
-                p.requests.to_string(),
-                p.admitted.to_string(),
-                p.launches.to_string(),
-                p.coalesced_requests.to_string(),
-                p.cache_hits.to_string(),
-                format!("{}/{}", p.incremental_reindexes, p.full_rebuilds),
-                fmt_time(p.execute_model_s),
-                fmt_time(p.total_p50_s),
-                fmt_time(p.total_p99_s),
-            ]);
-        }
-        let (coalesced, serial) = (&points[0], &points[1]);
+        let (coalesced, serial) = (launch_s[0], launch_s[1]);
         assert!(
-            coalesced.execute_model_s < serial.execute_model_s,
-            "serve acceptance violated: coalesced total {} model s is not below serial {}",
-            coalesced.execute_model_s,
-            serial.execute_model_s
+            coalesced < serial,
+            "serve acceptance violated: coalesced total {coalesced} model s is not below \
+             serial {serial}"
         );
-        let out = emit(
+        emit(
             &format!(
                 "Serve — coalesced admission vs serial baseline \
                  ({:.2}x less launch time)",
-                serial.execute_model_s / coalesced.execute_model_s
+                serial / coalesced
             ),
             t.render(),
-        );
-        self.end_experiment("serve");
-        out
+        )
     }
 
-    /// Chaos soak (not part of the paper; not in `run_all`): eight seeded
+    /// Chaos soak (not part of the paper, nor of `all`): eight seeded
     /// iterations on a small Expo2D set, from seed base [`Self::seed`],
     /// cycling fault profile × device count (1–4) × access pattern. Each
     /// iteration runs the same join clean and under its fault schedule on
@@ -1585,7 +1415,7 @@ impl Experiments {
     ///
     /// # Panics
     /// Under [`ExecMode::Cpu`], which has no device to fault.
-    pub fn soak(&self) -> String {
+    fn soak(&self) -> String {
         const EPS: f32 = 0.5;
         assert!(
             self.exec_mode != ExecMode::Cpu,
@@ -1599,10 +1429,10 @@ impl Experiments {
         // so the plan holds enough units that seeded fault schedules land
         // inside each device's launch window — a soak over one-launch plans
         // would exercise nothing.
-        let probe = DynSelfJoin::new(&pts, self.config(EPS))
+        let probe = DynSelfJoin::new(&pts, self.config(EPS, GCG))
             .run(&ExecTarget::Gpu)
             .expect("the clean soak probe must succeed");
-        let base = self.config(EPS).with_batching(BatchingConfig {
+        let base = self.config(EPS, GCG).with_batching(BatchingConfig {
             batch_result_capacity: probe.result.len() / 16 + 8,
             max_batches: 64,
             ..BatchingConfig::default()
@@ -1616,7 +1446,6 @@ impl Experiments {
             AccessPattern::FullWindow,
         ];
         let profiles = FaultProfile::names();
-        self.begin_experiment("soak");
         let runner = self.runner();
         let mut t = Table::new(vec![
             "#", "profile", "devices", "pattern", "seed", "outcome", "pairs", "makespan",
@@ -1738,56 +1567,42 @@ impl Experiments {
             runner.telemetry().record(event);
             t.row(row);
         }
-        let out = emit(
+        emit(
             &format!(
                 "Soak — seeded fault schedules, each exact or a typed error \
                  ({typed_errors} typed error(s), {recovered} recovered, worst makespan \
                  {worst:.2}x clean)"
             ),
             t.render(),
-        );
-        self.end_experiment("soak");
-        out
+        )
     }
 
-    /// Runs everything, in paper order.
-    pub fn run_all(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.table1());
-        out.push_str(&self.fig9());
-        out.push_str(&self.table3());
-        out.push_str(&self.fig10());
-        out.push_str(&self.table4());
-        out.push_str(&self.fig11());
-        out.push_str(&self.table5());
-        out.push_str(&self.fig12());
-        out.push_str(&self.table6());
-        out.push_str(&self.fig13());
-        out.push_str(&self.ablations());
-        out
+    /// Runs the experiment `name` (see the module table), printing its
+    /// markdown and returning it; `None` if no experiment has that name.
+    /// Each experiment but `all` and `table1` (which runs no join) records
+    /// into a telemetry document of its own name.
+    pub fn run(&self, name: &str) -> Option<String> {
+        if let Some(fig) = FIGURES.into_iter().find(|fig| fig.name == name) {
+            return Some(self.document(name, || self.figure(fig)));
+        }
+        let experiment = match name {
+            "all" => {
+                let paper = FIGURES.map(|fig| fig.name);
+                let paper = ["table1"].into_iter().chain(paper).chain(["ablations"]);
+                return Some(paper.filter_map(|name| self.run(name)).collect());
+            }
+            "table1" => return Some(self.table1()),
+            "ablations" => Self::ablations,
+            "chaos" => Self::chaos,
+            "scaling" => Self::scaling,
+            "failover" => Self::failover,
+            "hybrid" => Self::hybrid,
+            "serve" => Self::serve,
+            "soak" => Self::soak,
+            _ => return None,
+        };
+        Some(self.document(name, || experiment(self)))
     }
-}
-
-/// One measured point of the multi-device scaling sweep
-/// ([`Experiments::scaling_points`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ScalingPoint {
-    /// Simulated devices in the fleet.
-    pub devices: usize,
-    /// Partition strategy label (`"workload"` or `"count"`).
-    pub partition: &'static str,
-    /// Fleet makespan (slowest shard) in model seconds.
-    pub makespan_s: f64,
-    /// Max/mean per-shard workload ratio (1.0 = perfectly balanced).
-    pub imbalance: f64,
-    /// Jain's fairness index of per-shard response times (1.0 = perfectly
-    /// fair).
-    pub jain: f64,
-    /// Canonical merged response time in model seconds (device-count
-    /// invariant).
-    pub canonical_s: f64,
-    /// Batches in the canonical merged report.
-    pub batches: usize,
 }
 
 /// One measured point of the failover comparison
@@ -1837,33 +1652,6 @@ pub(crate) struct HybridPoint {
     pub pairs: usize,
 }
 
-/// One measured serve-daemon mode ([`Experiments::serve_points`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ServePoint {
-    /// Row label: `"coalesced"` or `"serial"`.
-    pub mode: &'static str,
-    /// Requests admitted or answered, including mutations and control ops.
-    pub requests: u64,
-    /// Launch-bearing requests (queries + whole joins).
-    pub admitted: u64,
-    /// Batched kernel launches the session paid for.
-    pub launches: u64,
-    /// Requests that shared a launch with at least one other request.
-    pub coalesced_requests: u64,
-    /// Requests answered from the epoch result cache without a launch.
-    pub cache_hits: u64,
-    /// Mutations absorbed by incremental grid maintenance.
-    pub incremental_reindexes: u64,
-    /// Mutations that escalated to a full grid rebuild.
-    pub full_rebuilds: u64,
-    /// Total launch time across the session, model seconds.
-    pub execute_model_s: f64,
-    /// Median request latency (queue + execute), model seconds.
-    pub total_p50_s: f64,
-    /// Tail request latency, model seconds.
-    pub total_p99_s: f64,
-}
-
 /// The ε each table reports (the paper picks one representative ε per
 /// dataset; we use the 4th entry of the sweep).
 fn selected_eps(spec: &DatasetSpec) -> f32 {
@@ -1878,6 +1666,10 @@ fn emit(title: &str, body: String) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use sj_telemetry::json::{self, JsonValue};
+
     use super::*;
 
     fn tiny() -> Experiments {
@@ -1885,6 +1677,51 @@ mod tests {
             points_scale: 0.02,
             eps_stride: 6,
         })
+    }
+
+    /// Runs experiment `name` on `exp` into a fresh temporary artifact
+    /// directory (`tag` keeps concurrent tests apart) and returns its
+    /// markdown and each document it wrote, strictly parsed, by file name.
+    fn run_documented(
+        mut exp: Experiments,
+        tag: &str,
+        name: &str,
+    ) -> (String, BTreeMap<String, JsonValue>) {
+        let dir = std::env::temp_dir().join(format!("sj-bench-{tag}-{}", std::process::id()));
+        exp.artifact_dir = Some(dir.clone());
+        let out = exp.run(name).expect("a known experiment");
+        let mut docs = BTreeMap::new();
+        // An experiment that runs no join (`table1`) writes no document.
+        for entry in std::fs::read_dir(&dir).into_iter().flatten() {
+            let path = entry.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let doc = json::parse(&text).expect("a document is strict JSON");
+            docs.insert(path.file_name().unwrap().to_string_lossy().into(), doc);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        (out, docs)
+    }
+
+    /// `doc` with its host-time observations zeroed: they vary run to run,
+    /// everything else must not.
+    fn masked(v: JsonValue) -> JsonValue {
+        match v {
+            JsonValue::Object(fields) => JsonValue::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| match k.starts_with("host_") || k == "sim_wall_s" {
+                        true => (k, JsonValue::Num(0.0)),
+                        false => (k, masked(v)),
+                    })
+                    .collect(),
+            ),
+            JsonValue::Array(items) => JsonValue::Array(items.into_iter().map(masked).collect()),
+            v => v,
+        }
+    }
+
+    fn is(e: &JsonValue, key: &str, value: &str) -> bool {
+        e.get(key).and_then(JsonValue::as_str) == Some(value)
     }
 
     #[test]
@@ -1897,7 +1734,7 @@ mod tests {
 
     #[test]
     fn fig9_produces_rows_for_each_dataset() {
-        let out = tiny().fig9();
+        let out = tiny().figure(&FIG9);
         assert!(out.contains("Expo2D2M"));
         assert!(out.contains("Unif6D2M"));
         assert!(out.contains("LID-UNICOMP"));
@@ -1905,40 +1742,66 @@ mod tests {
 
     #[test]
     fn fig9_artifact_is_the_same_for_any_sweep_worker_count() {
-        use sj_telemetry::json::{self, JsonValue};
-        // Host-time observations vary run to run; everything else must not.
-        fn masked(v: JsonValue) -> JsonValue {
-            match v {
-                JsonValue::Object(fields) => JsonValue::Object(
-                    fields
-                        .into_iter()
-                        .map(|(k, v)| match k.starts_with("host_") || k == "sim_wall_s" {
-                            true => (k, JsonValue::Num(0.0)),
-                            false => (k, masked(v)),
-                        })
-                        .collect(),
-                ),
-                JsonValue::Array(items) => {
-                    JsonValue::Array(items.into_iter().map(masked).collect())
-                }
-                v => v,
-            }
-        }
         let doc = |jobs: usize| {
-            let dir = std::env::temp_dir()
-                .join(format!("sj-bench-fig9-jobs{jobs}-{}", std::process::id()));
             let mut exp = tiny();
             exp.jobs = jobs;
-            exp.artifact_dir = Some(dir.clone());
-            exp.fig9();
-            let text = std::fs::read_to_string(dir.join("fig9_telemetry.json")).unwrap();
-            std::fs::remove_dir_all(&dir).unwrap();
-            masked(json::parse(&text).unwrap())
+            let (_, mut docs) = run_documented(exp, &format!("fig9-jobs{jobs}"), "fig9");
+            masked(docs.remove("fig9_telemetry.json").unwrap())
         };
         let serial = doc(1);
         let events = serial.get("events").and_then(JsonValue::as_array).unwrap();
         assert!(events.len() > 1, "fig9 records its cells' events");
         assert_eq!(doc(3), serial);
+    }
+
+    #[test]
+    fn all_equals_each_paper_experiment_run_on_a_fresh_driver() {
+        // `all` generates each dataset once and runs each distinct join
+        // once, replaying its events into every document that uses it: the
+        // tables and documents must not show it.
+        let (all, docs) = run_documented(tiny(), "all", "all");
+        let mut alone = String::new();
+        let paper = FIGURES.map(|fig| fig.name);
+        for name in ["table1"].into_iter().chain(paper).chain(["ablations"]) {
+            let (out, mut own) = run_documented(tiny(), &format!("alone-{name}"), name);
+            alone.push_str(&out);
+            let file = format!("{name}_telemetry.json");
+            match own.remove(&file) {
+                Some(doc) => assert_eq!(masked(docs[&file].clone()), masked(doc), "{name}"),
+                None => assert!(!docs.contains_key(&file), "{name}"),
+            }
+        }
+        assert_eq!(docs.len(), 10);
+        assert_eq!(all, alone);
+    }
+
+    #[test]
+    fn the_cell_key_tells_apart_every_config_that_reaches_a_join() {
+        let exp = tiny();
+        let data = [exp.dataset("Expo2D2M")];
+        let runner = exp.runner();
+        let key = |config| runner.cell_key(&data, &Cell::Gpu(0, config));
+        let base = exp.config(0.1, GCG);
+        let mut atomic = base.clone();
+        atomic.gpu.cost.atomic += 1;
+        let tight = BatchingConfig {
+            balanced_queue: true,
+            ..batching()
+        };
+        let keys = [
+            key(base.clone()),
+            key(base.clone().with_issue_override(IssueOrder::InOrder)),
+            key(atomic),
+            key(base.clone().with_batching(tight)),
+            key(base.clone().with_sort_backend(SortBackend::Device)),
+            key(exp.config(0.2, GCG)),
+            key(exp.config(0.1, K8)),
+            runner.cell_key(&data, &Cell::Cpu(0, 0.1)),
+        ];
+        let distinct: std::collections::HashSet<_> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len(), "{keys:#?}");
+        // The thread budget reaches no result or event.
+        assert_eq!(key(base.clone().with_host_jobs(7)), keys[0]);
     }
 
     #[test]
@@ -1950,31 +1813,35 @@ mod tests {
         assert!(out.contains("clean"));
     }
 
+    #[test]
+    fn chaos_runs_on_the_chosen_sort_backend() {
+        // Chaos builds its configs like every other experiment, so the
+        // device pre-pass runs in its joins and records its sort phase.
+        let mut exp = tiny();
+        exp.sort_backend = SortBackend::Device;
+        let (_, docs) = run_documented(exp, "chaos-device", "chaos");
+        let doc = &docs["chaos_telemetry.json"];
+        let events = doc.get("events").and_then(JsonValue::as_array).unwrap();
+        let sorts = events
+            .iter()
+            .filter(|e| is(e, "scope", "executor.phase") && is(e, "name", "sort"))
+            .count();
+        assert!(sorts > 0, "no device sort phase in chaos's document");
+    }
+
     /// Runs the quick soak under `exec_mode` into a temp artifact directory
     /// (it panics on a wrong pair set or a broken makespan bound) and
     /// returns the `soak/iteration` events of its strictly parsed document.
-    fn soak_iterations(exec_mode: ExecMode) -> Vec<sj_telemetry::json::JsonValue> {
-        use sj_telemetry::json::{self, JsonValue};
-        let dir = std::env::temp_dir().join(format!(
-            "sj-bench-soak-{}-{}",
-            exec_mode.label(),
-            std::process::id()
-        ));
+    fn soak_iterations(exec_mode: ExecMode) -> Vec<JsonValue> {
         let mut exp = Experiments::new(ExperimentScale::quick());
         exp.exec_mode = exec_mode;
-        exp.artifact_dir = Some(dir.clone());
-        exp.soak();
-        let text = std::fs::read_to_string(dir.join("soak_telemetry.json")).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-        let doc = json::parse(&text).expect("the soak document is strict JSON");
+        let (_, docs) = run_documented(exp, &format!("soak-{}", exec_mode.label()), "soak");
+        let doc = &docs["soak_telemetry.json"];
         assert_eq!(
             doc.get("schema").and_then(JsonValue::as_str),
             Some(sj_telemetry::SCHEMA_VERSION)
         );
         let events = doc.get("events").and_then(JsonValue::as_array).unwrap();
-        let is = |e: &JsonValue, key: &str, value: &str| {
-            e.get(key).and_then(JsonValue::as_str) == Some(value)
-        };
         events
             .iter()
             .filter(|e| is(e, "scope", "soak") && is(e, "name", "iteration"))
@@ -1982,7 +1849,7 @@ mod tests {
             .collect()
     }
 
-    fn devices(iteration: &sj_telemetry::json::JsonValue) -> u64 {
+    fn devices(iteration: &JsonValue) -> u64 {
         let fields = iteration.get("fields").unwrap();
         fields.get("devices").and_then(|d| d.as_u64()).unwrap()
     }
@@ -2084,12 +1951,12 @@ mod tests {
     #[test]
     fn hybrid_driver_reproduces_the_gpu_tables() {
         let exp = tiny();
-        let single = exp.table3();
+        let single = exp.figure(&TABLE3);
         let mut hybrid = tiny();
         hybrid.exec_mode = ExecMode::Hybrid;
         assert_eq!(
             single,
-            hybrid.table3(),
+            hybrid.figure(&TABLE3),
             "table3 must be exec-mode invariant"
         );
     }
@@ -2097,10 +1964,14 @@ mod tests {
     #[test]
     fn sharded_driver_reproduces_the_single_device_tables() {
         let exp = tiny();
-        let single = exp.table3();
+        let single = exp.figure(&TABLE3);
         let mut sharded = tiny();
         sharded.devices = 4;
-        assert_eq!(single, sharded.table3(), "table3 must be devices-invariant");
+        assert_eq!(
+            single,
+            sharded.figure(&TABLE3),
+            "table3 must be devices-invariant"
+        );
     }
 
     #[test]
