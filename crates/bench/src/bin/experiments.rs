@@ -33,8 +33,8 @@
 //!
 //! `--jobs N` (default: one per core) is the one thread budget: the joins
 //! of a sweep run N at a time, each on N / joins threads (at least one),
-//! and a lone join runs on N threads inside (fleet shards, batches,
-//! warps), so the two layers never nest.
+//! and a lone join runs on N threads inside (fleet shards, batches), so
+//! the two layers never nest.
 //!
 //! `soak` replays eight seeded fault schedules from seed base `--seed`
 //! (default 0) over fleets, or over the co-executor under `--exec-mode

@@ -318,13 +318,14 @@ pub struct SelfJoinConfig {
     /// Where the planner's sort/scan pre-passes execute (see
     /// [`SortBackend`]).
     pub sort_backend: SortBackend,
-    /// Host worker threads for intra-join parallelism: fleet shards,
-    /// within-device batches, warp micro-execution and the device
-    /// pre-pass's launches all run on up to this many OS threads. `0` (the
-    /// default) means "auto" (available hardware parallelism). Purely
-    /// host-side — canonical results, reports, model seconds, and telemetry
-    /// artifacts are bit-identical for every value; only wall-clock time
-    /// changes.
+    /// Host worker threads for intra-join parallelism: fleet shards and
+    /// within-device batches run on up to this many OS threads. A kernel
+    /// launch steps its warps on the thread that issues it, so the device
+    /// pre-pass, a faulted walk and a one-batch plan run on one thread at
+    /// any value. `0` (the default) means "auto" (available hardware
+    /// parallelism). Purely host-side — canonical results, reports, model
+    /// seconds, and telemetry artifacts are bit-identical for every value;
+    /// only wall-clock time changes.
     pub host_jobs: usize,
 }
 

@@ -18,7 +18,7 @@
 //! device during planning costs only the device-resident speedup, never
 //! correctness. The degradation is recorded on the report and as an
 //! `executor`/`prepass_degraded` telemetry event. Each launch steps its
-//! warps on the join's resolved `host_jobs` workers.
+//! warps on the planning thread.
 //!
 //! [`SortBackend::Device`]: crate::config::SortBackend::Device
 
@@ -168,8 +168,6 @@ pub fn device_inclusive_prefix(
 pub(crate) struct DevicePrepass<'a> {
     gpu: &'a GpuConfig,
     step_mode: StepMode,
-    /// Host worker threads stepping each launch's warps.
-    workers: usize,
     fault: Option<&'a FaultPlane>,
     telemetry: &'a dyn Telemetry,
     /// Accounting so far; taken by the executor when planning finishes.
@@ -180,14 +178,12 @@ impl<'a> DevicePrepass<'a> {
     pub fn new(
         gpu: &'a GpuConfig,
         step_mode: StepMode,
-        workers: usize,
         fault: Option<&'a FaultPlane>,
         telemetry: &'a dyn Telemetry,
     ) -> Self {
         Self {
             gpu,
             step_mode,
-            workers,
             fault,
             telemetry,
             stats: PrePassReport::default(),
@@ -196,9 +192,7 @@ impl<'a> DevicePrepass<'a> {
 
     /// The options every pre-pass launch runs with.
     fn launch_options(&self) -> LaunchOptions<'a> {
-        let opts = LaunchOptions::default()
-            .with_step_mode(self.step_mode)
-            .with_workers(self.workers);
+        let opts = LaunchOptions::default().with_step_mode(self.step_mode);
         match self.fault {
             Some(plane) => opts.with_fault_plane(plane),
             None => opts,
@@ -353,7 +347,7 @@ mod tests {
     fn transient_prepass_fault_is_retried_with_backoff() {
         let gpu = GpuConfig::small_test();
         let plane = warpsim::FaultPlane::new(FaultSchedule::new().transient_at(0));
-        let mut prepass = DevicePrepass::new(&gpu, StepMode::default(), 1, Some(&plane), &NULL);
+        let mut prepass = DevicePrepass::new(&gpu, StepMode::default(), Some(&plane), &NULL);
         let per_point = heavy_tail_workloads(64);
         let mut pids: Vec<u32> = (0..64u32).collect();
         assert!(prepass.sort_by_workload(&per_point, &mut pids, "test"));
@@ -372,7 +366,7 @@ mod tests {
         let gpu = GpuConfig::small_test();
         let plane = warpsim::FaultPlane::new(FaultSchedule::new().device_lost_at(0));
         let sink = sj_telemetry::JsonTelemetry::new("prepass");
-        let mut prepass = DevicePrepass::new(&gpu, StepMode::default(), 1, Some(&plane), &sink);
+        let mut prepass = DevicePrepass::new(&gpu, StepMode::default(), Some(&plane), &sink);
         let values = heavy_tail_workloads(32);
         assert!(prepass.inclusive_prefix(&values, "queue_cut").is_none());
         assert!(prepass.stats.degraded_to_host);
@@ -385,13 +379,12 @@ mod tests {
     }
 
     #[test]
-    fn launches_step_on_the_joins_host_workers() {
+    fn launches_carry_the_joins_step_mode_and_fault_plane() {
         let gpu = GpuConfig::small_test();
         let plane = warpsim::FaultPlane::new(FaultSchedule::new());
-        for (workers, fault) in [(1, None), (3, Some(&plane))] {
-            let prepass = DevicePrepass::new(&gpu, StepMode::Stepped, workers, fault, &NULL);
+        for fault in [None, Some(&plane)] {
+            let prepass = DevicePrepass::new(&gpu, StepMode::Stepped, fault, &NULL);
             let opts = prepass.launch_options();
-            assert_eq!(opts.workers, Some(workers));
             assert_eq!(opts.step_mode, StepMode::Stepped);
             assert_eq!(opts.fault_plane.is_some(), fault.is_some());
         }

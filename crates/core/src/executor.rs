@@ -428,7 +428,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             SortBackend::Device => Some(DevicePrepass::new(
                 &self.config.gpu,
                 self.config.step_mode,
-                self.config.resolved_host_jobs(),
                 self.fault,
                 self.telemetry,
             )),
@@ -1436,7 +1435,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     ) -> Result<ShardExecution, JoinError> {
         let jobs = self.config.resolved_host_jobs();
         if ctx.fault.is_some() || jobs <= 1 || items.len() <= 1 {
-            return self.walk(items, ctx, sink, jobs.max(1));
+            return self.walk(items, ctx, sink);
         }
         let telemetry_on = sink.is_enabled();
         let walks = crate::pool::par_map(jobs, items.to_vec(), |item| {
@@ -1446,7 +1445,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 counter: &counter,
                 ..*ctx
             };
-            let res = self.walk(std::slice::from_ref(&item), &item_ctx, &buffer, 1);
+            let res = self.walk(std::slice::from_ref(&item), &item_ctx, &buffer);
             (buffer, res)
         });
         let mut exec = ShardExecution::default();
@@ -1479,15 +1478,13 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     }
 
     /// The batch walk: one item at a time, depth-first through its
-    /// recovery splits, with the full per-batch fault-recovery loop.
-    /// `workers` bounds the host threads the warp simulator may use
-    /// underneath each launch.
+    /// recovery splits, with the full per-batch fault-recovery loop. Each
+    /// launch steps its warps on the walking thread.
     fn walk(
         &self,
         items: &[WorkItem],
         ctx: &ShardCtx<'_>,
         sink: &dyn Telemetry,
-        workers: usize,
     ) -> Result<ShardExecution, JoinError> {
         let telemetry_on = sink.is_enabled();
         let c = &self.config;
@@ -1577,7 +1574,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             let mut opts = LaunchOptions::with_telemetry(sink);
             opts.fault_plane = ctx.fault;
             opts.step_mode = c.step_mode;
-            opts.workers = Some(workers);
             match launch_with(ctx.gpu, &source, issue_order, &mut buffer, &opts) {
                 Ok(launch_report) => {
                     // Queue-drain invariant, promoted from a debug assert:

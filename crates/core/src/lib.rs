@@ -45,12 +45,11 @@ pub mod fleet;
 pub mod hybrid;
 pub mod kernels;
 pub mod patterns;
+pub mod pool;
 pub mod result;
 pub mod serve;
 pub mod target;
 pub mod workload;
-
-pub use warpsim::pool;
 
 pub use batching::{BatchPlan, BatchingConfig, ResultEstimate};
 pub use brute::brute_force_join;

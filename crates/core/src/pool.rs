@@ -1,22 +1,21 @@
 //! Deterministic scoped host worker pool.
 //!
 //! Every host-parallel layer in the workspace — bench sweep cells, the
-//! hybrid CPU backend, fleet shards, within-device batches, and the warps
-//! of one launch ([`crate::kernel::launch_with`]) — runs on this one
-//! primitive, which `simjoin` re-exports as `simjoin::pool`. [`par_map`]
-//! applies a function to indexed items on up to `jobs` OS threads and
-//! returns the results **in input order**, no matter how the items were
-//! scheduled. Workers steal fixed-size chunks of the index space from a
-//! shared atomic cursor, so a straggler item only delays its own chunk
-//! while idle workers drain the rest.
+//! hybrid CPU backend, fleet shards and within-device batches — runs on
+//! this one primitive. A kernel launch steps its warps on the calling
+//! thread, so no layer nests inside a launch. [`par_map`] applies a
+//! function to indexed items on up to `jobs` OS threads and returns the
+//! results **in input order**, no matter how the items were scheduled.
+//! Workers claim fixed-size chunks of consecutive items from a shared
+//! queue, so a straggler item only delays its own chunk while idle workers
+//! drain the rest.
 //!
 //! The pool is purely host-side machinery: it changes wall-clock time, never
 //! simulated results. Callers that need bit-identical artifacts across
 //! `jobs` values get that for free as long as their per-item work is
 //! self-contained — the merge order here is always `0, 1, 2, …`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Resolves a `host_jobs`-style knob to a concrete worker count:
 /// `0` means "auto" (one worker per available hardware thread), any other
@@ -36,9 +35,9 @@ pub fn resolve(jobs: usize) -> usize {
 ///
 /// `jobs == 0` resolves to the available hardware parallelism; `jobs <= 1`
 /// (or a single item) degrades to a plain serial map on the calling thread.
-/// Workers claim chunks of consecutive indices from an atomic cursor —
-/// chunked work-stealing — and write each result into its per-index slot,
-/// so the output order (and therefore every downstream merge) is
+/// Workers pop numbered chunks of consecutive items from a shared queue —
+/// chunked work-stealing — and the finished chunks are put back in number
+/// order, so the output order (and therefore every downstream merge) is
 /// independent of `jobs`.
 pub fn par_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
@@ -50,32 +49,35 @@ where
     if jobs <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     // Chunks several times smaller than an even split keep workers busy when
     // per-item costs are skewed, without a claim per item.
-    let chunk = work.len().div_ceil(jobs * 4).max(1);
-    let cursor = AtomicUsize::new(0);
+    let chunk = items.len().div_ceil(jobs * 4).max(1);
+    let mut items = items.into_iter();
+    let chunks: Vec<Vec<T>> = std::iter::from_fn(|| {
+        let next: Vec<T> = items.by_ref().take(chunk).collect();
+        (!next.is_empty()).then_some(next)
+    })
+    .collect();
+    let done = Mutex::new(Vec::with_capacity(chunks.len()));
+    // Neither lock is held while `f` runs, and a pop or a push leaves the
+    // guarded data whole, so a guard poisoned by another worker's panic is
+    // still valid; that panic itself resurfaces when the scope joins.
+    let queue = Mutex::new(chunks.into_iter().enumerate());
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= work.len() {
-                    break;
-                }
-                let end = (start + chunk).min(work.len());
-                for idx in start..end {
-                    let item = work[idx].lock().unwrap().take().expect("item claimed once");
-                    let out = f(item);
-                    *slots[idx].lock().unwrap() = Some(out);
-                }
+                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((index, chunk)) = next else { break };
+                let out: Vec<R> = chunk.into_iter().map(&f).collect();
+                done.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((index, out));
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("worker filled slot"))
-        .collect()
+    let mut done = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().flat_map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]

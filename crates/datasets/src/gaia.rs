@@ -1,7 +1,7 @@
 //! Sky-survey datasets — the Gaia catalog analogue.
 //!
 //! The paper samples 50 M 2-D points (sky positions) from the Gaia DR
-//! catalog [32]. Stellar density on the sky is strongly anisotropic:
+//! catalog \[32\]. Stellar density on the sky is strongly anisotropic:
 //! it peaks along the galactic plane and decays roughly exponentially with
 //! galactic latitude. The analogue samples longitude uniformly on
 //! `[0, 360)` and latitude from a truncated Laplace with configurable scale

@@ -1,6 +1,6 @@
 //! Clustered geospatial datasets — the SW ionosphere analogue.
 //!
-//! The paper's SW datasets [31] hold lat/lon observations (plus total
+//! The paper's SW datasets \[31\] hold lat/lon observations (plus total
 //! electron content in 3-D) of ionospheric monitoring objects: spatially
 //! clustered around observation hotspots with diffuse background coverage.
 //! This generator reproduces that shape as a mixture model:

@@ -20,7 +20,8 @@ use crate::point::Point;
 pub struct NonEmptyCell {
     /// Row-major linear id of the cell.
     pub linear_id: LinearCellId,
-    /// Range into [`GridIndex::point_ids`].
+    /// Range into the grid's point-id array, which
+    /// [`GridIndex::cell_points`] slices.
     pub range: Range<u32>,
 }
 

@@ -97,7 +97,7 @@ impl Event {
 ///
 /// Producers take `&dyn Telemetry` and call [`Telemetry::record`]; the
 /// `&self` receiver means sinks use interior mutability and can be shared
-/// across the host worker threads of a simulated launch.
+/// across the host worker threads of one join.
 pub trait Telemetry: Send + Sync {
     /// Whether assembling events is worthwhile. Producers may use this to
     /// skip building expensive payloads (histograms, per-warp vectors) but

@@ -165,24 +165,6 @@ impl GpuConfig {
         self.clock_hz / self.ipc_derate
     }
 
-    /// Derives `warp_slots_per_sm` from a kernel's occupancy: `fraction` is
-    /// the share of *resident* warps an SM makes forward progress on per
-    /// cycle (the default configuration corresponds to 8/64 = 0.125 at full
-    /// occupancy). A register- or shared-memory-hungry kernel lowers
-    /// residency and therefore throughput — the hardware limitation the
-    /// paper cites when motivating bounded warp concurrency (§III).
-    pub fn with_kernel_occupancy(
-        mut self,
-        limits: &crate::occupancy::SmLimits,
-        kernel: &crate::occupancy::KernelResources,
-        fraction: f64,
-    ) -> Self {
-        let resident = crate::occupancy::resident_warps_per_sm(limits, kernel);
-        self.warp_slots_per_sm = ((resident as f64 * fraction).round() as u32).max(1);
-        self.block_size = kernel.block_size;
-        self
-    }
-
     /// A small configuration for unit tests: 4 SMs, 2 slots each.
     pub fn small_test() -> Self {
         Self {
@@ -234,35 +216,6 @@ mod tests {
         };
         assert!((derated.cycles_to_seconds(2_000_000_000) - 4.0).abs() < 1e-12);
         assert!((derated.effective_clock_hz() - 0.5e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn occupancy_derives_slots() {
-        use crate::occupancy::{KernelResources, SmLimits};
-        let limits = SmLimits::gp100();
-        let light = GpuConfig::default().with_kernel_occupancy(
-            &limits,
-            &KernelResources::light(256),
-            0.125,
-        );
-        assert_eq!(
-            light.warp_slots_per_sm, 8,
-            "full occupancy keeps the default"
-        );
-        let heavy = GpuConfig::default().with_kernel_occupancy(
-            &limits,
-            &KernelResources {
-                registers_per_thread: 96,
-                shared_mem_per_block: 0,
-                block_size: 256,
-            },
-            0.125,
-        );
-        assert_eq!(
-            heavy.warp_slots_per_sm, 2,
-            "register pressure cuts throughput"
-        );
-        assert!(heavy.total_warp_slots() < light.total_warp_slots());
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! programs of each warp. Construction happens **sequentially in issue
 //! order** — this is what gives the WORKQUEUE its semantics: a source that
 //! pops a [`crate::atomics::DeviceCounter`] in `make_warp` hands out work in
-//! exactly the order warps start on the device. Micro-execution of the warp
-//! bodies (the expensive part) is then parallelized across host threads,
-//! which is purely an implementation detail: every warp's execution is
-//! self-contained, so the simulation stays deterministic.
+//! exactly the order warps start on the device. The warp bodies are then
+//! micro-executed on the calling thread in warp-id order, and each warp's
+//! pairs reach the result buffer as it retires. Host parallelism lives
+//! above a launch (the executor's batches, fleet shards), never inside one.
 
 use sj_telemetry::{Event, Stopwatch, Telemetry};
 
@@ -17,14 +17,13 @@ use crate::lane::{LaneProgram, LaneSink};
 use crate::machine::{MachineModel, MakespanReport};
 use crate::memory::{BufferOverflow, DeviceBuffer};
 use crate::metrics::WarpStatsSummary;
-use crate::pool::{self, par_map};
 use crate::scheduler::IssueOrder;
 use crate::warp::{execute_warp_with, StepMode, WarpExecution};
 
 /// Describes the warps of one kernel launch.
-pub trait WarpSource: Sync {
+pub trait WarpSource {
     /// The lane program type of this kernel.
-    type Lane: LaneProgram + Send;
+    type Lane: LaneProgram;
 
     /// Number of warps in the launch grid.
     fn num_warps(&self) -> usize;
@@ -142,9 +141,6 @@ pub struct LaunchOptions<'t> {
     /// list scheduling, WEE, lane-occupancy histogram). Defaults to the
     /// zero-cost null sink.
     pub telemetry: &'t dyn Telemetry,
-    /// Forces the number of host worker threads used for warp
-    /// micro-execution; `None` uses `std::thread::available_parallelism()`.
-    pub workers: Option<usize>,
     /// Fault-injection plane gating this launch (see [`crate::fault`]).
     /// `None` — and a plane with an empty schedule — leave simulated
     /// behaviour unchanged.
@@ -157,21 +153,16 @@ pub struct LaunchOptions<'t> {
 
 impl Default for LaunchOptions<'static> {
     fn default() -> Self {
-        Self {
-            telemetry: &sj_telemetry::NULL,
-            workers: None,
-            fault_plane: None,
-            step_mode: StepMode::default(),
-        }
+        Self::with_telemetry(&sj_telemetry::NULL)
     }
 }
 
 impl<'t> LaunchOptions<'t> {
-    /// Options recording to `telemetry`, with default host parallelism.
+    /// Options recording to `telemetry`, with no fault plane and the
+    /// default step mode.
     pub fn with_telemetry(telemetry: &'t dyn Telemetry) -> Self {
         Self {
             telemetry,
-            workers: None,
             fault_plane: None,
             step_mode: StepMode::default(),
         }
@@ -188,19 +179,15 @@ impl<'t> LaunchOptions<'t> {
         self.step_mode = mode;
         self
     }
-
-    /// Builder-style: force the host worker thread count for warp
-    /// micro-execution (`None`/unset uses the available parallelism).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
 }
 
-/// Launches a kernel: constructs warps in issue order, micro-executes them,
-/// appends their result pairs to `out` (in warp-id order, so output is
-/// deterministic across issue policies), and schedules their durations onto
-/// the occupancy-limited machine.
+/// Launches a kernel: constructs warps in issue order, micro-executes them
+/// in warp-id order on the calling thread, appends each warp's result pairs
+/// to `out` as it retires (so output is deterministic across issue
+/// policies), and schedules their durations onto the occupancy-limited
+/// machine in issue order. The first warp whose pairs do not fit fails the
+/// launch with [`LaunchError::ResultOverflow`]; later warps are not
+/// stepped.
 pub fn launch<S: WarpSource>(
     gpu: &GpuConfig,
     source: &S,
@@ -224,8 +211,8 @@ pub fn launch_with<S: WarpSource>(
     // Fault-plane admission. Transient and device-lost faults abort here,
     // before any warp is constructed, so device state (queue counters) is
     // exactly that of a launch that never reached the device. A forced
-    // overflow lets the launch run and surfaces at the gather step below,
-    // like a real capacity overflow.
+    // overflow lets the launch run and surfaces once its warps have
+    // retired, like a real capacity overflow.
     let mut force_overflow = false;
     if let Some(plane) = opts.fault_plane {
         match plane.admit_launch() {
@@ -258,62 +245,43 @@ pub fn launch_with<S: WarpSource>(
     // Phase 1: construct lane programs sequentially in issue order (this is
     // where work-queue sources pop the device counter).
     let sw_construct = Stopwatch::start();
-    let mut warps: Vec<(u32, Vec<S::Lane>)> = Vec::with_capacity(num_warps);
+    let mut warps: Vec<Vec<S::Lane>> = Vec::new();
+    warps.resize_with(num_warps, Vec::new);
     for &warp_id in &issue_order {
-        warps.push((warp_id, source.make_warp(warp_id)));
+        warps[warp_id as usize] = source.make_warp(warp_id);
     }
     let construct_ns = sw_construct.elapsed_ns();
 
-    // Phase 2: micro-execute warp bodies, in parallel on the host pool
-    // ([`par_map`]). Each warp advances on exactly one thread (traced warps
-    // use that thread's reusable trace scratch) and its result comes
-    // back at its issue position, so Phase 3 aggregates in an order
-    // independent of workers.
+    // Phase 2: micro-execute the warps in warp-id order into one reused
+    // sink, moving each warp's pairs into `out` as it retires.
     let sw_exec = Stopwatch::start();
     let warp_size = gpu.warp_size;
-    let workers = opts
-        .workers
-        .map_or_else(|| pool::resolve(0), |w| w.max(1))
-        .min(num_warps.max(1));
-    let step_mode = opts.step_mode;
-    let slots = par_map(workers, warps, |(warp_id, mut lanes)| {
-        let mut sink = LaneSink::new();
-        let exec = execute_warp_with(&mut lanes, warp_size, &mut sink, step_mode);
-        (warp_id, exec, sink)
-    });
-    let exec_ns = sw_exec.elapsed_ns();
-
-    // Phase 3: aggregate. Durations stay in issue order for the machine
-    // model; pairs are appended in warp-id order for determinism.
     let mut totals = WarpExecution {
         warp_size,
         ..WarpExecution::default()
     };
-    let mut durations_issue_order = Vec::with_capacity(num_warps);
     let mut warp_cycles = vec![0u64; num_warps];
     // Lane-occupancy histogram (the per-warp view behind Fig. 3/7): bucket
     // each warp by its mean active lanes per issued instruction. Collected
     // only when a real sink is attached — observation only, never behaviour.
     let mut occupancy_hist = vec![0u64; warp_size as usize + 1];
-    let mut by_warp_id: Vec<Option<LaneSink>> = Vec::with_capacity(num_warps);
-    by_warp_id.resize_with(num_warps, || None);
-    for (warp_id, exec, sink) in slots {
+    let mut sink = LaneSink::new();
+    let mut pairs_emitted = 0usize;
+    for (cycles, mut lanes) in warp_cycles.iter_mut().zip(warps) {
+        sink.clear();
+        let exec = execute_warp_with(&mut lanes, warp_size, &mut sink, opts.step_mode);
         totals.accumulate(&exec);
         totals.lanes += exec.lanes;
-        durations_issue_order.push(exec.cycles);
-        warp_cycles[warp_id as usize] = exec.cycles;
+        *cycles = exec.cycles;
         if telemetry_on && exec.issued > 0 {
             let mean_active = (exec.active_lane_slots as f64 / exec.issued as f64).round() as usize;
             occupancy_hist[mean_active.min(warp_size as usize)] += 1;
         }
-        by_warp_id[warp_id as usize] = Some(sink);
-    }
-    let mut pairs_emitted = 0usize;
-    for sink in by_warp_id.into_iter().flatten() {
-        pairs_emitted += sink.len();
         out.extend_from_slice(sink.pairs())
             .map_err(LaunchError::ResultOverflow)?;
+        pairs_emitted += sink.len();
     }
+    let exec_ns = sw_exec.elapsed_ns();
     if force_overflow {
         // Synthesize the overflow the schedule demanded: report one more
         // pair than the buffer could still have held.
@@ -324,6 +292,11 @@ pub fn launch_with<S: WarpSource>(
         }));
     }
 
+    // The machine model reads the durations in issue order.
+    let durations_issue_order: Vec<u64> = issue_order
+        .iter()
+        .map(|&warp_id| warp_cycles[warp_id as usize])
+        .collect();
     let machine = MachineModel::new(gpu.total_warp_slots());
     let makespan = machine.schedule(&durations_issue_order);
 
@@ -361,7 +334,6 @@ pub fn launch_with<S: WarpSource>(
                     report.makespan.balance_overhead(),
                 )
                 .str("lane_occupancy_hist", hist)
-                .u64("host_workers", workers as u64)
                 .u64("host_construct_ns", construct_ns)
                 .u64("host_exec_ns", exec_ns)
                 .u64("host_total_ns", sw_total.elapsed_ns()),
@@ -373,6 +345,8 @@ pub fn launch_with<S: WarpSource>(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use crate::lane::FixedWorkLane;
     use crate::op::{Op, OpKind};
@@ -495,6 +469,128 @@ mod tests {
         let mut out = DeviceBuffer::with_capacity(3);
         let err = launch(&gpu, &src, IssueOrder::InOrder, &mut out).unwrap_err();
         assert!(matches!(err, LaunchError::ResultOverflow(_)));
+    }
+
+    /// Warp `w` is one lane that emits `pairs[w]` pairs `(w, j)`, one per
+    /// step, and counts itself in `stepped` on its first step.
+    struct UnevenEmitter<'a> {
+        pairs: Vec<u32>,
+        stepped: &'a Cell<usize>,
+    }
+
+    struct UnevenLane<'a> {
+        warp: u32,
+        next: u32,
+        count: u32,
+        stepped: &'a Cell<usize>,
+    }
+
+    impl LaneProgram for UnevenLane<'_> {
+        fn step(&mut self, sink: &mut LaneSink) -> Option<Op> {
+            if self.next == 0 {
+                self.stepped.set(self.stepped.get() + 1);
+            }
+            if self.next == self.count {
+                return None;
+            }
+            sink.emit(self.warp, self.next);
+            self.next += 1;
+            Some(Op::new(OpKind::Emit, 8))
+        }
+    }
+
+    impl<'a> WarpSource for UnevenEmitter<'a> {
+        type Lane = UnevenLane<'a>;
+        fn num_warps(&self) -> usize {
+            self.pairs.len()
+        }
+        fn make_warp(&self, warp_id: u32) -> Vec<UnevenLane<'a>> {
+            vec![UnevenLane {
+                warp: warp_id,
+                next: 0,
+                count: self.pairs[warp_id as usize],
+                stepped: self.stepped,
+            }]
+        }
+    }
+
+    #[test]
+    fn overflow_names_the_first_warp_in_id_order_that_does_not_fit() {
+        let gpu = GpuConfig::small_test();
+        // In warp-id order 3 + 0 + 5 = 8 pairs fit in 10; warp 3's 4 do not.
+        let pairs = vec![3, 0, 5, 4, 1, 6, 2, 7];
+        let stepped = Cell::new(0);
+        let src = UnevenEmitter {
+            pairs: pairs.clone(),
+            stepped: &stepped,
+        };
+        let mut out = DeviceBuffer::with_capacity(10);
+        let err = launch(&gpu, &src, IssueOrder::Arbitrary { seed: 3 }, &mut out).unwrap_err();
+        let overflow = BufferOverflow {
+            capacity: 10,
+            len: 8,
+            attempted: 4,
+        };
+        assert_eq!(err, LaunchError::ResultOverflow(overflow));
+        let earlier: Vec<(u32, u32)> = (0..3u32)
+            .flat_map(|w| (0..pairs[w as usize]).map(move |j| (w, j)))
+            .collect();
+        assert_eq!(out.as_slice(), earlier);
+        assert_eq!(stepped.get(), 4, "warps after the overflow are not stepped");
+    }
+
+    /// A lane that asserts it steps on the thread that launched it.
+    struct HomeLane {
+        home: std::thread::ThreadId,
+        remaining: u32,
+    }
+
+    impl LaneProgram for HomeLane {
+        fn step(&mut self, sink: &mut LaneSink) -> Option<Op> {
+            assert_eq!(std::thread::current().id(), self.home);
+            if self.remaining == 0 {
+                return None;
+            }
+            self.remaining -= 1;
+            sink.emit(self.remaining, self.remaining);
+            Some(Op::new(OpKind::Distance, 10))
+        }
+    }
+
+    struct HomeWarps {
+        warps: usize,
+        home: std::thread::ThreadId,
+    }
+
+    impl WarpSource for HomeWarps {
+        type Lane = HomeLane;
+        fn num_warps(&self) -> usize {
+            self.warps
+        }
+        fn make_warp(&self, warp_id: u32) -> Vec<HomeLane> {
+            (0..4)
+                .map(|l| HomeLane {
+                    home: self.home,
+                    remaining: (warp_id + l) % 5,
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn every_lane_steps_on_the_launching_thread() {
+        let gpu = GpuConfig::small_test();
+        let src = HomeWarps {
+            warps: 64,
+            home: std::thread::current().id(),
+        };
+        for mode in [StepMode::Stepped, StepMode::RunLength] {
+            let mut out = DeviceBuffer::with_capacity(1000);
+            let opts = LaunchOptions::default().with_step_mode(mode);
+            let r = launch_with(&gpu, &src, IssueOrder::InOrder, &mut out, &opts).unwrap();
+            assert_eq!(r.warps, 64);
+            assert!(r.pairs_emitted > 0);
+        }
     }
 
     #[test]

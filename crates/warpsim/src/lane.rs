@@ -48,9 +48,9 @@ pub trait LaneProgram {
 
 /// Collects the outputs of a warp's lanes.
 ///
-/// Result pairs are buffered per warp and appended to the device result
-/// buffer in warp order by the kernel driver, mimicking the buffered global
-/// writes of the real kernels.
+/// The kernel driver reuses one sink for all warps of a launch: it holds one
+/// warp's pairs at a time, which move into the device result buffer as the
+/// warp retires, mimicking the buffered global writes of the real kernels.
 #[derive(Debug, Default)]
 pub struct LaneSink {
     pairs: Vec<(u32, u32)>,
@@ -92,6 +92,11 @@ impl LaneSink {
     /// Consumes the sink, returning the recorded pairs.
     pub fn into_pairs(self) -> Vec<(u32, u32)> {
         self.pairs
+    }
+
+    /// Forgets the recorded pairs, keeping the allocation for the next warp.
+    pub(crate) fn clear(&mut self) {
+        self.pairs.clear();
     }
 }
 

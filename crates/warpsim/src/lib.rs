@@ -47,9 +47,7 @@ pub mod lane;
 pub mod machine;
 pub mod memory;
 pub mod metrics;
-pub mod occupancy;
 pub mod op;
-pub mod pool;
 pub mod primitives;
 pub mod scheduler;
 pub mod stream;
@@ -69,7 +67,6 @@ pub use lane::{LaneProgram, LaneSink, LaneTrace, OpHandle};
 pub use machine::{MachineModel, MakespanReport};
 pub use memory::{BufferOverflow, DeviceBuffer};
 pub use metrics::WarpStatsSummary;
-pub use occupancy::{occupancy, resident_warps_per_sm, KernelResources, SmLimits};
 pub use op::{Op, OpKind, NUM_OP_KINDS};
 pub use primitives::{
     device_exclusive_scan, device_radix_argsort, PrimitiveReport, DEFAULT_DIGIT_BITS,

@@ -216,7 +216,7 @@ struct PrebuiltGrid<L> {
     warps: Vec<Vec<L>>,
 }
 
-impl<L: LaneProgram + Send + Clone + Sync> WarpSource for PrebuiltGrid<L> {
+impl<L: LaneProgram + Clone> WarpSource for PrebuiltGrid<L> {
     type Lane = L;
 
     fn num_warps(&self) -> usize {
@@ -229,7 +229,7 @@ impl<L: LaneProgram + Send + Clone + Sync> WarpSource for PrebuiltGrid<L> {
 }
 
 /// Runs one dispatch of the chain and returns the pairs its lanes emitted.
-fn run_dispatch<L: LaneProgram + Send + Clone + Sync>(
+fn run_dispatch<L: LaneProgram + Clone>(
     gpu: &GpuConfig,
     warps: Vec<Vec<L>>,
     result_capacity: usize,

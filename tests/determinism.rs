@@ -39,8 +39,8 @@ fn join_results_and_timings_are_reproducible() {
 }
 
 /// The host-parallel invariant: `host_jobs` threads the inside of one join
-/// (independent batches on the pool, warp stepping inside each launch) but
-/// is allowed to change wall-clock only — the pair set and the canonical
+/// (independent batches on the pool) but is allowed to change wall-clock
+/// only — the pair set and the canonical
 /// report are bit-identical for any thread count, in both step modes.
 #[test]
 fn host_jobs_never_changes_results() {
@@ -50,7 +50,7 @@ fn host_jobs_never_changes_results() {
     let truth = brute_force_dyn(&pts, eps);
     // Tighten the batch capacity so the plan holds several independent
     // units — otherwise the batch-level layer has nothing to parallelize
-    // and the matrix would only exercise warp stepping.
+    // and every thread count would run the same serial walk.
     let batching = BatchingConfig {
         batch_result_capacity: truth.len() / 10 + 8,
         ..BatchingConfig::default()

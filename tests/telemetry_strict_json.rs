@@ -344,7 +344,7 @@ fn hybrid_join_telemetry_is_strict_json() {
 }
 
 /// Replaces the numeric value of every `host_*`-prefixed field with `0`.
-/// Host-time observations (`host_ns`, `host_workers`, `host_exec_ns`, …)
+/// Host-time observations (`host_ns`, `host_exec_ns`, `host_total_ns`, …)
 /// are the *only* fields allowed to differ across `host_jobs` runs —
 /// everything else in the document must be byte-identical.
 fn mask_host_fields(doc: &str) -> String {
